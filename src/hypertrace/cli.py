@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -25,28 +24,9 @@ from .composition import (
 )
 from .config import Budget, default_budget
 from .errors import LimitExceeded, ValidationError
-from .estrada import decimal_str, estrada_index, extremal_scan
-from .hypergraph import (
-    UniformHypergraph,
-    dumps_json,
-    hyperpath,
-    hyperstar,
-    load_json,
-)
+from .estrada import decimal_str, estrada_index, extremal_scan, fraction_str
+from .hypergraph import dumps_json, hyperpath, hyperstar, load_json
 from .traces import query, trace, trace_local
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    """Parsed options shared by all subcommands."""
-
-    format: str
-    budget: Budget
-    output: str | None
-
-
-def _fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _parse_tol(text: str) -> Fraction:
@@ -130,7 +110,7 @@ def _places(tol: Fraction) -> int:
     return min(places + 1, 15)
 
 
-def cmd_gen(args: argparse.Namespace, config: CommandConfig) -> int:
+def cmd_gen(args: argparse.Namespace, budget: Budget) -> int:
     if args.family == "edge":
         h = hyperpath(args.m, 1)
     elif args.family == "hyperpath":
@@ -141,42 +121,42 @@ def cmd_gen(args: argparse.Namespace, config: CommandConfig) -> int:
     return 0
 
 
-def cmd_trace(args: argparse.Namespace, config: CommandConfig) -> int:
+def cmd_trace(args: argparse.Namespace, budget: Budget) -> int:
     h = load_json(args.input)
     pinned = tuple(args.pinned) if args.pinned else None
     q = query(required=args.required, forbidden=args.forbidden, pinned=pinned)
     if q.is_empty:
-        value = trace(h, args.d, config.budget)
+        value = trace(h, args.d, budget)
     else:
-        value = trace_local(h, args.d, q, config.budget)
+        value = trace_local(h, args.d, q, budget)
     if args.format == "json":
         payload = {
             "d": args.d,
-            "trace": _fraction_str(value),
+            "trace": fraction_str(value),
             "decimal": decimal_str(value, 6),
         }
         _emit(json.dumps(payload, indent=2) + "\n", None)
     else:
-        _emit(f"{_fraction_str(value)}\n", None)
+        _emit(f"{fraction_str(value)}\n", None)
         _emit(f"= {decimal_str(value, 6)} (6 dp)\n", None)
     return 0
 
 
-def cmd_estrada(args: argparse.Namespace, config: CommandConfig) -> int:
+def cmd_estrada(args: argparse.Namespace, budget: Budget) -> int:
     h = load_json(args.input)
     tol = _parse_tol(args.tol)
-    estimate = estrada_index(h, tol, config.budget)
+    estimate = estrada_index(h, tol, budget)
     places = _places(tol if tol else Fraction(1, 10**6))
     lo = decimal_str(estimate.lower, places, rounding="floor")
     hi = decimal_str(estimate.upper, places, rounding="ceil")
     if args.format == "json":
         payload = {
-            "lower": _fraction_str(estimate.lower),
-            "upper": _fraction_str(estimate.upper),
+            "lower": fraction_str(estimate.lower),
+            "upper": fraction_str(estimate.upper),
             "lower_decimal": lo,
             "upper_decimal": hi,
             "depth": estimate.depth,
-            "tail_bound": _fraction_str(estimate.tail_bound),
+            "tail_bound": fraction_str(estimate.tail_bound),
         }
         _emit(json.dumps(payload, indent=2) + "\n", None)
     else:
@@ -185,9 +165,9 @@ def cmd_estrada(args: argparse.Namespace, config: CommandConfig) -> int:
     return 0
 
 
-def cmd_scan(args: argparse.Namespace, config: CommandConfig) -> int:
+def cmd_scan(args: argparse.Namespace, budget: Budget) -> int:
     tol = _parse_tol(args.tol)
-    report = extremal_scan(args.m, args.edges, tol, config.budget)
+    report = extremal_scan(args.m, args.edges, tol, budget)
     if args.format == "json":
         _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.output)
     elif args.format == "csv":
@@ -210,26 +190,26 @@ def cmd_scan(args: argparse.Namespace, config: CommandConfig) -> int:
     return 0
 
 
-def _run_audit(args: argparse.Namespace, config: CommandConfig) -> InequalityAuditReport:
+def _run_audit(args: argparse.Namespace, budget: Budget) -> InequalityAuditReport:
     if args.law == "path-shift":
         host = hyperpath(args.m, 1)
-        return audit_path_shift(host, 0, args.r, args.s, args.dmax, config.budget)
+        return audit_path_shift(host, 0, args.r, args.s, args.dmax, budget)
     if args.law == "edge-shift":
         return audit_edge_shift(args.m, args.p, args.r, args.s, args.dmax,
-                                budget=config.budget)
-    return audit_cored_shift(args.m, args.dmax, p=args.p, budget=config.budget)
+                                budget=budget)
+    return audit_cored_shift(args.m, args.dmax, p=args.p, budget=budget)
 
 
-def cmd_audit(args: argparse.Namespace, config: CommandConfig) -> int:
-    report = _run_audit(args, config)
+def cmd_audit(args: argparse.Namespace, budget: Budget) -> int:
+    report = _run_audit(args, budget)
     if args.format == "json":
         _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", None)
         return 0
     lines = [f"law: {report.law}"]
     for row in report.rows:
         lines.append(
-            f"d={row.d}: {row.verdict} (left={_fraction_str(row.left)} "
-            f"right={_fraction_str(row.right)})"
+            f"d={row.d}: {row.verdict} (left={fraction_str(row.left)} "
+            f"right={fraction_str(row.right)})"
         )
     lines.append(f"claimed strict onset: d={report.claimed_strict_onset}")
     observed = report.observed_strict_onset
@@ -260,12 +240,7 @@ def main(argv: list[str] | None = None) -> int:
             budget = Budget(cost_limit=args.budget)
         else:
             budget = default_budget()
-        config = CommandConfig(
-            format=getattr(args, "format", "text"),
-            budget=budget,
-            output=getattr(args, "output", None),
-        )
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args, budget)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

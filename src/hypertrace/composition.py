@@ -38,7 +38,13 @@ from math import comb
 from typing import Sequence
 
 from .config import Budget, default_budget
-from .errors import MissingProfileEntry, ValidationError, VertexOutOfRange
+from .errors import (
+    MissingProfileEntry,
+    MixedUniformity,
+    ValidationError,
+    VertexOutOfRange,
+)
+from .estrada import fraction_str
 from .hypergraph import (
     AttachSpec,
     UniformHypergraph,
@@ -48,7 +54,7 @@ from .hypergraph import (
     new_hypergraph,
 )
 from .euler import contribution_parts, enumerate_rootings
-from .traces import _BucketSum, _check_cost, trace
+from .traces import _check_cost, _KeyedSum, _order_zero_local, trace
 
 
 @dataclass(frozen=True)
@@ -90,19 +96,15 @@ def local_trace_profile(
         raise VertexOutOfRange(f"anchor {anchor} is not in 0..{h.n - 1}")
     if d_max < 0:
         raise ValidationError(f"d_max must be non-negative, got {d_max}")
-    budget = budget or default_budget()
-    _check_cost(h, d_max, budget)
-    sums: dict[tuple[int, int], _BucketSum] = {}
+    _check_cost(h, d_max, budget or default_budget())
+    acc = _KeyedSum()
     for d in range(1, d_max + 1):
         for mat in enumerate_rootings(h, d):
             t = mat.root_counts.get(anchor, 0)
             if t:
-                sums.setdefault((d, t), _BucketSum()).add(
-                    *contribution_parts(mat, h.n)
-                )
-    entries = {key: acc.value() for key, acc in sums.items()}
-    entries = {key: val for key, val in entries.items() if val}
-    entries[(0, 0)] = Fraction((h.m - 1) ** (h.n - 1))
+                acc.add((d, t), contribution_parts(mat, h.n))
+    entries = {key: val for key, val in acc.totals().items() if val}
+    entries[(0, 0)] = _order_zero_local(h)
     return LocalTraceProfile(host=h, anchor=anchor, d_max=d_max, entries=entries)
 
 
@@ -122,7 +124,7 @@ def coalescence_local_trace(
     """Localized trace of the glued hypergraph at the identified vertex,
     assembled from the two operand profiles."""
     if p1.host.m != p2.host.m:
-        raise ValidationError("profiles have different uniformity")
+        raise MixedUniformity("profiles have different uniformity")
     if d < 1:
         raise ValidationError(f"composition needs d >= 1, got {d}")
     if p1.d_max < d or p2.d_max < d:
@@ -186,6 +188,10 @@ def relocation_difference(
     """
     if d < 1:
         raise ValidationError(f"relocation needs d >= 1, got {d}")
+    if len({p.host.m for p in (profile_u, profile_v, profile_w)}) > 1:
+        raise MixedUniformity("profiles have different uniformity")
+    if profile_u.host != profile_v.host:
+        raise ValidationError("profile_u and profile_v must anchor the same operand")
     needed = d - 1
     for p in (profile_u, profile_v, profile_w):
         if p.d_max < needed:
@@ -253,17 +259,13 @@ class InequalityAuditReport:
             "rows": [
                 {
                     "d": row.d,
-                    "left": _fraction_str(row.left),
-                    "right": _fraction_str(row.right),
+                    "left": fraction_str(row.left),
+                    "right": fraction_str(row.right),
                     "verdict": row.verdict,
                 }
                 for row in self.rows
             ],
         }
-
-
-def _fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _compare_traces(

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .config import Budget, default_budget
-from .errors import LimitExceeded, ValidationError
+from .errors import ValidationError
 from .hypergraph import (
     UniformHypergraph,
     canonical_form,
@@ -40,7 +40,7 @@ from .hypergraph import (
     hyperstar,
     is_hypertree,
 )
-from .traces import trace, trace_m2_oracle
+from .traces import _check_cost, trace, trace_m2_oracle
 
 # any rational constant strictly above e keeps the tail bound valid
 E_UPPER = Fraction(271828182845905, 10**14)
@@ -140,10 +140,7 @@ def estrada_index_m2_oracle(
     budget = budget or default_budget()
 
     def oracle(d: int) -> Fraction:
-        if h.edge_count * d > budget.cost_limit:
-            raise LimitExceeded(
-                f"series depth {d} exceeds the budget of {budget.cost_limit}"
-            )
+        _check_cost(h, d, budget)
         return Fraction(trace_m2_oracle(h, d))
 
     return _bracket_series(h, tol, oracle)
@@ -187,13 +184,13 @@ class ExtremalReport:
         return {
             "m": self.m,
             "z": self.z,
-            "tol": _fraction_str(self.tol),
+            "tol": fraction_str(self.tol),
             "minimizer": self.minimizer_id,
             "maximizer": self.maximizer_id,
             "path_is_minimum": self.path_is_minimum,
             "star_is_maximum": self.star_is_maximum,
             "indeterminate": [
-                {"a": a, "b": b, "overlap": _fraction_str(gap)}
+                {"a": a, "b": b, "overlap": fraction_str(gap)}
                 for a, b, gap in self.indeterminate
             ],
             "classes": [
@@ -201,8 +198,8 @@ class ExtremalReport:
                     "id": entry.canonical_id,
                     "n": entry.hypergraph.n,
                     "degrees": list(entry.degree_sequence),
-                    "lower": _fraction_str(entry.estimate.lower),
-                    "upper": _fraction_str(entry.estimate.upper),
+                    "lower": fraction_str(entry.estimate.lower),
+                    "upper": fraction_str(entry.estimate.upper),
                     "rank": entry.rank,
                 }
                 for entry in self.entries
@@ -286,7 +283,8 @@ def extremal_scan(
     )
 
 
-def _fraction_str(x: Fraction) -> str:
+def fraction_str(x: Fraction) -> str:
+    """Exact rendering as numerator/denominator."""
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -46,12 +46,10 @@ from .errors import (
     ValidationError,
     VertexOutOfRange,
 )
-from .hypergraph import UniformHypergraph
+from .hypergraph import UniformHypergraph, connected
 
 if TYPE_CHECKING:  # pragma: no cover
     from .traces import LocalTraceQuery
-
-ExactRational = Fraction
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,8 @@ class RootCountMatrix:
                     f"vertex {v} has incident multiplicity {degree[v]} but "
                     f"root count {roots.get(v, 0)}; balance needs a ratio of m"
                 )
-        if not self._support_connected():
+        selected = [h.edges[i] for i in self.support]
+        if not connected({v for e in selected for v in e}, selected):
             raise NotEulerian("the selected edges do not form a connected support")
 
     @cached_property
@@ -119,26 +118,6 @@ class RootCountMatrix:
         """Indices of the selected host edges."""
         return tuple(i for i, k in enumerate(self.k_vector) if k)
 
-    def _support_connected(self) -> bool:
-        edges = [self.host.edges[i] for i in self.support]
-        verts = sorted({v for e in edges for v in e})
-        index = {v: i for i, v in enumerate(verts)}
-        parent = list(range(len(verts)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in edges:
-            r = find(index[e[0]])
-            for w in e[1:]:
-                rw = find(index[w])
-                if rw != r:
-                    parent[rw] = r
-        return len({find(i) for i in range(len(verts))}) == 1
-
 
 @dataclass(frozen=True)
 class DirectedMultigraph:
@@ -146,9 +125,6 @@ class DirectedMultigraph:
 
     vertices: tuple[int, ...]
     arcs: Mapping[tuple[int, int], int]
-
-    def out_degree(self, v: int) -> int:
-        return sum(mult for (u, _), mult in self.arcs.items() if u == v)
 
     @cached_property
     def out_degrees(self) -> dict[int, int]:
@@ -172,23 +148,7 @@ class DirectedMultigraph:
         return all(self.out_degrees[v] == self.in_degrees[v] for v in self.vertices)
 
     def is_weakly_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        index = {v: i for i, v in enumerate(self.vertices)}
-        parent = list(range(len(self.vertices)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (u, w), mult in self.arcs.items():
-            if mult:
-                ru, rw = find(index[u]), find(index[w])
-                if ru != rw:
-                    parent[rw] = ru
-        return len({find(i) for i in range(len(self.vertices))}) == 1
+        return connected(self.vertices, [arc for arc, mult in self.arcs.items() if mult])
 
 
 @dataclass(frozen=True)
@@ -204,7 +164,6 @@ def enumerate_rootings(
     h: UniformHypergraph,
     d: int,
     query: "LocalTraceQuery | None" = None,
-    budget: Budget | None = None,
 ) -> Iterator[RootCountMatrix]:
     """Yield every Euler rooting of total multiplicity d, optionally
     restricted by a localized query.
@@ -221,10 +180,8 @@ def enumerate_rootings(
     forbidden: frozenset[int] = frozenset()
     pinned: tuple[int, int] | None = None
     if query is not None:
+        query.check_vertices(h.n)
         required, forbidden, pinned = query.required, query.forbidden, query.pinned
-        for v in list(required) + list(forbidden) + ([pinned[0]] if pinned else []):
-            if not 0 <= v < h.n:
-                raise VertexOutOfRange(f"query vertex {v} is not in 0..{h.n - 1}")
         if pinned is not None and pinned[1] > d:
             raise InfeasibleQuery(
                 f"pinned root count {pinned[1]} exceeds the trace order {d}"
@@ -287,7 +244,8 @@ def enumerate_rootings(
 
     def finish() -> Iterator[RootCountMatrix]:
         chosen = [p for p in range(count) if kvec[p]]
-        if not _edges_connected([edges[p] for p in chosen]):
+        support = [edges[p] for p in chosen]
+        if not connected({v for e in support for v in e}, support):
             return
         rem = [0] * h.n
         for v in range(h.n):
@@ -342,28 +300,6 @@ def enumerate_rootings(
     if count == 0:
         return
     yield from assign(0, d)
-
-
-def _edges_connected(edges: list[tuple[int, ...]]) -> bool:
-    if not edges:
-        return False
-    verts = sorted({v for e in edges for v in e})
-    index = {v: i for i, v in enumerate(verts)}
-    parent = list(range(len(verts)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges:
-        r = find(index[e[0]])
-        for w in e[1:]:
-            rw = find(index[w])
-            if rw != r:
-                parent[rw] = r
-    return len({find(i) for i in range(len(verts))}) == 1
 
 
 def build_digraph(mat: RootCountMatrix) -> DirectedMultigraph:

@@ -198,10 +198,12 @@ def attach(host: UniformHypergraph, specs: Sequence[AttachSpec]) -> UniformHyper
     return result
 
 
-def is_connected(h: UniformHypergraph) -> bool:
-    if h.n == 1:
-        return True
-    parent = list(range(h.n))
+def connected(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> bool:
+    """Union-find test that the edges join the vertices into exactly one
+    component; an empty vertex set is not connected.  Edges may only use
+    listed vertices."""
+    parent = {v: v for v in vertices}
+    components = len(parent)
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -209,13 +211,18 @@ def is_connected(h: UniformHypergraph) -> bool:
             x = parent[x]
         return x
 
-    for edge in h.edges:
+    for edge in edges:
         r = find(edge[0])
         for w in edge[1:]:
             rw = find(w)
             if rw != r:
                 parent[rw] = r
-    return len({find(v) for v in range(h.n)}) == 1
+                components -= 1
+    return components == 1
+
+
+def is_connected(h: UniformHypergraph) -> bool:
+    return connected(h.vertices, h.edges)
 
 
 def is_hypertree(h: UniformHypergraph) -> bool:

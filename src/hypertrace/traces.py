@@ -11,7 +11,9 @@ digraph.  ``trace`` evaluates the sum exactly; ``trace_local`` restricts
 it to rootings matching a :class:`LocalTraceQuery` (vertices required
 as roots, excluded entirely, or rooted a pinned number of times), and
 ``trace_table`` batches many orders and queries over one enumeration
-pass per order.
+pass per order.  All three run the same keyed pass: check the orders
+and their cost, validate the queries, enumerate, and sum the weights
+grouped by key.
 
 Order zero is the eigenvalue count: ``Tr_0 = n * (m-1)^(n-1)``.  The
 localized value at order zero follows the convention ``(m-1)^(n-1)``
@@ -26,10 +28,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .config import Budget, default_budget
-from .errors import InfeasibleQuery, LimitExceeded, NotAGraph, ValidationError
+from .errors import (
+    InfeasibleQuery,
+    LimitExceeded,
+    NotAGraph,
+    ValidationError,
+    VertexOutOfRange,
+)
 from .euler import contribution_parts, enumerate_rootings
 from .hypergraph import UniformHypergraph
 
@@ -62,6 +70,13 @@ class LocalTraceQuery:
                 raise ValidationError(f"pinned root count must be positive, got {t}")
             if vertex in self.forbidden:
                 raise ValidationError(f"pinned vertex {vertex} is forbidden")
+
+    def check_vertices(self, n: int) -> None:
+        """Reject any query vertex outside 0..n-1."""
+        pinned = [self.pinned[0]] if self.pinned else []
+        for v in sorted(self.required | self.forbidden) + pinned:
+            if not 0 <= v < n:
+                raise VertexOutOfRange(f"query vertex {v} is not in 0..{n - 1}")
 
     @property
     def is_empty(self) -> bool:
@@ -112,36 +127,62 @@ def _order_zero_local(h: UniformHypergraph) -> Fraction:
     return Fraction((h.m - 1) ** (h.n - 1))
 
 
-class _BucketSum:
-    """Accumulate num/den pairs grouped by denominator, reduce once."""
+class _KeyedSum:
+    """Exact sums of num/den pairs per key: numerators are grouped by
+    denominator and each key is reduced to a Fraction once."""
 
     __slots__ = ("buckets",)
 
     def __init__(self) -> None:
-        self.buckets: dict[int, int] = {}
+        self.buckets: dict[Hashable, dict[int, int]] = {}
 
-    def add(self, num: int, den: int) -> None:
-        self.buckets[den] = self.buckets.get(den, 0) + num
+    def add(self, key: Hashable, parts: tuple[int, int]) -> None:
+        num, den = parts
+        bucket = self.buckets.setdefault(key, {})
+        bucket[den] = bucket.get(den, 0) + num
 
-    def value(self) -> Fraction:
-        total = Fraction(0)
-        for den in sorted(self.buckets):
-            total += Fraction(self.buckets[den], den)
-        return total
+    def totals(self) -> dict[Hashable, Fraction]:
+        return {
+            key: sum((Fraction(bucket[den], den) for den in sorted(bucket)), Fraction(0))
+            for key, bucket in self.buckets.items()
+        }
+
+
+def _trace_pass(
+    h: UniformHypergraph,
+    orders: range,
+    budget: Budget | None,
+    restrict: LocalTraceQuery = EMPTY_QUERY,
+    queries: Sequence[LocalTraceQuery] = (),
+) -> dict[tuple[int, tuple[LocalTraceQuery, ...]], Fraction]:
+    """The one enumeration pass behind every trace entry point.
+
+    Checks that the orders are non-negative and the largest is within
+    the budget, validates every query against the host, then sums the
+    weights of the rootings of each positive order that match
+    ``restrict``, keyed by (d, the members of ``queries`` the rooting
+    matches).  Order zero has no rootings; callers apply its convention.
+    """
+    if not orders or orders[0] < 0:
+        raise ValidationError(f"trace order must be non-negative, got {orders.stop - 1}")
+    _check_cost(h, orders[-1], budget or default_budget())
+    for q in (restrict, *queries):
+        q.check_vertices(h.n)
+    acc = _KeyedSum()
+    for d in orders:
+        if d == 0:
+            continue
+        for mat in enumerate_rootings(h, d, restrict):
+            roots = mat.root_counts
+            matched = tuple(q for q in queries if q.matches(roots))
+            acc.add((d, matched), contribution_parts(mat, h.n))
+    return acc.totals()
 
 
 def trace(h: UniformHypergraph, d: int, budget: Budget | None = None) -> Fraction:
     """Exact order-d trace of the adjacency tensor of h."""
-    if d < 0:
-        raise ValidationError(f"trace order must be non-negative, got {d}")
-    if d == 0:
-        return _order_zero(h)
-    budget = budget or default_budget()
-    _check_cost(h, d, budget)
-    acc = _BucketSum()
-    for mat in enumerate_rootings(h, d):
-        acc.add(*contribution_parts(mat, h.n))
-    return acc.value()
+    sums = _trace_pass(h, range(d, d + 1), budget)
+    return sums.get((d, ()), Fraction(0)) if d else _order_zero(h)
 
 
 def trace_local(
@@ -151,21 +192,15 @@ def trace_local(
     budget: Budget | None = None,
 ) -> Fraction:
     """Exact order-d trace restricted to rootings matching the query."""
-    if d < 0:
-        raise ValidationError(f"trace order must be non-negative, got {d}")
-    if d == 0:
-        if q.constrains_positively:
-            raise InfeasibleQuery(
-                "order zero admits no roots, so required or pinned vertices "
-                "cannot be satisfied"
-            )
-        return _order_zero_local(h)
-    budget = budget or default_budget()
-    _check_cost(h, d, budget)
-    acc = _BucketSum()
-    for mat in enumerate_rootings(h, d, q):
-        acc.add(*contribution_parts(mat, h.n))
-    return acc.value()
+    sums = _trace_pass(h, range(d, d + 1), budget, restrict=q)
+    if d:
+        return sums.get((d, ()), Fraction(0))
+    if q.constrains_positively:
+        raise InfeasibleQuery(
+            "order zero admits no roots, so required or pinned vertices "
+            "cannot be satisfied"
+        )
+    return _order_zero_local(h)
 
 
 @dataclass(frozen=True)
@@ -196,31 +231,21 @@ def trace_table(
     budget: Budget | None = None,
 ) -> TraceTable:
     """Batch plain and localized traces sharing one enumeration per order."""
-    if d_max < 0:
-        raise ValidationError(f"d_max must be non-negative, got {d_max}")
-    budget = budget or default_budget()
-    _check_cost(h, d_max, budget)
     qs = tuple(queries)
-    entries: dict[tuple[int, LocalTraceQuery | None], Fraction] = {}
+    distinct = tuple(dict.fromkeys(qs))
+    sums = _trace_pass(h, range(d_max + 1), budget, queries=distinct)
+    entries: dict[tuple[int, LocalTraceQuery | None], Fraction] = {
+        (d, q): Fraction(0) for d in range(1, d_max + 1) for q in (None, *distinct)
+    }
     entries[(0, None)] = _order_zero(h)
-    for q in qs:
+    for q in distinct:
         entries[(0, q)] = (
             Fraction(0) if q.constrains_positively else _order_zero_local(h)
         )
-    for d in range(1, d_max + 1):
-        plain = _BucketSum()
-        per_query = [_BucketSum() for _ in qs]
-        for mat in enumerate_rootings(h, d):
-            parts = contribution_parts(mat, h.n)
-            plain.add(*parts)
-            if qs:
-                roots = mat.root_counts
-                for q, acc in zip(qs, per_query):
-                    if q.matches(roots):
-                        acc.add(*parts)
-        entries[(d, None)] = plain.value()
-        for q, acc in zip(qs, per_query):
-            entries[(d, q)] = acc.value()
+    for (d, matched), value in sums.items():
+        entries[(d, None)] += value
+        for q in matched:
+            entries[(d, q)] += value
     return TraceTable(host=h, d_max=d_max, queries=qs, entries=entries)
 
 

@@ -73,6 +73,12 @@ class TestTrace:
     def test_negative_order_exits_one(self, path_file, capsys):
         assert main(["trace", "--input", path_file, "--d", "-2"]) == 1
 
+    @pytest.mark.parametrize("d", ["0", "3"])
+    def test_out_of_range_query_vertex_exits_one(self, path_file, capsys, d):
+        assert main(["trace", "--input", path_file, "--d", d,
+                     "--forbidden", "99"]) == 1
+        assert "error" in capsys.readouterr().err
+
     def test_over_budget_exits_two(self, path_file, capsys):
         assert main(["--budget", "5", "trace", "--input", path_file,
                      "--d", "6"]) == 2

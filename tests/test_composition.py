@@ -12,6 +12,7 @@ from hypertrace import (
     AuditRow,
     InequalityAuditReport,
     MissingProfileEntry,
+    MixedUniformity,
     ValidationError,
     VertexOutOfRange,
     audit_cored_shift,
@@ -197,6 +198,19 @@ class TestRelocation:
             relocation_difference(p, p, p, 5)
         with pytest.raises(ValidationError):
             relocation_difference(p, p, p, 0)
+
+    def test_sides_must_anchor_the_same_operand(self):
+        pu = local_trace_profile(hyperpath(3, 2), 0, 5)
+        pv = local_trace_profile(hyperstar(3, 3), 0, 5)
+        pw = local_trace_profile(EDGE3, 0, 5)
+        with pytest.raises(ValidationError):
+            relocation_difference(pu, pv, pw, 6)
+
+    def test_mixed_uniformity_rejected(self):
+        p = local_trace_profile(hyperpath(3, 2), 0, 5)
+        pw = local_trace_profile(hyperpath(4, 1), 0, 5)
+        with pytest.raises(MixedUniformity):
+            relocation_difference(p, p, pw, 6)
 
     def test_identical_anchors_cancel(self):
         p = local_trace_profile(hyperpath(3, 2), 0, 5)

@@ -14,6 +14,7 @@ from hypertrace import (
     LimitExceeded,
     NotAGraph,
     ValidationError,
+    VertexOutOfRange,
     enumerate_hypertrees,
     hyperpath,
     hyperstar,
@@ -175,6 +176,15 @@ class TestLocalTrace:
             query(pinned=(0, 0))
         with pytest.raises(ValidationError):
             query(pinned=(0, 1), forbidden=[0])
+        # query vertices are checked against the host at every order
+        h = hyperpath(3, 2)
+        for q in (query(forbidden=[99]), query(required=[5]), query(pinned=(-1, 1))):
+            for d in (0, 3):
+                with pytest.raises(VertexOutOfRange):
+                    trace_local(h, d, q)
+            for d_max in (0, 3):
+                with pytest.raises(VertexOutOfRange):
+                    trace_table(h, d_max, (query(), q))
 
     def test_empty_query_equals_plain_trace(self):
         h = TRIANGLE
@@ -185,15 +195,27 @@ class TestLocalTrace:
 
 
 class TestTraceTable:
-    def test_table_matches_pointwise_calls(self):
-        h = hyperpath(3, 2)
-        qs = (query(required=[2]), query(forbidden=[2]), query(pinned=(2, 1)))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_table_matches_pointwise_calls(self, data):
+        # one rooting may match several queries or none, and a query may
+        # repeat; every entry must still equal its own pointwise call
+        h = data.draw(st.sampled_from(
+            (hyperpath(3, 2), hyperstar(3, 2)) + connected_graph_classes(4)
+        ))
+        v = data.draw(st.integers(min_value=0, max_value=h.n - 1))
+        w = data.draw(st.integers(min_value=0, max_value=h.n - 1))
+        t = data.draw(st.integers(min_value=1, max_value=3))
+        qs = (query(required=[v]), query(pinned=(v, t)), query(forbidden=[w]),
+              query(required=[v]))
         table = trace_table(h, 6, qs)
         for d in range(0, 7):
             assert table.get(d) == trace(h, d)
             for q in qs:
                 if d == 0 and q.constrains_positively:
                     assert table.get(0, q) == 0
+                elif q.pinned is not None and q.pinned[1] > d:
+                    assert table.get(d, q) == 0
                 else:
                     assert table.get(d, q) == trace_local(h, d, q)
 
