@@ -32,7 +32,7 @@ from .traces import query, trace, trace_local
 def _parse_tol(text: str) -> Fraction:
     try:
         value = Fraction(Decimal(text))
-    except (InvalidOperation, ValueError):
+    except (InvalidOperation, ValueError, OverflowError):
         raise ValidationError(f"tolerance {text!r} is not a decimal number") from None
     if value < 0:
         raise ValidationError(f"tolerance must be non-negative, got {text}")
@@ -241,10 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             budget = default_budget()
         return _COMMANDS[args.command](args, budget)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except LimitExceeded as exc:

@@ -62,6 +62,11 @@ class UniformHypergraph:
             raise ValidationError(f"vertex count n must be an integer >= 1, got {self.n!r}")
         canon = []
         for edge in self.edges:
+            for v in edge:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ValidationError(
+                        f"vertex {v!r} in edge {tuple(edge)} is not an integer"
+                    )
             vs = tuple(sorted(set(edge)))
             if len(vs) != self.m:
                 raise NonUniformEdge(
@@ -270,11 +275,14 @@ def _attach_pendant_edge(h: UniformHypergraph, v: VertexId) -> UniformHypergraph
 
 # --- canonical form -------------------------------------------------------
 #
-# The canonical form is the minimum, over vertex relabelings compatible
-# with an iterated degree refinement, of a block encoding of the edge
-# list: block k holds the edges whose largest new label is k.  Blocks
-# compare elementwise with "more edges earlier is smaller", which makes
-# the partial block sequence a sound prefix for branch-and-bound.
+# Individualization-refinement (McKay & Piperno, "Practical graph
+# isomorphism, II", 2014).  Starting from the degree ranks, refine the
+# vertex coloring until it is stable.  While some color class holds more
+# than one vertex, take the class with the smallest color, give each of
+# its vertices in turn a color of its own, and refine again.  At a leaf
+# every vertex has its own color, so the coloring is a relabeling; the
+# form is the sorted relabeled edge list, and the smallest over all
+# leaves wins.
 
 
 def canonical_form(h: UniformHypergraph, budget: Budget | None = None) -> bytes:
@@ -285,74 +293,35 @@ def canonical_form(h: UniformHypergraph, budget: Budget | None = None) -> bytes:
             f"canonical labeling of {h.n} vertices exceeds the configured "
             f"limit of {budget.canon_vertex_limit}"
         )
-    colors = _refined_colors(h)
-    target = sorted(colors)
-    n = h.n
+    # In a hypertree the stable color of a vertex fixes its rooted
+    # incidence tree up to isomorphism (a tree is its own universal
+    # cover).  So each class is an automorphism orbit, every choice in it
+    # leads to the same form, and the first vertex is enough.
+    one_path = is_hypertree(h)
+    best: list[Edge] | None = None
 
-    label = [-1] * n  # original vertex -> new label
-    unlabeled_in_edge = [h.m] * h.edge_count
-    blocks: list[list[Edge]] = []
-    best: list[list[Edge]] | None = None
-
-    def block_cmp(a: list[Edge], b: list[Edge]) -> int:
-        for ea, eb in zip(a, b):
-            if ea != eb:
-                return -1 if ea < eb else 1
-        if len(a) != len(b):
-            return -1 if len(a) > len(b) else 1
-        return 0
-
-    def prefix_cmp(current: list[list[Edge]], other: list[list[Edge]]) -> int:
-        for blk, oblk in zip(current, other):
-            r = block_cmp(blk, oblk)
-            if r:
-                return r
-        return 0
-
-    def candidates(depth: int) -> list[int]:
-        want = target[depth]
-        cands = [v for v in range(n) if label[v] < 0 and colors[v] == want]
-        if len(cands) > 1:
-            def keenness(v: int) -> tuple[int, int, int]:
-                completes = sum(1 for i in h.incidence[v] if unlabeled_in_edge[i] == 1)
-                touched = sum(1 for i in h.incidence[v] if unlabeled_in_edge[i] < h.m)
-                return (-completes, -touched, v)
-
-            cands.sort(key=keenness)
-        return cands
-
-    def descend(depth: int) -> None:
+    def search(colors: list[int]) -> None:
         nonlocal best
-        if depth == n:
-            if best is None or prefix_cmp(blocks, best) < 0:
-                best = [list(blk) for blk in blocks]
+        colors = _refined_colors(h, colors)
+        ranks = sorted(colors)
+        repeated = [a for a, b in zip(ranks, ranks[1:]) if a == b]
+        if not repeated:
+            form = sorted(tuple(sorted(colors[v] for v in e)) for e in h.edges)
+            if best is None or form < best:
+                best = form
             return
-        for v in candidates(depth):
-            label[v] = depth
-            completed = []
-            for i in h.incidence[v]:
-                unlabeled_in_edge[i] -= 1
-                if unlabeled_in_edge[i] == 0:
-                    completed.append(tuple(sorted(label[w] for w in h.edges[i])))
-            completed.sort()
-            blocks.append(completed)
-            if best is None or prefix_cmp(blocks, best) <= 0:
-                descend(depth + 1)
-            blocks.pop()
-            for i in h.incidence[v]:
-                unlabeled_in_edge[i] += 1
-            label[v] = -1
+        cell = [v for v, c in enumerate(colors) if c == repeated[0]]
+        for v in cell[:1] if one_path else cell:
+            search(_ranked([(c, w != v) for w, c in enumerate(colors)]))
 
-    descend(0)
+    search(_ranked(list(h.degrees)))
     assert best is not None
-    flat = [e for blk in best for e in blk]
-    body = ";".join(",".join(map(str, e)) for e in flat)
+    body = ";".join(",".join(map(str, e)) for e in best)
     return f"{h.m}|{h.n}|{body}".encode("ascii")
 
 
-def _refined_colors(h: UniformHypergraph) -> list[int]:
-    """Iterated neighborhood refinement of the degree coloring."""
-    colors = _ranked([(d,) for d in h.degrees])
+def _refined_colors(h: UniformHypergraph, colors: list[int]) -> list[int]:
+    """Iterated neighborhood refinement of a vertex coloring, to stability."""
     for _ in range(h.n):
         sigs = []
         for v in range(h.n):

@@ -13,6 +13,7 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 from hypertrace import (
+    Budget,
     audit_cored_shift,
     audit_edge_shift,
     audit_path_shift,
@@ -197,9 +198,10 @@ def test_criterion_7_inequality_audits():
 
 def test_criterion_8_extremal_scan():
     tol = Fraction(1, 1000)
+    budget = Budget(cost_limit=256)  # (3,5) needs d=27 > 128/5
     outcomes = []
-    for m, z in [(2, 3), (2, 4), (2, 5), (3, 3)]:
-        report = extremal_scan(m, z, tol)
+    for m, z in [(2, 3), (2, 4), (2, 5), (3, 3), (3, 5), (4, 4)]:
+        report = extremal_scan(m, z, tol, budget)
         outcomes.append(
             (m, z, report.path_is_minimum, report.star_is_maximum)
         )
@@ -208,7 +210,8 @@ def test_criterion_8_extremal_scan():
         8, ok,
         "the hyperpath is the strict Estrada minimizer and the hyperstar "
         "the strict maximizer among hypertrees for (m, z) in "
-        "{(2,3), (2,4), (2,5), (3,3)} with disjoint brackets at tol 1e-3",
+        "{(2,3), (2,4), (2,5), (3,3), (3,5), (4,4)} with disjoint brackets "
+        "at tol 1e-3",
     ), outcomes
 
 

@@ -61,8 +61,10 @@ class TestTrace:
                      "--pinned", "2", "2"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "126/1"
 
-    def test_missing_file_exits_one(self, capsys):
+    def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["trace", "--input", "/nonexistent.json", "--d", "3"]) == 1
+        assert "error" in capsys.readouterr().err
+        assert main(["trace", "--input", str(tmp_path), "--d", "3"]) == 1
         assert "error" in capsys.readouterr().err
 
     def test_invalid_json_exits_one(self, tmp_path, capsys):
@@ -109,6 +111,7 @@ class TestEstrada:
 
     def test_unparseable_tolerance_exits_one(self, path_file, capsys):
         assert main(["estrada", "--input", path_file, "--tol", "huh"]) == 1
+        assert main(["estrada", "--input", path_file, "--tol", "inf"]) == 1
 
     def test_negative_tolerance_exits_one(self, path_file, capsys):
         assert main(["estrada", "--input", path_file, "--tol=-1e-3"]) == 1

@@ -166,6 +166,26 @@ class TestConnectivity:
         assert not is_hypertree(new_hypergraph(2, 2, []))
 
 
+# Graphs on <= 4 vertices, small hypertrees (the one-path labeling rests
+# on their color classes being orbits) and 3-uniform non-trees.
+BRUTE_FORCE_POOL = (
+    connected_graph_classes(4)
+    + tuple(t for z in (1, 2, 3) for t in enumerate_hypertrees(3, z))
+    + tuple(t for z in (1, 2) for t in enumerate_hypertrees(4, z))
+    + tuple(
+        new_hypergraph(3, n, edges)
+        for n, edges in [
+            (6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)]),  # loose 3-cycle
+            (6, [(0, 1, 2), (0, 3, 4), (1, 3, 5)]),  # loose 3-cycle, relabeled
+            (6, [(0, 1, 2), (2, 3, 4), (2, 4, 5)]),
+            (6, [(0, 1, 2), (1, 2, 3), (3, 4, 5)]),
+            (7, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 3, 6)]),
+            (7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5)]),
+        ]
+    )
+)
+
+
 class TestCanonicalForm:
     def test_relabeling_is_invisible(self):
         h = hyperpath(3, 2)
@@ -187,12 +207,12 @@ class TestCanonicalForm:
         with pytest.raises(LimitExceeded):
             canonical_form(h, Budget(canon_vertex_limit=10))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_agrees_with_brute_force_on_graph_pairs(self, data):
-        classes = connected_graph_classes(4)
-        h1 = data.draw(st.sampled_from(classes))
-        h2 = data.draw(st.sampled_from(classes))
+        h1 = data.draw(st.sampled_from(BRUTE_FORCE_POOL))
+        h2 = data.draw(st.sampled_from(BRUTE_FORCE_POOL))
+        h2 = permute_vertices(h2, data.draw(st.permutations(range(h2.n))))
         assert are_isomorphic(h1, h2) == brute_force_isomorphic(h1, h2)
 
     @settings(max_examples=40, deadline=None)
@@ -205,6 +225,8 @@ class TestCanonicalForm:
                     hyperstar(3, 3),
                     hyperpath(4, 2),
                     new_hypergraph(3, 6, [(0, 1, 2), (2, 3, 4), (2, 4, 5)]),
+                    hyperstar(3, 6),
+                    hyperstar(4, 3),
                 ]
             )
         )
@@ -258,3 +280,9 @@ class TestJson:
             loads_json('{"m": 2, "n": 3}')
         with pytest.raises(ValidationError):
             loads_json('{"m": 2, "n": 3, "edges": "nope"}')
+        with pytest.raises(ValidationError):
+            loads_json('{"m": 2, "n": 3, "edges": [[0, 1.5]]}')
+        with pytest.raises(ValidationError):
+            loads_json('{"m": 2, "n": 3, "edges": [[0, "1"]]}')
+        with pytest.raises(ValidationError):
+            loads_json('{"m": 2, "n": 3, "edges": [[0, true]]}')
