@@ -16,13 +16,24 @@ localized traces Tr_{d;t} of one operand at its anchor vertex, in the
 operand's own ambient vertex count; the formula is self-normalizing for
 the glued ambient n1 + n2 - 1.
 
-``relocation_difference`` compares moving an attachment from vertex u to
-vertex v of the same operand.  The rootings supported wholly inside one
-side cancel in the difference, leaving only the mixed terms
+For d1, d2 > 0 the coefficient simplifies, since
+C(t1 + t2, t1) * t1 / (t1 + t2) = C(t1 + t2 - 1, t2):
+
+    d / (t1 + t2) * C(t1 + t2, t1) * (t1 / d1) * (t2 / d2)
+        = d * t2 / (d1 * d2) * C(t1 + t2 - 1, t2).
+
+The terms with d1 = 0 or d2 = 0 are one-sided: they reduce to the
+order-zero entry of one side times Tr_d of the other at u.  The mixed
+terms, from rootings that use both sides, are
 
     sum over d1 + d2 = d, d1, d2 > 0, t2 > 0 of
     d * t2 / (d1 * d2) * Tr_{d2;t2}(H2; [w])
     * sum over t1 > 0 of C(t1 + t2 - 1, t2) * Tr_{d1;t1}(H1; [u or v]).
+
+``coalescence_local_trace`` is the two one-sided terms plus this sum.
+``relocation_difference`` compares moving an attachment from vertex u to
+vertex v of the same operand: the rootings supported wholly inside one
+side cancel in the difference, leaving only the mixed terms.
 
 The audit functions build the two hypergraphs named by a perturbation
 law, compare their exact traces order by order, and report equality,
@@ -131,27 +142,12 @@ def coalescence_local_trace(
         raise MissingProfileEntry(
             f"composition at order {d} needs both profiles computed to that depth"
         )
-    total = Fraction(0)
-    for d1 in range(d + 1):
-        d2 = d - d1
-        t1_range = range(1, d1 + 1) if d1 else (0,)
-        t2_range = range(1, d2 + 1) if d2 else (0,)
-        for t1 in t1_range:
-            v1 = p1.value(d1, t1)
-            if not v1:
-                continue
-            left = v1 if d1 == 0 else Fraction(t1, d1) * v1
-            for t2 in t2_range:
-                if t1 + t2 == 0:
-                    continue
-                v2 = p2.value(d2, t2)
-                if not v2:
-                    continue
-                right = v2 if d2 == 0 else Fraction(t2, d2) * v2
-                total += (
-                    Fraction(d, t1 + t2) * comb(t1 + t2, t1) * left * right
-                )
-    return total
+    one_sided = sum(
+        (p1.value(0, 0) * p2.value(d, t) + p2.value(0, 0) * p1.value(d, t)
+         for t in range(1, d + 1)),
+        Fraction(0),
+    )
+    return one_sided + _mixed_cross_sum(p1, p2, d)
 
 
 def _mixed_cross_sum(
@@ -277,6 +273,8 @@ def _compare_traces(
     claimed_strict_onset: int,
     budget: Budget | None,
 ) -> InequalityAuditReport:
+    if d_max < 1:
+        raise ValidationError(f"d_max must be >= 1, got {d_max}")
     rows = []
     for d in range(1, d_max + 1):
         rows.append(
@@ -290,10 +288,27 @@ def _compare_traces(
     )
 
 
-def _path_end(m: int, z: int) -> int:
-    """The far end vertex of hyperpath(m, z); any degree-one vertex of
-    the last edge is equivalent up to isomorphism."""
-    return z * (m - 1)
+def _pendant_paths(
+    h: UniformHypergraph, u: int, a: int, v: int, b: int
+) -> UniformHypergraph:
+    """h with a hyperpath of a edges glued at u and one of b edges at v,
+    each by its far end z * (m - 1) (any degree-one vertex of the last
+    edge is equivalent up to isomorphism); a length of 0 glues nothing."""
+    return attach(h, [AttachSpec(w, hyperpath(h.m, z), z * (h.m - 1))
+                      for w, z in ((u, a), (v, b)) if z])
+
+
+def _branched_edge(
+    m: int, first: int, p: int, branches: Sequence[UniformHypergraph] | None
+) -> UniformHypergraph:
+    """The edge {0, .., m-1} with a branch glued by its vertex 0 at each
+    of the vertices first..first+p-1; single edges by default."""
+    if branches is None:
+        branches = [hyperpath(m, 1)] * p
+    if len(branches) != p:
+        raise ValidationError(f"expected {p} branches, got {len(branches)}")
+    base = new_hypergraph(m, m, [tuple(range(m))])
+    return attach(base, [AttachSpec(first + i, br, 0) for i, br in enumerate(branches)])
 
 
 def audit_path_shift(
@@ -311,26 +326,16 @@ def audit_path_shift(
     """
     if not (r >= s >= 1):
         raise ValidationError(f"path shift needs r >= s >= 1, got r={r}, s={s}")
-    if d_max < 1:
-        raise ValidationError(f"d_max must be >= 1, got {d_max}")
     if not 0 <= w < h.n:
         raise VertexOutOfRange(f"vertex {w} is not in 0..{h.n - 1}")
-    m = h.m
-
-    def with_paths(a: int, b: int) -> UniformHypergraph:
-        specs = [AttachSpec(w, hyperpath(m, a), _path_end(m, a))]
-        if b:
-            specs.append(AttachSpec(w, hyperpath(m, b), _path_end(m, b)))
-        return attach(h, specs)
-
     return _compare_traces(
         law="path-shift",
-        params={"m": m, "host_n": h.n, "host_edges": h.edge_count, "w": w,
+        params={"m": h.m, "host_n": h.n, "host_edges": h.edge_count, "w": w,
                 "r": r, "s": s, "d_max": d_max},
-        larger=with_paths(r, s),
-        smaller=with_paths(r + 1, s - 1),
+        larger=_pendant_paths(h, w, r, w, s),
+        smaller=_pendant_paths(h, w, r + 1, w, s - 1),
         d_max=d_max,
-        claimed_strict_onset=s * m,
+        claimed_strict_onset=s * h.m,
         budget=budget,
     )
 
@@ -357,28 +362,12 @@ def audit_edge_shift(
         raise ValidationError(f"edge shift needs 1 <= p <= m-2, got p={p}")
     if not (r >= s >= 1):
         raise ValidationError(f"edge shift needs r >= s >= 1, got r={r}, s={s}")
-    if d_max < 1:
-        raise ValidationError(f"d_max must be >= 1, got {d_max}")
-    if branches is None:
-        branches = [hyperpath(m, 1)] * p
-    if len(branches) != p:
-        raise ValidationError(f"expected {p} branches, got {len(branches)}")
-    base = new_hypergraph(m, m, [tuple(range(m))])
-    host = attach(
-        base, [AttachSpec(2 + i, br, 0) for i, br in enumerate(branches)]
-    )
-
-    def with_paths(a: int, b: int) -> UniformHypergraph:
-        specs = [AttachSpec(0, hyperpath(m, a), _path_end(m, a))]
-        if b:
-            specs.append(AttachSpec(1, hyperpath(m, b), _path_end(m, b)))
-        return attach(host, specs)
-
+    host = _branched_edge(m, 2, p, branches)
     return _compare_traces(
         law="edge-shift",
         params={"m": m, "p": p, "r": r, "s": s, "d_max": d_max},
-        larger=with_paths(r, s),
-        smaller=with_paths(r + 1, s - 1),
+        larger=_pendant_paths(host, 0, r, 1, s),
+        smaller=_pendant_paths(host, 0, r + 1, 1, s - 1),
         d_max=d_max,
         claimed_strict_onset=(s + 1) * m,
         budget=budget,
@@ -405,16 +394,9 @@ def audit_cored_shift(
         raise ValidationError(f"uniformity m must be >= 2, got {m}")
     if not 1 <= p <= m - 1:
         raise ValidationError(f"cored shift needs 1 <= p <= m-1, got p={p}")
-    if d_max < 1:
-        raise ValidationError(f"d_max must be >= 1, got {d_max}")
-    if branches is None:
-        branches = [hyperpath(m, 1)] * p
-    if len(branches) != p:
-        raise ValidationError(f"expected {p} branches, got {len(branches)}")
+    host = _branched_edge(m, 1, p, branches)
     if other is None:
         other = hyperpath(m, 1)
-    base = new_hypergraph(m, m, [tuple(range(m))])
-    host = attach(base, [AttachSpec(1 + i, br, 0) for i, br in enumerate(branches)])
     return _compare_traces(
         law="cored-shift",
         params={"m": m, "p": p, "d_max": d_max,

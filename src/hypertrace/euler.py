@@ -14,13 +14,15 @@ equivalent to the two conditions enforced here:
 * connectivity of the support (the sub-hypergraph of selected edges).
 
 Enumeration over all rootings of total multiplicity ``d`` works in two
-stages.  The outer stage assigns edge multiplicities ``k_e`` summing to
+stages.  The first assigns edge multiplicities ``k_e`` summing to
 ``d``; balance already fixes ``r(v) = (sum of incident k_e) / m``, so
 any vertex whose incident sum is not divisible by ``m`` prunes the
-branch as soon as its last candidate edge is decided.  The inner stage
-distributes each ``k_e`` over the vertices of ``e`` against the
-remaining root budgets, with exact lower and upper bounds so that no
-dead ends are explored.
+branch as soon as its last candidate edge is decided.  The second
+distributes each selected ``k_e`` over the vertices of ``e`` against
+the remaining root budgets.  It keeps the incident sums in one load
+array and takes each edge's ``k_e`` out of it on entry, so the array
+then holds exactly what the later edges can still root at each vertex;
+that gives exact lower and upper bounds and no dead ends.
 
 Counting on the resulting digraph is exact integer arithmetic: spanning
 arborescences come from a principal minor of the out-degree Laplacian
@@ -46,7 +48,7 @@ from .errors import (
     ValidationError,
     VertexOutOfRange,
 )
-from .hypergraph import UniformHypergraph, connected
+from .hypergraph import Edge, UniformHypergraph, connected
 
 if TYPE_CHECKING:  # pragma: no cover
     from .traces import LocalTraceQuery
@@ -190,27 +192,67 @@ def enumerate_rootings(
     m = h.m
     cand = [i for i, e in enumerate(h.edges) if not any(v in forbidden for v in e)]
     covered = {v for i in cand for v in h.edges[i]}
-    if any(v not in covered for v in required):
+    if not required <= covered or (pinned and pinned[0] not in covered):
         return
-    if pinned is not None and pinned[0] not in covered:
+    edges = [h.edges[i] for i in cand]
+    zero = (0,) * m
+    rows = [zero] * h.edge_count
+
+    # reads chosen, load and rem of the current k-vector, bound in the loop below
+    def distribute(i: int) -> Iterator[RootCountMatrix]:
+        if i == len(chosen):
+            yield RootCountMatrix(host=h, counts=tuple(rows))
+            return
+        edge, k, index = chosen[i]
+        for v in edge:
+            load[v] -= k
+        lows = [max(0, rem[v] - load[v]) for v in edge]
+        highs = [min(rem[v], k) for v in edge]
+        for row in _bounded_compositions(k, lows, highs):
+            for v, c in zip(edge, row):
+                rem[v] -= c
+            rows[index] = row
+            yield from distribute(i + 1)
+            for v, c in zip(edge, row):
+                rem[v] += c
+        rows[index] = zero
+        for v in edge:
+            load[v] += k
+
+    for kvec, load in _balanced_multiplicities(edges, h.n, m, d, required, pinned):
+        chosen = [(edges[p], k, cand[p]) for p, k in enumerate(kvec) if k]
+        support = [e for e, _, _ in chosen]
+        if not connected({v for e in support for v in e}, support):
+            continue
+        rem = [s // m for s in load]
+        yield from distribute(0)
+
+
+def _balanced_multiplicities(
+    edges: list[Edge], n: int, m: int, d: int,
+    required: frozenset[int], pinned: tuple[int, int] | None,
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Stage one: every multiplicity vector over ``edges`` summing to d
+    whose incident sums are divisible by m, positive at required
+    vertices and m * t at a vertex pinned to t roots.  Each vertex is
+    checked once its last edge is decided; the vector is yielded with a
+    copy of its incident sums."""
+    count = len(edges)
+    if count == 0:
         return
     pin_vertex, pin_sum = (pinned[0], m * pinned[1]) if pinned else (-1, -1)
-
-    edges = [h.edges[i] for i in cand]
-    count = len(edges)
-    last_at = {}
-    for pos, e in enumerate(edges):
-        for v in e:
-            last_at[v] = pos
-    finalize = [[] for _ in range(count)]
+    last_at = {v: pos for pos, e in enumerate(edges) for v in e}
+    finalize: list[list[int]] = [[] for _ in range(count)]
     for v, pos in last_at.items():
         finalize[pos].append(v)
-    vsum = [0] * h.n
+    load = [0] * n
     kvec = [0] * count
 
-    def finalize_ok(pos: int) -> bool:
+    def feasible(pos: int) -> bool:
+        if pin_vertex >= 0 and load[pin_vertex] > pin_sum:
+            return False
         for v in finalize[pos]:
-            s = vsum[v]
+            s = load[v]
             if s % m:
                 return False
             if s == 0 and v in required:
@@ -219,87 +261,40 @@ def enumerate_rootings(
                 return False
         return True
 
-    def assign(pos: int, remaining: int) -> Iterator[RootCountMatrix]:
-        if pos == count - 1:
-            choices = (remaining,)
-        else:
-            choices = range(remaining + 1)
-        for k in choices:
+    def assign(pos: int, remaining: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+        for k in (remaining,) if pos == count - 1 else range(remaining + 1):
             kvec[pos] = k
             if k:
                 for v in edges[pos]:
-                    vsum[v] += k
-            ok = finalize_ok(pos)
-            if ok and pin_vertex >= 0 and vsum[pin_vertex] > pin_sum:
-                ok = False
-            if ok:
+                    load[v] += k
+            if feasible(pos):
                 if pos == count - 1:
-                    yield from finish()
+                    yield tuple(kvec), list(load)
                 else:
                     yield from assign(pos + 1, remaining - k)
             if k:
                 for v in edges[pos]:
-                    vsum[v] -= k
+                    load[v] -= k
         kvec[pos] = 0
 
-    def finish() -> Iterator[RootCountMatrix]:
-        chosen = [p for p in range(count) if kvec[p]]
-        support = [edges[p] for p in chosen]
-        if not connected({v for e in support for v in e}, support):
-            return
-        rem = [0] * h.n
-        for v in range(h.n):
-            rem[v] = vsum[v] // m
-        stages = [(edges[p], kvec[p], cand[p]) for p in chosen]
-        cap_after = [dict() for _ in range(len(stages) + 1)]
-        for i in range(len(stages) - 1, -1, -1):
-            cap = dict(cap_after[i + 1])
-            everts, k, _ = stages[i]
-            for v in everts:
-                cap[v] = cap.get(v, 0) + k
-            cap_after[i] = cap
-        rows: dict[int, tuple[int, ...]] = {}
-
-        def distribute(stage: int) -> Iterator[RootCountMatrix]:
-            if stage == len(stages):
-                counts = tuple(
-                    rows.get(i, (0,) * m) for i in range(h.edge_count)
-                )
-                yield RootCountMatrix(host=h, counts=counts)
-                return
-            everts, k, edge_index = stages[stage]
-            future = cap_after[stage + 1]
-            lows = [max(0, rem[v] - future.get(v, 0)) for v in everts]
-            highs = [min(rem[v], k) for v in everts]
-            suffix_low = [0] * (m + 1)
-            suffix_high = [0] * (m + 1)
-            for j in range(m - 1, -1, -1):
-                suffix_low[j] = suffix_low[j + 1] + lows[j]
-                suffix_high[j] = suffix_high[j + 1] + highs[j]
-            row = [0] * m
-
-            def split(j: int, left: int) -> Iterator[RootCountMatrix]:
-                if j == m:
-                    rows[edge_index] = tuple(row)
-                    yield from distribute(stage + 1)
-                    del rows[edge_index]
-                    return
-                lo = max(lows[j], left - suffix_high[j + 1])
-                hi = min(highs[j], left - suffix_low[j + 1])
-                for c in range(lo, hi + 1):
-                    row[j] = c
-                    rem[everts[j]] -= c
-                    yield from split(j + 1, left - c)
-                    rem[everts[j]] += c
-                row[j] = 0
-
-            yield from split(0, k)
-
-        yield from distribute(0)
-
-    if count == 0:
-        return
     yield from assign(0, d)
+
+
+def _bounded_compositions(
+    k: int, lows: list[int], highs: list[int]
+) -> Iterator[tuple[int, ...]]:
+    """Every tuple c with lows[j] <= c[j] <= highs[j] summing to k, in
+    lexicographic order.  Each entry's range is narrowed by the bounds
+    of the entries after it, so every branch completes."""
+    if len(lows) == 1:
+        if lows[0] <= k <= highs[0]:
+            yield (k,)
+        return
+    lo = max(lows[0], k - sum(highs[1:]))
+    hi = min(highs[0], k - sum(lows[1:]))
+    for c in range(lo, hi + 1):
+        for rest in _bounded_compositions(k - c, lows[1:], highs[1:]):
+            yield (c, *rest)
 
 
 def build_digraph(mat: RootCountMatrix) -> DirectedMultigraph:

@@ -56,9 +56,9 @@ class UniformHypergraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or self.m < 2:
+        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 2:
             raise ValidationError(f"uniformity m must be an integer >= 2, got {self.m!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValidationError(f"vertex count n must be an integer >= 1, got {self.n!r}")
         canon = []
         for edge in self.edges:

@@ -58,14 +58,18 @@ class LocalTraceQuery:
     def __post_init__(self) -> None:
         object.__setattr__(self, "required", frozenset(self.required))
         object.__setattr__(self, "forbidden", frozenset(self.forbidden))
+        pinned = () if self.pinned is None else tuple(self.pinned)
+        for v in (*self.required, *self.forbidden, *pinned):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValidationError(f"query entry {v!r} is not an integer")
         if self.required & self.forbidden:
             raise ValidationError(
                 f"vertices {sorted(self.required & self.forbidden)} are both "
                 "required and forbidden"
             )
         if self.pinned is not None:
-            vertex, t = self.pinned
-            object.__setattr__(self, "pinned", (int(vertex), int(t)))
+            vertex, t = pinned
+            object.__setattr__(self, "pinned", pinned)
             if t < 1:
                 raise ValidationError(f"pinned root count must be positive, got {t}")
             if vertex in self.forbidden:

@@ -274,6 +274,8 @@ class TestAuditLaws:
             audit_path_shift(EDGE3, 0, 1, 2, 6)  # needs r >= s
         with pytest.raises(VertexOutOfRange):
             audit_path_shift(EDGE3, 9, 1, 1, 6)
+        with pytest.raises(ValidationError):
+            audit_path_shift(EDGE3, 0, 1, 1, 0)  # d_max must be >= 1
 
     def test_edge_shift_holds_with_late_onset(self):
         report = audit_edge_shift(3, 1, 1, 1, 9)
@@ -288,6 +290,8 @@ class TestAuditLaws:
             audit_edge_shift(3, 2, 1, 1, 6)  # p capped at m - 2
         with pytest.raises(ValidationError):
             audit_edge_shift(3, 1, 1, 1, 6, branches=[EDGE3, EDGE3])
+        with pytest.raises(ValidationError):
+            audit_edge_shift(3, 1, 1, 1, 0)
 
     def test_cored_shift_holds_with_late_onset(self):
         report = audit_cored_shift(3, 6)
@@ -305,3 +309,7 @@ class TestAuditLaws:
             audit_cored_shift(3, 6, p=3)
         with pytest.raises(ValidationError):
             audit_cored_shift(1, 6)
+        with pytest.raises(ValidationError):
+            audit_cored_shift(3, 6, p=1, branches=[EDGE3, EDGE3])
+        with pytest.raises(ValidationError):
+            audit_cored_shift(3, 0)

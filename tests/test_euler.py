@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,34 @@ from hypertrace import (
 from hypertrace.euler import _bareiss_determinant
 
 TRIANGLE = new_hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
+
+CENSUS_HOSTS = {
+    "path-3-2": hyperpath(3, 2),
+    "star-3-2": hyperstar(3, 2),
+    "loose-3-cycle": new_hypergraph(3, 6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)]),
+    "triangle": TRIANGLE,
+    "c4-chord": new_hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]),
+    "edge-4": hyperpath(4, 1),
+    "three-triples": new_hypergraph(3, 4, [(0, 1, 2), (0, 1, 3), (1, 2, 3)]),
+}
+
+
+def brute_force_census(h, d: int) -> set:
+    """The count matrices of total d that the validator accepts, found
+    by trying every way to spread d over the edge_count * m cells."""
+    cells = h.edge_count * h.m
+    found = set()
+    for bars in combinations(range(d + cells - 1), cells - 1):
+        ends = (-1, *bars, d + cells - 1)
+        flat = [b - a - 1 for a, b in zip(ends, ends[1:])]
+        counts = tuple(
+            tuple(flat[i * h.m:(i + 1) * h.m]) for i in range(h.edge_count)
+        )
+        try:
+            found.add(RootCountMatrix(host=h, counts=counts))
+        except NotEulerian:
+            pass
+    return found
 
 
 def cycle_digraph(k: int) -> DirectedMultigraph:
@@ -137,6 +166,27 @@ class TestEnumeration:
     def test_query_vertex_range_checked(self):
         with pytest.raises(VertexOutOfRange):
             list(enumerate_rootings(hyperpath(3, 1), 3, query(required=[9])))
+
+    @pytest.mark.parametrize("name", sorted(CENSUS_HOSTS))
+    def test_enumeration_matches_brute_force_census(self, name):
+        # completeness and uniqueness: every valid rooting appears once
+        h = CENSUS_HOSTS[name]
+        queries = [None, query(required=[0]), query(forbidden=[1]),
+                   query(pinned=(0, 1)), query(pinned=(1, 2))]
+        found = 0
+        for d in range(1, 7):
+            census = brute_force_census(h, d)
+            for q in queries:
+                if q is not None and q.pinned and q.pinned[1] > d:
+                    continue
+                listed = [mat.counts for mat in enumerate_rootings(h, d, q)]
+                assert len(listed) == len(set(listed))
+                assert set(listed) == {
+                    mat.counts for mat in census
+                    if q is None or q.matches(mat.root_counts)
+                }
+            found += len(census)
+        assert found
 
     @settings(max_examples=30, deadline=None)
     @given(d=st.integers(min_value=1, max_value=6), data=st.data())

@@ -286,3 +286,5 @@ class TestJson:
             loads_json('{"m": 2, "n": 3, "edges": [[0, "1"]]}')
         with pytest.raises(ValidationError):
             loads_json('{"m": 2, "n": 3, "edges": [[0, true]]}')
+        with pytest.raises(ValidationError):
+            loads_json('{"m": 2, "n": true, "edges": []}')

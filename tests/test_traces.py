@@ -176,6 +176,13 @@ class TestLocalTrace:
             query(pinned=(0, 0))
         with pytest.raises(ValidationError):
             query(pinned=(0, 1), forbidden=[0])
+        # query entries must be plain integers, not coerced or compared late
+        for bad in (
+            dict(required=["a"]), dict(forbidden=[1.0]), dict(required=[True]),
+            dict(pinned=(0, 1.5)), dict(pinned=("0", 1)), dict(pinned=(False, 1)),
+        ):
+            with pytest.raises(ValidationError):
+                query(**bad)
         # query vertices are checked against the host at every order
         h = hyperpath(3, 2)
         for q in (query(forbidden=[99]), query(required=[5]), query(pinned=(-1, 1))):
