@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Sequence
 
 from .config import Budget, default_budget
@@ -65,7 +65,7 @@ from .hypergraph import (
     new_hypergraph,
 )
 from .euler import contribution_parts, enumerate_rootings
-from .traces import _check_cost, _KeyedSum, _order_zero_local, trace
+from .traces import _check_cost, _order_zero_local, trace
 
 
 @dataclass(frozen=True)
@@ -103,18 +103,21 @@ def local_trace_profile(
     budget: Budget | None = None,
 ) -> LocalTraceProfile:
     """Compute all pinned localized traces at the anchor up to d_max."""
+    if not isinstance(anchor, int) or isinstance(anchor, bool):
+        raise ValidationError(f"anchor {anchor!r} is not an integer")
     if not 0 <= anchor < h.n:
         raise VertexOutOfRange(f"anchor {anchor} is not in 0..{h.n - 1}")
     if d_max < 0:
         raise ValidationError(f"d_max must be non-negative, got {d_max}")
     _check_cost(h, d_max, budget or default_budget())
-    acc = _KeyedSum()
+    entries: dict[tuple[int, int], Fraction] = {}
     for d in range(1, d_max + 1):
+        sums: dict[int, int] = {}
         for mat in enumerate_rootings(h, d):
             t = mat.root_counts.get(anchor, 0)
             if t:
-                acc.add((d, t), contribution_parts(mat, h.n))
-    entries = {key: val for key, val in acc.totals().items() if val}
+                sums[t] = sums.get(t, 0) + contribution_parts(mat, h.n)[0]
+        entries.update({(d, t): Fraction(num, factorial(d)) for t, num in sums.items()})
     entries[(0, 0)] = _order_zero_local(h)
     return LocalTraceProfile(host=h, anchor=anchor, d_max=d_max, entries=entries)
 

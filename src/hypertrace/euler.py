@@ -13,6 +13,9 @@ equivalent to the two conditions enforced here:
   vertex, where ``r(v)`` is the number of instances rooted at ``v``;
 * connectivity of the support (the sub-hypergraph of selected edges).
 
+:class:`RootCountMatrix` derives ``k_vector`` and ``root_counts`` in the
+same pass over the rows that validates them.
+
 Enumeration over all rootings of total multiplicity ``d`` works in two
 stages.  The first assigns edge multiplicities ``k_e`` summing to
 ``d``; balance already fixes ``r(v) = (sum of incident k_e) / m``, so
@@ -34,7 +37,7 @@ independent backtracking oracle for small arc counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Mapping
@@ -60,31 +63,39 @@ class RootCountMatrix:
 
     ``counts`` is aligned with ``host.edges``: row ``e`` lists, per
     vertex position within the edge, how many instances of that edge are
-    rooted there.  Row sums are the edge multiplicities ``k_e``; column
-    sums per vertex are the root counts ``r(v)``.
+    rooted there.  Row sums are the edge multiplicities ``k_vector``;
+    column sums per vertex are the root counts ``root_counts``, holding
+    r(v) for every vertex rooted at least once.
     """
 
     host: UniformHypergraph
     counts: tuple[tuple[int, ...], ...]
+    k_vector: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    root_counts: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         h = self.host
         if len(self.counts) != h.edge_count:
             raise ValidationError("counts must have one row per host edge")
+        kvec: list[int] = []
+        roots: dict[int, int] = {}
+        degree = [0] * h.n
         for row, edge in zip(self.counts, h.edges):
             if len(row) != h.m:
                 raise ValidationError("each counts row must have m entries")
             if any(c < 0 for c in row):
                 raise ValidationError("root counts must be non-negative")
+            k = sum(row)
+            kvec.append(k)
+            if k:
+                for c, v in zip(row, edge):
+                    degree[v] += k
+                    if c:
+                        roots[v] = roots.get(v, 0) + c
+        object.__setattr__(self, "k_vector", tuple(kvec))
+        object.__setattr__(self, "root_counts", roots)
         if self.total < 1:
             raise NotEulerian("a rooting must select at least one edge instance")
-        degree = [0] * h.n
-        for row, edge in zip(self.counts, h.edges):
-            k = sum(row)
-            if k:
-                for v in edge:
-                    degree[v] += k
-        roots = self.root_counts
         for v in range(h.n):
             if degree[v] != h.m * roots.get(v, 0):
                 raise NotEulerian(
@@ -95,27 +106,12 @@ class RootCountMatrix:
         if not connected({v for e in selected for v in e}, selected):
             raise NotEulerian("the selected edges do not form a connected support")
 
-    @cached_property
-    def k_vector(self) -> tuple[int, ...]:
-        """Edge multiplicities, aligned with the host edge list."""
-        return tuple(sum(row) for row in self.counts)
-
-    @cached_property
+    @property
     def total(self) -> int:
         """Total number of selected instances, the trace order d."""
         return sum(self.k_vector)
 
-    @cached_property
-    def root_counts(self) -> dict[int, int]:
-        """r(v) for every vertex rooted at least once."""
-        roots: dict[int, int] = {}
-        for row, edge in zip(self.counts, self.host.edges):
-            for c, v in zip(row, edge):
-                if c:
-                    roots[v] = roots.get(v, 0) + c
-        return roots
-
-    @cached_property
+    @property
     def support(self) -> tuple[int, ...]:
         """Indices of the selected host edges."""
         return tuple(i for i, k in enumerate(self.k_vector) if k)
@@ -440,22 +436,32 @@ def tuple_multiplicity(mat: RootCountMatrix) -> int:
 
 
 def contribution_parts(mat: RootCountMatrix, ambient_n: int) -> tuple[int, int]:
-    """Numerator and denominator of the matrix contribution to the
-    order-d trace of a host embedded on ambient_n vertices."""
+    """The matrix contribution to the order-d trace of a host embedded
+    on ambient_n vertices, as a numerator over the denominator d!.
+
+    With tuple multiplicity ``prod_v r(v)! / prod c!`` over the entries c
+    of ``counts``, the weight ``tuple_multiplicity * d * (m-1)^ambient_n *
+    tau / prod_v ((m-1) * r(v))`` reduces to ``d * (m-1)^(ambient_n-|R|) *
+    tau * prod_v (r(v)-1)! / prod c!`` over the rooted vertices R.  The c
+    sum to d, so ``prod c!`` divides d! (the quotient is a multinomial).
+    """
     if ambient_n < mat.host.n:
         raise ValidationError(
             f"ambient vertex count {ambient_n} is below the host's {mat.host.n}"
         )
-    m = mat.host.m
+    d = mat.total
     g = build_digraph(mat)
     tau = arborescence_count(g, g.vertices[0])
-    denominator = 1
-    for r in mat.root_counts.values():
-        denominator *= (m - 1) * r
-    numerator = (
-        tuple_multiplicity(mat) * mat.total * (m - 1) ** ambient_n * tau
-    )
-    return numerator, denominator
+    multinomial = math.factorial(d)
+    for row in mat.counts:
+        for c in row:
+            if c > 1:
+                multinomial //= math.factorial(c)
+    roots = mat.root_counts
+    numerator = d * (mat.host.m - 1) ** (ambient_n - len(roots)) * tau * multinomial
+    for r in roots.values():
+        numerator *= math.factorial(r - 1)
+    return numerator, math.factorial(d)
 
 
 def contribution(mat: RootCountMatrix, ambient_n: int) -> Fraction:

@@ -7,9 +7,18 @@ n*(m-1)^(n-1) eigenvalues and expands combinatorially as
               N(F) * arborescences(R(F)) / prod over rooted v of ((m-1) * r(v))
 
 where N(F) is the tuple multiplicity of the rooting and R(F) its
-digraph.  ``trace`` evaluates the sum exactly; ``trace_local`` restricts
-it to rootings matching a :class:`LocalTraceQuery` (vertices required
-as roots, excluded entirely, or rooted a pinned number of times), and
+digraph.  As N(F) = prod r(v)! / prod c! over the entries c of the
+count matrix, each weight reduces to
+
+    d * (m-1)^(n-|R|) * arborescences(R(F)) * prod over rooted v of (r(v)-1)! / prod c!
+
+with |R| the number of rooted vertices.  The c sum to d, so prod c!
+divides d!: ``euler.contribution_parts`` returns each weight as an
+integer over d!, and an order's sum is one integer numerator over d!.
+
+``trace`` evaluates the sum exactly; ``trace_local`` restricts it to
+rootings matching a :class:`LocalTraceQuery` (vertices required as
+roots, excluded entirely, or rooted a pinned number of times), and
 ``trace_table`` batches many orders and queries over one enumeration
 pass per order.  All three run the same keyed pass: check the orders
 and their cost, validate the queries, enumerate, and sum the weights
@@ -28,7 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from math import factorial
+from typing import Iterable, Mapping, Sequence
 
 from .config import Budget, default_budget
 from .errors import (
@@ -58,7 +68,12 @@ class LocalTraceQuery:
     def __post_init__(self) -> None:
         object.__setattr__(self, "required", frozenset(self.required))
         object.__setattr__(self, "forbidden", frozenset(self.forbidden))
-        pinned = () if self.pinned is None else tuple(self.pinned)
+        if self.pinned is None:
+            pinned = ()
+        elif isinstance(self.pinned, Sequence) and len(self.pinned) == 2:
+            pinned = tuple(self.pinned)
+        else:
+            raise ValidationError(f"pinned {self.pinned!r} is not a (vertex, count) pair")
         for v in (*self.required, *self.forbidden, *pinned):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValidationError(f"query entry {v!r} is not an integer")
@@ -131,27 +146,6 @@ def _order_zero_local(h: UniformHypergraph) -> Fraction:
     return Fraction((h.m - 1) ** (h.n - 1))
 
 
-class _KeyedSum:
-    """Exact sums of num/den pairs per key: numerators are grouped by
-    denominator and each key is reduced to a Fraction once."""
-
-    __slots__ = ("buckets",)
-
-    def __init__(self) -> None:
-        self.buckets: dict[Hashable, dict[int, int]] = {}
-
-    def add(self, key: Hashable, parts: tuple[int, int]) -> None:
-        num, den = parts
-        bucket = self.buckets.setdefault(key, {})
-        bucket[den] = bucket.get(den, 0) + num
-
-    def totals(self) -> dict[Hashable, Fraction]:
-        return {
-            key: sum((Fraction(bucket[den], den) for den in sorted(bucket)), Fraction(0))
-            for key, bucket in self.buckets.items()
-        }
-
-
 def _trace_pass(
     h: UniformHypergraph,
     orders: range,
@@ -165,22 +159,25 @@ def _trace_pass(
     the budget, validates every query against the host, then sums the
     weights of the rootings of each positive order that match
     ``restrict``, keyed by (d, the members of ``queries`` the rooting
-    matches).  Order zero has no rootings; callers apply its convention.
+    matches), as integer numerators over d!.  Order zero has no rootings;
+    callers apply its convention.
     """
     if not orders or orders[0] < 0:
         raise ValidationError(f"trace order must be non-negative, got {orders.stop - 1}")
     _check_cost(h, orders[-1], budget or default_budget())
     for q in (restrict, *queries):
         q.check_vertices(h.n)
-    acc = _KeyedSum()
+    totals: dict[tuple[int, tuple[LocalTraceQuery, ...]], Fraction] = {}
     for d in orders:
         if d == 0:
             continue
+        sums: dict[tuple[LocalTraceQuery, ...], int] = {}
         for mat in enumerate_rootings(h, d, restrict):
             roots = mat.root_counts
             matched = tuple(q for q in queries if q.matches(roots))
-            acc.add((d, matched), contribution_parts(mat, h.n))
-    return acc.totals()
+            sums[matched] = sums.get(matched, 0) + contribution_parts(mat, h.n)[0]
+        totals.update({(d, key): Fraction(num, factorial(d)) for key, num in sums.items()})
+    return totals
 
 
 def trace(h: UniformHypergraph, d: int, budget: Budget | None = None) -> Fraction:

@@ -68,6 +68,11 @@ class TestProfiles:
     def test_anchor_validated(self):
         with pytest.raises(VertexOutOfRange):
             local_trace_profile(EDGE3, 5, 3)
+        # a non-integer anchor matches no root count and would give an
+        # all-zero profile, so it is rejected rather than coerced
+        for anchor in (1.5, True, "1"):
+            with pytest.raises(ValidationError):
+                local_trace_profile(hyperpath(3, 2), anchor, 6)
 
     def test_profile_slices_the_required_trace(self):
         h = hyperstar(3, 2)

@@ -176,6 +176,9 @@ class TestEnumeration:
         found = 0
         for d in range(1, 7):
             census = brute_force_census(h, d)
+            # each weight is an integer over d!, which the trace sums rely on
+            for mat in census:
+                assert (contribution(mat, h.n) * math.factorial(d)).denominator == 1
             for q in queries:
                 if q is not None and q.pinned and q.pinned[1] > d:
                     continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from hypertrace import (
     hyperpath,
     hyperstar,
     new_hypergraph,
+    power,
     query,
     trace,
     trace_local,
@@ -69,9 +71,22 @@ class TestPlainTrace:
             trace(hyperpath(3, 2), 5, Budget(cost_limit=9))
 
     def test_values_are_exact_rationals(self):
-        value = trace(hyperpath(3, 2), 6)
-        assert isinstance(value, Fraction)
-        assert value.denominator == 1
+        # Tr_d is a power sum of the roots of a monic integer polynomial
+        # (Newton's identities), so every order is an integer even though
+        # each rooting's weight is only an integer over d!
+        hosts = [
+            hyperpath(3, 2),
+            new_hypergraph(2, 4, combinations(range(4), 2)),
+            new_hypergraph(3, 5, combinations(range(5), 3)),
+            new_hypergraph(3, 6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)]),
+            power(TRIANGLE, 4),
+            hyperstar(3, 3),
+        ]
+        for host in hosts:
+            for d in range(1, 9):
+                value = trace(host, d)
+                assert isinstance(value, Fraction)
+                assert value.denominator == 1
 
 
 class TestVanishing:
@@ -180,6 +195,7 @@ class TestLocalTrace:
         for bad in (
             dict(required=["a"]), dict(forbidden=[1.0]), dict(required=[True]),
             dict(pinned=(0, 1.5)), dict(pinned=("0", 1)), dict(pinned=(False, 1)),
+            dict(pinned=(0, 1, 2)), dict(pinned=5),
         ):
             with pytest.raises(ValidationError):
                 query(**bad)
