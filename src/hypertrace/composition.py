@@ -65,7 +65,7 @@ from .hypergraph import (
     new_hypergraph,
 )
 from .euler import contribution_parts, enumerate_rootings
-from .traces import _check_cost, _order_zero_local, trace
+from .traces import _check_cost, _check_order, _order_zero_local, trace
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,7 @@ def local_trace_profile(
         raise ValidationError(f"anchor {anchor!r} is not an integer")
     if not 0 <= anchor < h.n:
         raise VertexOutOfRange(f"anchor {anchor} is not in 0..{h.n - 1}")
-    if d_max < 0:
-        raise ValidationError(f"d_max must be non-negative, got {d_max}")
+    _check_order(d_max)
     _check_cost(h, d_max, budget or default_budget())
     entries: dict[tuple[int, int], Fraction] = {}
     for d in range(1, d_max + 1):
@@ -276,6 +275,7 @@ def _compare_traces(
     claimed_strict_onset: int,
     budget: Budget | None,
 ) -> InequalityAuditReport:
+    _check_order(d_max)
     if d_max < 1:
         raise ValidationError(f"d_max must be >= 1, got {d_max}")
     rows = []

@@ -111,6 +111,12 @@ class UniformHypergraph:
     def vertices(self) -> range:
         return range(self.n)
 
+    @cached_property
+    def memo(self) -> dict:
+        """Values other modules derive from this hypergraph and keep with
+        it, by key; dropped with the hypergraph."""
+        return {}
+
 
 def new_hypergraph(m: int, n: int, edges: Iterable[Iterable[int]]) -> UniformHypergraph:
     """Validate and canonicalize an edge list into a hypergraph."""
@@ -228,6 +234,71 @@ def connected(vertices: Iterable[int], edges: Iterable[Sequence[int]]) -> bool:
 
 def is_connected(h: UniformHypergraph) -> bool:
     return connected(h.vertices, h.edges)
+
+
+def blocks(h: UniformHypergraph) -> tuple[tuple[int, ...], ...]:
+    """The blocks of h, each as the sorted tuple of its edge indices,
+    ordered by their first edge.
+
+    A block is a maximal set of edges that no single vertex separates:
+    two edges share a block exactly when some cycle of the incidence
+    graph passes through both.  The incidence graph has a node per
+    vertex (``v``) and per edge (``n + i``); a depth-first search finds
+    its biconnected components, but splits off a component only below
+    a vertex node, so the pieces a single edge would separate stay in
+    that edge's block.  Vertices on no edge belong to no block.
+    """
+    n = h.n
+    neighbours = [[n + i for i in ix] for ix in h.incidence]
+    neighbours += [list(e) for e in h.edges]
+    disc = [0] * len(neighbours)
+    low = [0] * len(neighbours)
+    clock = 0
+    stack: list[int] = []
+    found: list[tuple[int, ...]] = []
+    for root in range(n):
+        if disc[root] or not neighbours[root]:
+            continue
+        clock += 1
+        disc[root] = low[root] = clock
+        path = [(root, iter(neighbours[root]))]
+        while path:
+            node, rest = path[-1]
+            for nxt in rest:
+                if not disc[nxt]:
+                    clock += 1
+                    disc[nxt] = low[nxt] = clock
+                    stack.append(nxt)
+                    path.append((nxt, iter(neighbours[nxt])))
+                    break
+                low[node] = min(low[node], disc[nxt])
+            else:
+                path.pop()
+                if not path:
+                    continue
+                parent = path[-1][0]
+                low[parent] = min(low[parent], low[node])
+                if parent < n and low[node] >= disc[parent]:
+                    block = []
+                    while True:
+                        x = stack.pop()
+                        if x >= n:
+                            block.append(x - n)
+                        if x == node:
+                            break
+                    found.append(tuple(sorted(block)))
+    return tuple(sorted(found))
+
+
+def cut_vertices(h: UniformHypergraph) -> frozenset[int]:
+    """The vertices lying in more than one block."""
+    seen: set[int] = set()
+    cuts: set[int] = set()
+    for block in blocks(h):
+        vs = {v for i in block for v in h.edges[i]}
+        cuts |= seen & vs
+        seen |= vs
+    return frozenset(cuts)
 
 
 def is_hypertree(h: UniformHypergraph) -> bool:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from hypertrace import dumps_json, hyperpath, save_json
+from hypertrace import dumps_json, hyperpath, hyperstar, save_json
 from hypertrace.cli import main
 
 
@@ -118,6 +118,13 @@ class TestEstrada:
 
     def test_zero_tolerance_exits_two(self, path_file, capsys):
         assert main(["estrada", "--input", path_file, "--tol", "0"]) == 2
+
+    def test_star_over_budget_exits_two(self, tmp_path, capsys):
+        # the star takes the block route, which keeps the whole-host cost
+        # check: depth 33 times 6 edges is above the default 128
+        target = tmp_path / "star.json"
+        save_json(hyperstar(3, 6), str(target))
+        assert main(["estrada", "--input", str(target), "--tol", "1e-3"]) == 2
 
 
 class TestScan:

@@ -74,6 +74,12 @@ class TestProfiles:
             with pytest.raises(ValidationError):
                 local_trace_profile(hyperpath(3, 2), anchor, 6)
 
+    def test_order_validated(self):
+        # True would build a profile with d_max=True, 2.5 died with TypeError
+        for d_max in (True, 2.5, 6.0, -1):
+            with pytest.raises(ValidationError):
+                local_trace_profile(hyperpath(3, 2), 0, d_max)
+
     def test_profile_slices_the_required_trace(self):
         h = hyperstar(3, 2)
         p = local_trace_profile(h, 0, 6)
@@ -281,6 +287,9 @@ class TestAuditLaws:
             audit_path_shift(EDGE3, 9, 1, 1, 6)
         with pytest.raises(ValidationError):
             audit_path_shift(EDGE3, 0, 1, 1, 0)  # d_max must be >= 1
+        for d_max in (True, 6.0):
+            with pytest.raises(ValidationError):
+                audit_path_shift(EDGE3, 0, 1, 1, d_max)
 
     def test_edge_shift_holds_with_late_onset(self):
         report = audit_edge_shift(3, 1, 1, 1, 9)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,8 @@ from hypertrace import (
     permute_vertices,
     power,
 )
+from hypertrace.hypergraph import blocks, cut_vertices
+
 from conftest import brute_force_isomorphic, connected_graph_classes
 
 
@@ -164,6 +168,74 @@ class TestConnectivity:
         tri = new_hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
         assert not is_hypertree(tri)
         assert not is_hypertree(new_hypergraph(2, 2, []))
+
+
+LOOSE_3_CYCLE = new_hypergraph(3, 6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)])
+
+
+def separated_blocks(h):
+    """Blocks by definition: two edges share a block exactly when no
+    single vertex separates them, i.e. they stay joined through shared
+    vertices other than v for every v."""
+    def joined(e, f, v):
+        reach, todo = {e}, [e]
+        while todo:
+            a = todo.pop()
+            for b in range(h.edge_count):
+                if b not in reach and set(h.edges[a]) & set(h.edges[b]) - {v}:
+                    reach.add(b)
+                    todo.append(b)
+        return f in reach
+
+    classes = []
+    for e in range(h.edge_count):
+        for cls in classes:
+            if all(joined(cls[0], e, v) for v in h.vertices):
+                cls.append(e)
+                break
+        else:
+            classes.append([e])
+    return tuple(sorted(tuple(c) for c in classes))
+
+
+class TestBlocks:
+    def test_hypertree_blocks_are_its_edges(self):
+        for m, z in ((2, 5), (3, 4), (4, 3)):
+            for h in enumerate_hypertrees(m, z):
+                assert blocks(h) == tuple((i,) for i in range(z))
+                assert cut_vertices(h) == {v for v in h.vertices if h.degree(v) >= 2}
+
+    def test_two_connected_hosts_are_one_block(self):
+        for h in (new_hypergraph(2, 4, combinations(range(4), 2)),
+                  new_hypergraph(3, 5, combinations(range(5), 3)), LOOSE_3_CYCLE):
+            assert blocks(h) == (tuple(range(h.edge_count)),)
+            assert cut_vertices(h) == frozenset()
+
+    def test_coalesced_cycles(self):
+        g = coalesce(LOOSE_3_CYCLE, 1, LOOSE_3_CYCLE, 3)
+        assert len(blocks(g)) == 2
+        assert cut_vertices(g) == {1}
+        assert {frozenset(v for i in b for v in g.edges[i]) for b in blocks(g)} == {
+            frozenset(range(6)), frozenset({1, *range(6, 11)}),
+        }
+
+    def test_edgeless_and_disconnected_hosts(self):
+        assert blocks(new_hypergraph(3, 4, [])) == ()
+        assert cut_vertices(new_hypergraph(3, 4, [])) == frozenset()
+        # a triangle, an isolated vertex and a two-edge path
+        h = new_hypergraph(2, 7, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6)])
+        assert blocks(h) == ((0, 1, 2), (3,), (4,))
+        assert cut_vertices(h) == {5}
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_separation_definition(self, data):
+        m = data.draw(st.sampled_from((2, 3)))
+        n = data.draw(st.integers(min_value=m, max_value=7))
+        pool = list(combinations(range(n), m))
+        edges = data.draw(st.lists(st.sampled_from(pool), max_size=7, unique=True))
+        h = new_hypergraph(m, n, edges)
+        assert blocks(h) == separated_blocks(h)
 
 
 # Graphs on <= 4 vertices, small hypertrees (the one-path labeling rests

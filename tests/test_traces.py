@@ -16,6 +16,7 @@ from hypertrace import (
     NotAGraph,
     ValidationError,
     VertexOutOfRange,
+    coalesce,
     enumerate_hypertrees,
     hyperpath,
     hyperstar,
@@ -27,6 +28,9 @@ from hypertrace import (
     trace_m2_oracle,
     trace_table,
 )
+
+from hypertrace.euler import contribution, enumerate_rootings
+from hypertrace.hypergraph import blocks, cut_vertices
 
 from conftest import connected_graph_classes
 
@@ -65,10 +69,22 @@ class TestPlainTrace:
     def test_negative_order_rejected(self):
         with pytest.raises(ValidationError):
             trace(hyperpath(3, 1), -1)
+        # orders must be plain integers: True is not order 1, 2.5 is no order
+        h = hyperpath(3, 2)
+        for bad in (True, False, 2.5, 3.0, "3"):
+            with pytest.raises(ValidationError):
+                trace(h, bad)
+            with pytest.raises(ValidationError):
+                trace_local(h, bad, query(required=[2]))
+            with pytest.raises(ValidationError):
+                trace_m2_oracle(hyperpath(2, 2), bad)
 
     def test_cost_budget_enforced(self):
         with pytest.raises(LimitExceeded):
             trace(hyperpath(3, 2), 5, Budget(cost_limit=9))
+        # the block route keeps the whole-host cost check: 6 edges * 33 > 128
+        with pytest.raises(LimitExceeded):
+            trace(hyperstar(3, 6), 33)
 
     def test_values_are_exact_rationals(self):
         # Tr_d is a power sum of the roots of a monic integer polynomial
@@ -252,3 +268,76 @@ class TestTraceTable:
     def test_budget_checked_at_maximum_order(self):
         with pytest.raises(LimitExceeded):
             trace_table(hyperpath(3, 2), 10, (), Budget(cost_limit=19))
+
+    def test_order_must_be_an_integer(self):
+        for bad in (True, 3.0, 2.5, -1):
+            for qs in ((), (query(required=[0]),)):
+                with pytest.raises(ValidationError):
+                    trace_table(hyperpath(3, 2), bad, qs)
+
+
+def enumerated_trace(h, d):
+    """Tr_d straight from the definition: every rooting of the whole host."""
+    if d == 0:
+        return Fraction(h.n * (h.m - 1) ** (h.n - 1))
+    return sum((contribution(mat, h.n) for mat in enumerate_rootings(h, d)), Fraction(0))
+
+
+K3 = TRIANGLE
+K4 = new_hypergraph(2, 4, combinations(range(4), 2))
+C4 = new_hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+LOOSE_3_CYCLE = new_hypergraph(3, 6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)])
+K4_3 = new_hypergraph(3, 4, combinations(range(4), 3))
+PIECES = {2: (K3, K4, C4, hyperpath(2, 1)), 3: (LOOSE_3_CYCLE, K4_3, hyperpath(3, 1))}
+
+
+class TestBlockRoute:
+    """Plain traces of hosts with several blocks come from per-block
+    tables joined across cut vertices; the oracles are the whole-host
+    enumeration and, for m=2, the matrix power."""
+
+    def test_every_small_hypertree(self):
+        for m, z_max in ((2, 5), (3, 4), (4, 3)):
+            for z in range(2, z_max + 1):
+                for h in enumerate_hypertrees(m, z):
+                    assert len(blocks(h)) == z
+                    # the table fills every order first, so the single
+                    # orders after it reuse tables filled beyond them
+                    table = trace_table(h, 3 * m)
+                    for d in range(3 * m + 1):
+                        want = enumerated_trace(h, d)
+                        assert trace(h, d) == want
+                        assert table.get(d) == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_glued_hosts(self, data):
+        m = data.draw(st.sampled_from((2, 3)))
+        h = data.draw(st.sampled_from(PIECES[m]))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+            piece = data.draw(st.sampled_from(PIECES[m]))
+            u = data.draw(st.integers(min_value=0, max_value=h.n - 1))
+            v = data.draw(st.integers(min_value=0, max_value=piece.n - 1))
+            h = coalesce(h, u, piece, v)
+        assert 1 <= len(cut_vertices(h)) <= 2
+        d = data.draw(st.integers(min_value=1, max_value=7))
+        want = enumerated_trace(h, d)
+        assert trace(h, d) == want
+        assert trace_table(h, d).get(d) == want
+        assert trace_local(h, d, query()) == want
+
+    def test_disconnected_host(self):
+        # a triangle, an isolated vertex and K4 with a pendant edge
+        h = new_hypergraph(2, 9, list(K3.edges) + [
+            tuple(v + 4 for v in e) for e in coalesce(K4, 0, hyperpath(2, 1), 0).edges
+        ])
+        assert len(blocks(h)) == 3
+        table = trace_table(h, 7)
+        for d in range(8):
+            assert table.get(d) == trace(h, d) == enumerated_trace(h, d)
+
+    def test_graphs_at_higher_order(self):
+        budget = Budget(cost_limit=200)
+        for h in (coalesce(K4, 0, K4, 0), coalesce(coalesce(C4, 0, K3, 0), 2, K4, 1)):
+            for d in range(11):
+                assert trace(h, d, budget) == trace_m2_oracle(h, d)
