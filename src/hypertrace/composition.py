@@ -115,7 +115,7 @@ def local_trace_profile(
         for mat in enumerate_rootings(h, d):
             t = mat.root_counts.get(anchor, 0)
             if t:
-                sums[t] = sums.get(t, 0) + contribution_parts(mat, h.n)[0]
+                sums[t] = sums.get(t, 0) + contribution_parts(mat, h.n)
         entries.update({(d, t): Fraction(num, factorial(d)) for t, num in sums.items()})
     entries[(0, 0)] = _order_zero_local(h)
     return LocalTraceProfile(host=h, anchor=anchor, d_max=d_max, entries=entries)

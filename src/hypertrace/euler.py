@@ -13,8 +13,11 @@ equivalent to the two conditions enforced here:
   vertex, where ``r(v)`` is the number of instances rooted at ``v``;
 * connectivity of the support (the sub-hypergraph of selected edges).
 
-:class:`RootCountMatrix` derives ``k_vector`` and ``root_counts`` in the
-same pass over the rows that validates them.
+:class:`RootCountMatrix` built by hand derives ``k_vector`` and
+``root_counts`` in the same pass over the rows that validates them.  The
+enumerator below yields trusted matrices instead: it builds every
+rooting balanced and connected, so it skips both checks and hands over
+the two derived fields, computed once per k-vector.
 
 Enumeration over all rootings of total multiplicity ``d`` works in two
 stages.  The first assigns edge multiplicities ``k_e`` summing to
@@ -25,7 +28,9 @@ distributes each selected ``k_e`` over the vertices of ``e`` against
 the remaining root budgets.  It keeps the incident sums in one load
 array and takes each edge's ``k_e`` out of it on entry, so the array
 then holds exactly what the later edges can still root at each vertex;
-that gives exact lower and upper bounds and no dead ends.
+that gives exact lower and upper bounds and no dead ends.  The root
+budgets before stage two are the root counts of every rooting of that
+k-vector.
 
 Counting on the resulting digraph is exact integer arithmetic: spanning
 arborescences come from a principal minor of the out-degree Laplacian
@@ -106,6 +111,24 @@ class RootCountMatrix:
         if not connected({v for e in selected for v in e}, selected):
             raise NotEulerian("the selected edges do not form a connected support")
 
+    @classmethod
+    def _trusted(
+        cls,
+        host: UniformHypergraph,
+        counts: tuple[tuple[int, ...], ...],
+        k_vector: tuple[int, ...],
+        root_counts: dict[int, int],
+    ) -> RootCountMatrix:
+        """A matrix built balanced and connected by construction, with
+        its derived fields given rather than recomputed; only
+        :func:`enumerate_rootings` calls this."""
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "host", host)
+        object.__setattr__(mat, "counts", counts)
+        object.__setattr__(mat, "k_vector", k_vector)
+        object.__setattr__(mat, "root_counts", root_counts)
+        return mat
+
     @property
     def total(self) -> int:
         """Total number of selected instances, the trace order d."""
@@ -119,10 +142,25 @@ class RootCountMatrix:
 
 @dataclass(frozen=True)
 class DirectedMultigraph:
-    """A directed multigraph given by arc multiplicities."""
+    """A directed multigraph given by arc multiplicities: distinct
+    vertices, and arcs between them with non-negative integer
+    multiplicities."""
 
     vertices: tuple[int, ...]
     arcs: Mapping[tuple[int, int], int]
+
+    def __post_init__(self) -> None:
+        present = set(self.vertices)
+        if len(present) != len(self.vertices):
+            raise ValidationError("digraph vertices must be distinct")
+        for (u, w), mult in self.arcs.items():
+            if u not in present or w not in present:
+                raise ValidationError(f"arc ({u!r}, {w!r}) leaves the vertex set")
+            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
+                raise ValidationError(
+                    f"arc ({u!r}, {w!r}) has multiplicity {mult!r}, not a "
+                    "non-negative integer"
+                )
 
     @cached_property
     def out_degrees(self) -> dict[int, int]:
@@ -192,14 +230,20 @@ def enumerate_rootings(
         return
     edges = [h.edges[i] for i in cand]
     zero = (0,) * m
-    rows = [zero] * h.edge_count
+    count = h.edge_count
+    rows = [zero] * count
 
-    # reads chosen, load and rem of the current k-vector, bound in the loop below
+    # reads chosen, last, load, rem, k_vector and roots of the current
+    # k-vector, bound in the loop below
     def distribute(i: int) -> Iterator[RootCountMatrix]:
-        if i == len(chosen):
-            yield RootCountMatrix(host=h, counts=tuple(rows))
-            return
         edge, k, index = chosen[i]
+        if i == last:
+            # no later edge can root anything, so every remaining root
+            # lies in this edge and its row is forced
+            rows[index] = tuple(rem[v] for v in edge)
+            yield RootCountMatrix._trusted(h, tuple(rows), k_vector, dict(roots))
+            rows[index] = zero
+            return
         for v in edge:
             load[v] -= k
         lows = [max(0, rem[v] - load[v]) for v in edge]
@@ -220,7 +264,13 @@ def enumerate_rootings(
         support = [e for e, _, _ in chosen]
         if not connected({v for e in support for v in e}, support):
             continue
+        last = len(chosen) - 1
         rem = [s // m for s in load]
+        full = [0] * count
+        for _, k, index in chosen:
+            full[index] = k
+        k_vector = tuple(full)
+        roots = {v: r for v, r in enumerate(rem) if r}
         yield from distribute(0)
 
 
@@ -279,15 +329,16 @@ def _balanced_multiplicities(
 def _bounded_compositions(
     k: int, lows: list[int], highs: list[int]
 ) -> Iterator[tuple[int, ...]]:
-    """Every tuple c with lows[j] <= c[j] <= highs[j] summing to k, in
-    lexicographic order.  Each entry's range is narrowed by the bounds
-    of the entries after it, so every branch completes."""
-    if len(lows) == 1:
-        if lows[0] <= k <= highs[0]:
-            yield (k,)
-        return
+    """Every tuple c of two or more entries with lows[j] <= c[j] <=
+    highs[j] summing to k, in lexicographic order.  Each entry's range
+    is narrowed by the bounds of the entries after it, so every branch
+    completes; with two entries left the second is k - c."""
     lo = max(lows[0], k - sum(highs[1:]))
     hi = min(highs[0], k - sum(lows[1:]))
+    if len(lows) == 2:
+        for c in range(lo, hi + 1):
+            yield (c, k - c)
+        return
     for c in range(lo, hi + 1):
         for rest in _bounded_compositions(k - c, lows[1:], highs[1:]):
             yield (c, *rest)
@@ -309,7 +360,9 @@ def build_digraph(mat: RootCountMatrix) -> DirectedMultigraph:
 
 def arborescence_count(g: DirectedMultigraph, root: int) -> int:
     """Spanning trees oriented so every vertex reaches the root, via the
-    principal minor of the out-degree Laplacian at the root."""
+    principal minor of the out-degree Laplacian at the root, filled in
+    one pass over the arcs: an arc u -> w out of a non-root u adds to
+    the diagonal at u and, unless w is the root, subtracts at (u, w)."""
     if not g.vertices:
         raise EmptyGraph("arborescence count needs at least one vertex")
     if root not in g.vertices:
@@ -320,17 +373,16 @@ def arborescence_count(g: DirectedMultigraph, root: int) -> int:
     index = {v: i for i, v in enumerate(others)}
     size = len(others)
     lap = [[0] * size for _ in range(size)]
-    for v, i in index.items():
-        lap[i][i] = g.out_degrees[v]
     for (u, w), mult in g.arcs.items():
-        if u == w:
-            # self loops cancel: they raise the out-degree and the
-            # diagonal adjacency entry by the same amount
-            if u in index:
-                lap[index[u]][index[u]] -= mult
+        # self loops cancel: they raise the out-degree and the diagonal
+        # adjacency entry by the same amount
+        if u == w or u == root:
             continue
-        if u in index and w in index:
-            lap[index[u]][index[w]] -= mult
+        i = index[u]
+        row = lap[i]
+        row[i] += mult
+        if w != root:
+            row[index[w]] -= mult
     return _bareiss_determinant(lap)
 
 
@@ -435,9 +487,9 @@ def tuple_multiplicity(mat: RootCountMatrix) -> int:
     return value
 
 
-def contribution_parts(mat: RootCountMatrix, ambient_n: int) -> tuple[int, int]:
+def contribution_parts(mat: RootCountMatrix, ambient_n: int) -> int:
     """The matrix contribution to the order-d trace of a host embedded
-    on ambient_n vertices, as a numerator over the denominator d!.
+    on ambient_n vertices, as the integer numerator over d!.
 
     With tuple multiplicity ``prod_v r(v)! / prod c!`` over the entries c
     of ``counts``, the weight ``tuple_multiplicity * d * (m-1)^ambient_n *
@@ -461,11 +513,10 @@ def contribution_parts(mat: RootCountMatrix, ambient_n: int) -> tuple[int, int]:
     numerator = d * (mat.host.m - 1) ** (ambient_n - len(roots)) * tau * multinomial
     for r in roots.values():
         numerator *= math.factorial(r - 1)
-    return numerator, math.factorial(d)
+    return numerator
 
 
 def contribution(mat: RootCountMatrix, ambient_n: int) -> Fraction:
     """Exact weight of one rooting: tuple multiplicity times
     d * (m-1)^ambient_n * arborescences / prod of out-degrees."""
-    numerator, denominator = contribution_parts(mat, ambient_n)
-    return Fraction(numerator, denominator)
+    return Fraction(contribution_parts(mat, ambient_n), math.factorial(mat.total))

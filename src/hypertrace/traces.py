@@ -13,8 +13,8 @@ count matrix, each weight reduces to
     d * (m-1)^(n-|R|) * arborescences(R(F)) * prod over rooted v of (r(v)-1)! / prod c!
 
 with |R| the number of rooted vertices.  The c sum to d, so prod c!
-divides d!: ``euler.contribution_parts`` returns each weight as an
-integer over d!, and an order's sum is one integer numerator over d!.
+divides d!: ``euler.contribution_parts`` returns each weight's integer
+numerator over d!, and an order's sum is one integer numerator over d!.
 
 ``trace`` evaluates the sum exactly; ``trace_local`` restricts it to
 rootings matching a :class:`LocalTraceQuery` (vertices required as
@@ -198,7 +198,7 @@ def _keyed_numerators(
     sums: dict[Hashable, int] = {}
     for mat in enumerate_rootings(h, d, restrict):
         k = key(mat.root_counts)
-        sums[k] = sums.get(k, 0) + contribution_parts(mat, h.n)[0]
+        sums[k] = sums.get(k, 0) + contribution_parts(mat, h.n)
     return sums
 
 

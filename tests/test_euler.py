@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +62,30 @@ def brute_force_census(h, d: int) -> set:
         except NotEulerian:
             pass
     return found
+
+
+def brute_force_arborescences(g: DirectedMultigraph, root: int) -> int:
+    """Sum, over every choice of one out-arc per non-root vertex whose
+    functional graph leads every vertex to the root, of the product of
+    the chosen arcs' multiplicities."""
+    others = [v for v in g.vertices if v != root]
+    outs = [[(w, mult) for (u, w), mult in g.arcs.items() if u == v] for v in others]
+    total = 0
+    for pick in product(*outs):
+        succ = {v: w for v, (w, _) in zip(others, pick)}
+
+        def reaches_root(v: int) -> bool:
+            seen = set()
+            while v != root:
+                if v in seen:
+                    return False
+                seen.add(v)
+                v = succ[v]
+            return True
+
+        if all(reaches_root(v) for v in others):
+            total += math.prod(mult for _, mult in pick)
+    return total
 
 
 def cycle_digraph(k: int) -> DirectedMultigraph:
@@ -124,10 +148,12 @@ class TestEnumeration:
         }
 
     def test_every_enumerated_rooting_is_balanced_and_connected(self):
-        # the matrix validator re-runs both checks on construction, so a
-        # clean pass over the enumeration is itself the assertion
+        # the enumerator's matrices skip validation, so rebuild each one
+        # through the validating constructor, which raises on a rooting
+        # that is unbalanced or has a disconnected support
         for d in (2, 4, 6):
             for mat in enumerate_rootings(TRIANGLE, d):
+                assert RootCountMatrix(host=TRIANGLE, counts=mat.counts) == mat
                 assert mat.total == d
                 g = build_digraph(mat)
                 assert g.is_balanced() and g.is_weakly_connected()
@@ -182,12 +208,22 @@ class TestEnumeration:
             for q in queries:
                 if q is not None and q.pinned and q.pinned[1] > d:
                     continue
-                listed = [mat.counts for mat in enumerate_rootings(h, d, q)]
+                mats = list(enumerate_rootings(h, d, q))
+                listed = [mat.counts for mat in mats]
                 assert len(listed) == len(set(listed))
                 assert set(listed) == {
                     mat.counts for mat in census
                     if q is None or q.matches(mat.root_counts)
                 }
+                # the enumerator hands over derived fields without
+                # validating; they must equal what the validator derives
+                first_of_kvec = {}
+                for mat in mats:
+                    checked = RootCountMatrix(host=h, counts=mat.counts)
+                    assert mat.k_vector == checked.k_vector
+                    assert mat.root_counts == checked.root_counts
+                    first = first_of_kvec.setdefault(mat.k_vector, mat)
+                    assert first is mat or first.root_counts is not mat.root_counts
             found += len(census)
         assert found
 
@@ -254,10 +290,37 @@ class TestArborescences:
             arborescence_count(g, 7)
         with pytest.raises(EmptyGraph):
             arborescence_count(DirectedMultigraph(vertices=(), arcs={}), 0)
+        two_cycle = {(0, 1): 1, (1, 0): 1}
+        bad_digraphs = [
+            ((0, 1), {**two_cycle, (1, 5): 2}),  # an arc to a non-vertex
+            ((0, 1), {(0, 1): -1, (1, 0): -1}),  # negative multiplicities
+            ((0, 1, 1), two_cycle),  # a repeated vertex
+            ((0, 1), {(0, 1): True, (1, 0): 1}),
+            ((0, 1), {(0, 1): 1.0, (1, 0): 1}),
+        ]
+        for vertices, arcs in bad_digraphs:
+            with pytest.raises(ValidationError):
+                DirectedMultigraph(vertices=vertices, arcs=arcs)
 
     def test_single_vertex(self):
         g = DirectedMultigraph(vertices=(0,), arcs={})
         assert arborescence_count(g, 0) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force_count(self, data):
+        # sparse labels, self-loops, arcs at the root and vertices that
+        # cannot reach it all occur among the draws
+        vertices = tuple(data.draw(
+            st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True)
+        ))
+        arcs = data.draw(st.dictionaries(
+            st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+            st.integers(0, 2),
+        ))
+        root = data.draw(st.sampled_from(vertices))
+        g = DirectedMultigraph(vertices=vertices, arcs=arcs)
+        assert arborescence_count(g, root) == brute_force_arborescences(g, root)
 
 
 class TestBareiss:
