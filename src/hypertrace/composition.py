@@ -14,7 +14,9 @@ with the conventions t/d := 1 when t = d = 0 and the order-zero profile
 entry (m-1)^(n-1).  A :class:`LocalTraceProfile` stores the pinned
 localized traces Tr_{d;t} of one operand at its anchor vertex, in the
 operand's own ambient vertex count; the formula is self-normalizing for
-the glued ambient n1 + n2 - 1.
+the glued ambient n1 + n2 - 1.  A profile groups the host's rooting
+table (``traces._rooting_table``) by the anchor's root count, so the
+profiles of one operand at two anchors enumerate it once per order.
 
 For d1, d2 > 0 the coefficient simplifies, since
 C(t1 + t2, t1) * t1 / (t1 + t2) = C(t1 + t2 - 1, t2):
@@ -64,8 +66,10 @@ from .hypergraph import (
     hyperpath,
     new_hypergraph,
 )
-from .euler import contribution_parts, enumerate_rootings
-from .traces import _check_cost, _check_order, _order_zero_local, trace
+# not called here (profiles fold the host's rooting table), but bound so
+# that perfbench's span wrappers find them; perfbench/selftest.py checks
+from .euler import contribution_parts, enumerate_rootings  # noqa: F401
+from .traces import _check_cost, _check_order, _order_zero_local, _rooting_table, trace
 
 
 @dataclass(frozen=True)
@@ -112,10 +116,10 @@ def local_trace_profile(
     entries: dict[tuple[int, int], Fraction] = {}
     for d in range(1, d_max + 1):
         sums: dict[int, int] = {}
-        for mat in enumerate_rootings(h, d):
-            t = mat.root_counts.get(anchor, 0)
+        for roots, num in _rooting_table(h, d).items():
+            t = roots[anchor]
             if t:
-                sums[t] = sums.get(t, 0) + contribution_parts(mat, h.n)
+                sums[t] = sums.get(t, 0) + num
         entries.update({(d, t): Fraction(num, factorial(d)) for t, num in sums.items()})
     entries[(0, 0)] = _order_zero_local(h)
     return LocalTraceProfile(host=h, anchor=anchor, d_max=d_max, entries=entries)

@@ -153,7 +153,10 @@ class DirectedMultigraph:
         present = set(self.vertices)
         if len(present) != len(self.vertices):
             raise ValidationError("digraph vertices must be distinct")
-        for (u, w), mult in self.arcs.items():
+        for arc, mult in self.arcs.items():
+            if not isinstance(arc, tuple) or len(arc) != 2:
+                raise ValidationError(f"arc key {arc!r} is not a (tail, head) pair")
+            u, w = arc
             if u not in present or w not in present:
                 raise ValidationError(f"arc ({u!r}, {w!r}) leaves the vertex set")
             if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
@@ -161,6 +164,15 @@ class DirectedMultigraph:
                     f"arc ({u!r}, {w!r}) has multiplicity {mult!r}, not a "
                     "non-negative integer"
                 )
+
+    @classmethod
+    def _trusted(cls, vertices: tuple[int, ...], arcs: dict) -> DirectedMultigraph:
+        """A digraph valid by construction, built without the input
+        checks; only :func:`build_digraph` calls this."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "arcs", arcs)
+        return g
 
     @cached_property
     def out_degrees(self) -> dict[int, int]:
@@ -354,8 +366,7 @@ def build_digraph(mat: RootCountMatrix) -> DirectedMultigraph:
                 for w in edge:
                     if w != u:
                         arcs[(u, w)] = arcs.get((u, w), 0) + c
-    vertices = tuple(sorted(mat.root_counts))
-    return DirectedMultigraph(vertices=vertices, arcs=arcs)
+    return DirectedMultigraph._trusted(tuple(sorted(mat.root_counts)), arcs)
 
 
 def arborescence_count(g: DirectedMultigraph, root: int) -> int:

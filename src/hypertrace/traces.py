@@ -20,9 +20,20 @@ numerator over d!, and an order's sum is one integer numerator over d!.
 rootings matching a :class:`LocalTraceQuery` (vertices required as
 roots, excluded entirely, or rooted a pinned number of times), and
 ``trace_table`` batches many orders and queries over one enumeration
-pass per order.  All three run the same keyed pass: check the orders
-and their cost, validate the queries, then sum the weights grouped by
-key.
+pass per order.  All three run one pass: check the orders and their
+cost, validate the queries, then fold rooting tables.
+
+A rooting table (``_rooting_table``) holds the order-d rootings of a
+host that match a restriction, summed by their root counts
+``(r(0), .., r(n-1))`` as integer numerators over d!, and is kept in
+``UniformHypergraph.memo`` under ``(d, restriction)``.  Root counts
+decide every query, since a forbidden vertex is one with r(v) = 0; a
+localized trace still enumerates under its own restriction, because
+the enumerator prunes on it.  The whole-host pass groups a table's
+entries by the queries they match, and ``composition``'s profiles group
+them by the anchor's root count, so profiles of one host at two
+anchors enumerate it once.  A block of the forest below projects its
+table onto its cut vertices once per order and keeps only that.
 
 Plain traces (``trace``, ``trace_local`` with an empty query and
 ``trace_table`` without queries) of a host with more than one block
@@ -41,8 +52,8 @@ cut-vertex theorem:
   ``d!/prod d_B!`` times a multinomial per block: the block terms
   multiply as exponential generating functions in the order mass.
 * Each block gets a table ``W_B[d_B; t]``, keyed by its order and the
-  root counts t at its cut vertices, filled by the same keyed pass over
-  the block alone: ``tau * d_B!/prod c! * prod phi(r(v))`` over the
+  root counts t at its cut vertices, projected from the rooting table
+  of the block alone: ``tau * d_B!/prod c! * prod phi(r(v))`` over the
   rooted vertices that are not cut vertices.  Tables are kept with the
   host and extended one order at a time.
 * One DP joins them, children first.  At a cut vertex w, ``C_w[sigma]``
@@ -54,9 +65,6 @@ cut-vertex theorem:
   ``sum_{sigma>=1} C_w[sigma] * phi(sigma)``, or a block not rooted at
   its parent vertex (or the first block of a component), adding those
   entries.  The total at mass d is ``Tr_d * d! * (m-1)^(d-n) / d``.
-
-A host with one block, localized queries and ``composition``'s
-profiles enumerate the whole host.
 
 Order zero is the eigenvalue count: ``Tr_0 = n * (m-1)^(n-1)``.  The
 localized value at order zero follows the convention ``(m-1)^(n-1)``
@@ -72,7 +80,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .config import Budget, default_budget
 from .errors import (
@@ -186,20 +194,31 @@ def _check_order(d: object) -> None:
         raise ValidationError(f"trace order must be a non-negative integer, got {d!r}")
 
 
-def _keyed_numerators(
-    h: UniformHypergraph,
-    d: int,
-    key: Callable[[Mapping[int, int]], Hashable],
-    restrict: LocalTraceQuery = EMPTY_QUERY,
-) -> dict[Hashable, int]:
-    """Sum the weights of the order-d rootings of h that match
-    ``restrict``, grouped by ``key`` of their root counts, as integer
-    numerators over d!."""
-    sums: dict[Hashable, int] = {}
+def _rooting_table(
+    h: UniformHypergraph, d: int, restrict: LocalTraceQuery = EMPTY_QUERY
+) -> dict[tuple[int, ...], int]:
+    """The rooting table of h at order d under ``restrict`` (see the
+    module docstring), kept in ``h.memo`` under ``(d, restrict)`` and
+    shared by every caller, which must not change it."""
+    table = h.memo.get((d, restrict))
+    if table is None:
+        table = h.memo[d, restrict] = _enumerate_table(h, d, restrict)
+    return table
+
+
+def _enumerate_table(
+    h: UniformHypergraph, d: int, restrict: LocalTraceQuery = EMPTY_QUERY
+) -> dict[tuple[int, ...], int]:
+    """Fill a rooting table.  Rootings of one k-vector share their root
+    counts, so each key is built once per k-vector."""
+    table: dict[tuple[int, ...], int] = {}
+    k_vector, key = None, ()
     for mat in enumerate_rootings(h, d, restrict):
-        k = key(mat.root_counts)
-        sums[k] = sums.get(k, 0) + contribution_parts(mat, h.n)
-    return sums
+        if mat.k_vector is not k_vector:
+            k_vector = mat.k_vector
+            key = tuple(mat.root_counts.get(v, 0) for v in range(h.n))
+        table[key] = table.get(key, 0) + contribution_parts(mat, h.n)
+    return table
 
 
 def _trace_pass(
@@ -218,8 +237,8 @@ def _trace_pass(
     d_max that match ``restrict``, keyed by (d, the members of
     ``queries`` the rooting matches).  A plain pass (no restriction, no
     queries) over a host of several blocks takes the block route; any
-    other pass enumerates the whole host.  Order zero has no rootings;
-    callers apply its convention.
+    other pass folds the rooting tables of the whole host.  Order zero
+    has no rootings; callers apply its convention.
     """
     _check_order(d_min)
     _check_order(d_max)
@@ -234,9 +253,10 @@ def _trace_pass(
             return {(d, ()): value for d, value in forest.traces(d_max).items() if d >= d_min}
     totals: dict[tuple[int, tuple[LocalTraceQuery, ...]], Fraction] = {}
     for d in range(max(d_min, 1), d_max + 1):
-        sums = _keyed_numerators(
-            h, d, lambda roots: tuple(q for q in queries if q.matches(roots)), restrict
-        )
+        sums: dict[tuple[LocalTraceQuery, ...], int] = {}
+        for roots, num in _rooting_table(h, d, restrict).items():
+            key = tuple(q for q in queries if q.matches(dict(enumerate(roots))))
+            sums[key] = sums.get(key, 0) + num
         totals.update({(d, key): Fraction(num, factorial(d)) for key, num in sums.items()})
     return totals
 
@@ -369,10 +389,11 @@ class _BlockForest:
         m = self.m
         for d in range(self.filled + 1, d_max + 1):
             for block in self.blocks:
-                keyed = block.keyed
-                sums = _keyed_numerators(
-                    block.host, d, lambda roots: tuple(roots.get(v, 0) for v in keyed)
-                )
+                # a block's table is read once, into W_B, so it is not kept
+                sums: dict[tuple[int, ...], int] = {}
+                for roots, num in _enumerate_table(block.host, d).items():
+                    ts = tuple(roots[v] for v in block.keyed)
+                    sums[ts] = sums.get(ts, 0) + num
                 for ts, num in sums.items():
                     den = d * (m - 1) ** block.host.n
                     for t in ts:

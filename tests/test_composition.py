@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -23,14 +24,25 @@ from hypertrace import (
     hyperpath,
     hyperstar,
     local_trace_profile,
+    new_hypergraph,
     query,
     relocation_difference,
     trace,
     trace_local,
 )
 from hypertrace.composition import embed_scale
+from hypertrace.euler import contribution, enumerate_rootings
 
 EDGE3 = hyperpath(3, 1)
+PIECES = {
+    2: (new_hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)]),
+        new_hypergraph(2, 4, combinations(range(4), 2)),
+        new_hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+        hyperpath(2, 1)),
+    3: (new_hypergraph(3, 6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)]),
+        new_hypergraph(3, 4, combinations(range(4), 3)),
+        EDGE3),
+}
 
 
 def glued_with_profiles(h1, u, h2, v, d_max):
@@ -168,6 +180,31 @@ class TestCoalescence:
         assert coalescence_local_trace(p1, p2, d) == trace_local(
             glued, d, query(required=[u])
         )
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_three_routes_agree_on_random_coalescences(self, data):
+        # block DP, cut-vertex composition of two profiles, and every
+        # rooting of the glued host enumerated
+        m = data.draw(st.sampled_from((2, 3)))
+        piece = st.sampled_from(PIECES[m])
+        h1 = data.draw(piece)
+        for _ in range(data.draw(st.integers(min_value=0, max_value=1))):
+            h2 = data.draw(piece)
+            u = data.draw(st.integers(min_value=0, max_value=h1.n - 1))
+            w = data.draw(st.integers(min_value=0, max_value=h2.n - 1))
+            h1 = coalesce(h1, u, h2, w)
+        h2 = data.draw(piece)
+        u = data.draw(st.integers(min_value=0, max_value=h1.n - 1))
+        w = data.draw(st.integers(min_value=0, max_value=h2.n - 1))
+        d = data.draw(st.integers(min_value=1, max_value=6))
+        glued, p1, p2 = glued_with_profiles(h1, u, h2, w, d)
+        rootings = [(mat.root_counts, contribution(mat, glued.n))
+                    for mat in enumerate_rootings(glued, d)]
+        assert trace(glued, d) == sum((x for _, x in rootings), Fraction(0))
+        through = sum((x for roots, x in rootings if u in roots), Fraction(0))
+        assert coalescence_local_trace(p1, p2, d) == through
+        assert trace_local(glued, d, query(required=[u])) == through
 
 
 class TestRelocation:

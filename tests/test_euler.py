@@ -148,14 +148,16 @@ class TestEnumeration:
         }
 
     def test_every_enumerated_rooting_is_balanced_and_connected(self):
-        # the enumerator's matrices skip validation, so rebuild each one
-        # through the validating constructor, which raises on a rooting
-        # that is unbalanced or has a disconnected support
+        # the enumerator's matrices and their digraphs skip validation, so
+        # rebuild each one through the validating constructor, which
+        # raises on a rooting that is unbalanced or has a disconnected
+        # support, or on an arc off the vertex set
         for d in (2, 4, 6):
             for mat in enumerate_rootings(TRIANGLE, d):
                 assert RootCountMatrix(host=TRIANGLE, counts=mat.counts) == mat
                 assert mat.total == d
                 g = build_digraph(mat)
+                assert DirectedMultigraph(vertices=g.vertices, arcs=g.arcs) == g
                 assert g.is_balanced() and g.is_weakly_connected()
 
     def test_triangle_rooting_census(self):
@@ -297,6 +299,8 @@ class TestArborescences:
             ((0, 1, 1), two_cycle),  # a repeated vertex
             ((0, 1), {(0, 1): True, (1, 0): 1}),
             ((0, 1), {(0, 1): 1.0, (1, 0): 1}),
+            ((0, 1), {(0, 1, 2): 1}),  # arc keys that are not pairs
+            ((0, 1), {5: 1}),
         ]
         for vertices, arcs in bad_digraphs:
             with pytest.raises(ValidationError):

@@ -20,6 +20,7 @@ from hypertrace import (
     enumerate_hypertrees,
     hyperpath,
     hyperstar,
+    local_trace_profile,
     new_hypergraph,
     power,
     query,
@@ -341,3 +342,79 @@ class TestBlockRoute:
         for h in (coalesce(K4, 0, K4, 0), coalesce(coalesce(C4, 0, K3, 0), 2, K4, 1)):
             for d in range(11):
                 assert trace(h, d, budget) == trace_m2_oracle(h, d)
+
+
+K5_3 = new_hypergraph(3, 5, combinations(range(5), 3))
+
+
+class TestWarmMemo:
+    """Every query on a host reads one memoized rooting table per order;
+    a table left by earlier calls must change no later answer."""
+
+    @staticmethod
+    def weighed_rootings(h, d, cache):
+        """(root counts, weight) of every order-d rooting of h, straight
+        from the enumerator."""
+        if d not in cache:
+            cache[d] = [(mat.root_counts, contribution(mat, h.n))
+                        for mat in enumerate_rootings(h, d)]
+        return cache[d]
+
+    @staticmethod
+    def keeps(q, roots):
+        return (all(roots.get(v, 0) for v in q.required)
+                and not any(roots.get(v, 0) for v in q.forbidden)
+                and (q.pinned is None or roots.get(q.pinned[0], 0) == q.pinned[1]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_interleaved_calls_match_fresh_hosts_and_enumeration(self, data):
+        h = data.draw(st.sampled_from(
+            connected_graph_classes(4) + (K4, LOOSE_3_CYCLE, K5_3)
+        ))
+        d_top = 4 if h.edge_count > 6 else 6
+        vertex = st.integers(min_value=0, max_value=h.n - 1)
+        orders = st.integers(min_value=1, max_value=d_top)
+        u, v = data.draw(vertex), data.draw(vertex)
+        cache = {}
+
+        def oracle(d, q):
+            rootings = self.weighed_rootings(h, d, cache)
+            return sum((w for roots, w in rootings if self.keeps(q, roots)), Fraction(0))
+
+        def draw_query(d):
+            kind = data.draw(st.sampled_from(("required", "forbidden", "pinned")))
+            if kind == "pinned":
+                return query(pinned=(data.draw(vertex), data.draw(st.integers(1, d))))
+            return query(**{kind: [data.draw(vertex)]})
+
+        for _ in range(data.draw(st.integers(min_value=3, max_value=7))):
+            fresh = new_hypergraph(h.m, h.n, h.edges)
+            call = data.draw(st.sampled_from(("trace", "table", "local", "profile")))
+            d = data.draw(orders)
+            if call == "trace":
+                got = trace(h, d)
+                assert got == trace(fresh, d) == oracle(d, query())
+            elif call == "table":
+                qs = (draw_query(d), draw_query(d))
+                got = trace_table(h, d, qs)
+                assert got.entries == trace_table(fresh, d, qs).entries
+                for e in range(1, d + 1):
+                    assert got.get(e) == oracle(e, query())
+                    for q in qs:
+                        assert got.get(e, q) == oracle(e, q)
+            elif call == "local":
+                q = draw_query(d)
+                got = trace_local(h, d, q)
+                assert got == trace_local(fresh, d, q) == oracle(d, q)
+            else:
+                for anchor in (u, v):
+                    got = local_trace_profile(h, anchor, d)
+                    assert got.entries == local_trace_profile(fresh, anchor, d).entries
+                    want = {(0, 0): Fraction((h.m - 1) ** (h.n - 1))}
+                    for e in range(1, d + 1):
+                        for t in range(1, e + 1):
+                            value = oracle(e, query(pinned=(anchor, t)))
+                            if value:
+                                want[e, t] = value
+                    assert got.entries == want
