@@ -118,13 +118,23 @@ def _bracket_series(
     )
 
 
+def _tolerance(tol: object) -> Fraction:
+    """tol as an exact, non-negative ``Fraction``; anything that does
+    not convert to one (NaN, an infinity, a non-number) is rejected."""
+    try:
+        value = Fraction(tol)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"tolerance {tol!r} is not a finite number") from None
+    if value < 0:
+        raise ValidationError(f"tolerance must be non-negative, got {value}")
+    return value
+
+
 def estrada_index(
     h: UniformHypergraph, tol: Fraction, budget: Budget | None = None
 ) -> EstradaEstimate:
     """Bracket the Estrada index to within tol using exact traces."""
-    tol = Fraction(tol)
-    if tol < 0:
-        raise ValidationError(f"tolerance must be non-negative, got {tol}")
+    tol = _tolerance(tol)
     budget = budget or default_budget()
     return _bracket_series(h, tol, lambda d: trace(h, d, budget))
 
@@ -134,9 +144,7 @@ def estrada_index_m2_oracle(
 ) -> EstradaEstimate:
     """Same enclosure for a 2-uniform host, with every trace taken from
     the adjacency matrix-power oracle instead of the rooting engine."""
-    tol = Fraction(tol)
-    if tol < 0:
-        raise ValidationError(f"tolerance must be non-negative, got {tol}")
+    tol = _tolerance(tol)
     budget = budget or default_budget()
 
     def oracle(d: int) -> Fraction:
@@ -234,8 +242,8 @@ def extremal_scan(
 ) -> ExtremalReport:
     """Bracket every m-uniform hypertree class with z edges and rank
     them by Estrada index."""
-    tol = Fraction(tol)
-    if tol <= 0:
+    tol = _tolerance(tol)
+    if tol == 0:
         raise ValidationError(f"scan tolerance must be positive, got {tol}")
     budget = budget or default_budget()
     classes = enumerate_hypertrees(m, z, budget)

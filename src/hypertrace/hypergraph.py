@@ -138,10 +138,11 @@ def hyperstar(m: int, z: int) -> UniformHypergraph:
 
 
 def _check_generator_args(m: int, z: int) -> None:
-    if m < 2:
-        raise ValidationError(f"uniformity m must be >= 2, got {m}")
-    if z < 1:
-        raise ValidationError(f"edge count z must be >= 1, got {z}")
+    """Reject an m below 2, a z below 1, and either one not an ``int``
+    (``bool`` included)."""
+    for name, value, least in (("uniformity m", m, 2), ("edge count z", z, 1)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def power(graph: UniformHypergraph, m: int) -> UniformHypergraph:

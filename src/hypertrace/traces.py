@@ -65,6 +65,16 @@ cut-vertex theorem:
   ``sum_{sigma>=1} C_w[sigma] * phi(sigma)``, or a block not rooted at
   its parent vertex (or the first block of a component), adding those
   entries.  The total at mass d is ``Tr_d * d! * (m-1)^(d-n) / d``.
+* The DP state (``G_B``, ``C_w``, ``A_w(s)``, the products of the
+  ``A_w`` a block entry needs, and the totals) lives with the forest.
+  The coefficient at mass k of a product reads only the masses up to k
+  of its factors, so each order extends every polynomial by its mass-k
+  coefficient, children first, and an order already reached is read
+  back.  A root count first seen at order d gets its ``A_w(s)`` and
+  products over the masses below d from the state kept.  A mass that
+  is not a multiple of the gcd of the orders with rootings so far (a
+  hypertree's masses off the multiples of m) is zero throughout and is
+  skipped.
 
 Order zero is the eigenvalue count: ``Tr_0 = n * (m-1)^(n-1)``.  The
 localized value at order zero follows the convention ``(m-1)^(n-1)``
@@ -79,8 +89,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from math import comb, factorial, gcd
+from typing import Iterable, Mapping, Sequence
 
 from .config import Budget, default_budget
 from .errors import (
@@ -250,7 +260,13 @@ def _trace_pass(
         if forest is None:
             forest = h.memo[_BlockForest] = _BlockForest(h)
         if len(forest.blocks) > 1:
-            return {(d, ()): value for d, value in forest.traces(d_max).items() if d >= d_min}
+            try:
+                values = forest.traces(d_min, d_max)
+            except BaseException:
+                # an extension cut short leaves the DP part-way through an order
+                del h.memo[_BlockForest]
+                raise
+            return {(d, ()): value for d, value in values.items()}
     totals: dict[tuple[int, tuple[LocalTraceQuery, ...]], Fraction] = {}
     for d in range(max(d_min, 1), d_max + 1):
         sums: dict[tuple[LocalTraceQuery, ...], int] = {}
@@ -266,20 +282,27 @@ def _trace_pass(
 Poly = dict[int, int]  # exponential generating function: mass k -> coefficient of y^k/k!
 
 
-def _add_into(target: Poly, p: Poly, scale: int = 1) -> None:
-    for k, v in p.items():
-        target[k] = target.get(k, 0) + v * scale
-
-
-def _times(p: Poly, q: Poly, limit: int) -> Poly:
-    """The product of two exponential generating functions, with masses
-    above limit dropped."""
-    out: Poly = {}
+def _mass(row: list[int], p: Poly, q: Poly) -> int:
+    """The coefficient at mass k of the product of p and q, where
+    ``row`` is the binomial row ``C(k, 0..k)``: it reads only the masses
+    up to k of either factor."""
+    k = len(row) - 1
+    if len(q) < len(p):
+        p, q = q, p
+    total = 0
     for i, a in p.items():
-        for j, b in q.items():
-            if i + j <= limit:
-                out[i + j] = out.get(i + j, 0) + comb(i + j, i) * a * b
-    return out
+        b = q.get(k - i)
+        if b:
+            total += row[i] * a * b
+    return total
+
+
+def _add(polys: dict[int, Poly], key: int, k: int, c: int) -> None:
+    """Add c to the coefficient at mass k of ``polys[key]``; only
+    nonzero coefficients are stored."""
+    if c:
+        poly = polys.setdefault(key, {})
+        poly[k] = poly.get(k, 0) + c
 
 
 def _phi(m: int, r: int) -> int:
@@ -287,69 +310,53 @@ def _phi(m: int, r: int) -> int:
     return (m - 1) ** (r - 1) * factorial(r - 1)
 
 
-def _cut_vertex(
-    m: int, child_sums: list[dict[int, Poly]], d_max: int, tops: Poly
-) -> Callable[[int], Poly]:
-    """Join the child blocks of a cut vertex w.
+@dataclass
+class _Cut:
+    """A cut vertex w below a block and its part of the DP state:
+    ``joined[i][sigma]`` is the product over the first i child blocks B
+    of ``1 + sum_t x^t G_B[t]`` at ``x^sigma``, so ``joined[-1]`` is
+    ``C_w``, and ``below[s]`` is ``A_w(s)`` for every s the block above
+    has rooted w with so far."""
 
-    ``C_w[sigma]`` is the product over the child blocks B of
-    ``1 + sum_t x^t G_B[t]`` at ``x^sigma``.  The rootings whose topmost
-    element is w add ``sum_{sigma>=1} C_w[sigma] phi(sigma)`` to
-    ``tops``.  Returns ``A_w``: ``A_w(s) = sum_sigma C_w[sigma]
-    phi(s+sigma)``, the weight below w when the parent block roots w s
-    times, computed once per s and cut at the masses the parent can
-    still use (its own entry has order at least m*s)."""
-    joined: dict[int, Poly] = {0: {0: 1}}
-    for sums in child_sums:
-        grown: dict[int, Poly] = {}
-        for s1, p1 in joined.items():
-            _add_into(grown.setdefault(s1, {}), p1)
-            for s2, p2 in sums.items():
-                _add_into(grown.setdefault(s1 + s2, {}), _times(p1, p2, d_max))
-        joined = grown
-    for sigma, p in joined.items():
-        if sigma:
-            _add_into(tops, p, _phi(m, sigma))
-    cache: dict[int, Poly] = {}
-
-    def below(s: int) -> Poly:
-        if s not in cache:
-            limit = d_max - m * s
-            out: Poly = {}
-            for sigma, p in joined.items():
-                _add_into(out, {k: v for k, v in p.items() if k <= limit}, _phi(m, s + sigma))
-            cache[s] = out
-        return cache[s]
-
-    return below
+    children: list[int]
+    joined: list[dict[int, Poly]]
+    below: dict[int, Poly] = field(default_factory=dict)
 
 
 @dataclass
 class _Block:
     """One block of the forest: its edges relabeled onto 0..k-1, the
     cut vertex above it (None at a component's first block), the cut
-    vertices below it, and its rooting table so far."""
+    vertices below it, and its part of the DP state.  ``weights`` is the
+    table ``W_B``, root counts at the keyed vertices -> {order: weight};
+    ``products`` maps the root counts at the cut vertices below to the
+    ``A_w(t_w)`` with t_w > 0 and their running products, the last one
+    being the whole product; ``sums`` is ``G_B``."""
 
     host: UniformHypergraph
     up: int | None
-    kids: list[int]
-    keyed: list[int]  # local ids of up (if any), then of kids
-    table: dict[tuple[int, tuple[int, ...]], int] = field(default_factory=dict)
+    cuts: list[_Cut]
+    keyed: list[int]  # local ids of up (if any), then of the cut vertices below
+    weights: dict[tuple[int, ...], Poly] = field(default_factory=dict)
+    products: dict[tuple[int, ...], tuple[list[Poly], list[Poly]]] = field(default_factory=dict)
+    sums: dict[int, Poly] = field(default_factory=dict)
 
 
 class _BlockForest:
-    """The block-cut forest of one host and the rooting tables of its
-    blocks, kept with the host so that a run of trace calls on it (an
-    Estrada series, an audit) enumerates each block once per order."""
+    """The block-cut forest of one host, the tables of its blocks and
+    the DP that joins them, kept with the host and extended one order at
+    a time: a run of trace calls on it (an Estrada series, an audit)
+    enumerates each block once per order and computes each DP
+    coefficient once, and an order already reached is read back."""
 
     def __init__(self, h: UniformHypergraph) -> None:
         self.m, self.n = h.m, h.n
         parts, cuts = blocks(h), cut_vertices(h)
         verts = [sorted({v for i in b for v in h.edges[i]}) for b in parts]
-        self.at: dict[int, list[int]] = {}
+        at: dict[int, list[int]] = {}
         for b, vs in enumerate(verts):
             for v in vs:
-                self.at.setdefault(v, []).append(b)
+                at.setdefault(v, []).append(b)
         # preorder; each component hangs from its first block, every
         # other block from its parent cut vertex
         parent: dict[int, int | None] = {}
@@ -364,7 +371,7 @@ class _BlockForest:
                 order.append(b)
                 for w in verts[b]:
                     if w != parent[b]:
-                        for c in self.at[w]:
+                        for c in at[w]:
                             if c != b:
                                 parent[c] = w
                                 todo.append(c)
@@ -378,59 +385,117 @@ class _BlockForest:
                 h.m, len(vs), [[local[v] for v in h.edges[i]] for i in edge_ids]
             )
             keyed = [local[w] for w in ([] if up is None else [up]) + kids]
-            self.blocks.append(_Block(host, up, kids, keyed))
-        self.filled = 0
+            below = []
+            for w in kids:
+                children = [c for c in at[w] if c != b]
+                below.append(_Cut(children, [{0: {0: 1}} for _ in range(len(children) + 1)]))
+            self.blocks.append(_Block(host, up, below, keyed))
+        self.rows: list[list[int]] = [[1]]  # the binomial rows C(k, 0..k) reached
+        self.step = 0  # the gcd of the orders with rootings so far
+        self.totals: list[Fraction] = [Fraction(0)]  # Tr_k at every mass reached
 
-    def fill(self, d_max: int) -> None:
-        """Extend every table to order d_max: ``W_B[d_B; t]``, per order
-        d_B and root counts t at the keyed vertices, is the sum over the
-        block's rootings of ``tau * d_B!/prod c! * prod phi(r(v))`` over
-        its rooted vertices that are not keyed."""
-        m = self.m
-        for d in range(self.filled + 1, d_max + 1):
-            for block in self.blocks:
-                # a block's table is read once, into W_B, so it is not kept
-                sums: dict[tuple[int, ...], int] = {}
-                for roots, num in _enumerate_table(block.host, d).items():
-                    ts = tuple(roots[v] for v in block.keyed)
-                    sums[ts] = sums.get(ts, 0) + num
-                for ts, num in sums.items():
-                    den = d * (m - 1) ** block.host.n
-                    for t in ts:
-                        if t:
-                            den *= _phi(m, t)
-                    block.table[d, ts] = num * (m - 1) ** d // den
-            self.filled = d
+    def traces(self, d_min: int, d_max: int) -> dict[int, Fraction]:
+        """The nonzero Tr_d for max(d_min, 1) <= d <= d_max, extending
+        the forest to order d_max first."""
+        for d in range(len(self.totals), d_max + 1):
+            self._fill(d)
+            self.rows.append([comb(d, i) for i in range(d + 1)])
+            if self.step and d % self.step == 0:
+                self._extend(d)
+            else:  # no sum of the orders with rootings so far reaches mass d
+                self.totals.append(Fraction(0))
+        return {d: self.totals[d] for d in range(max(d_min, 1), d_max + 1) if self.totals[d]}
 
-    def traces(self, d_max: int) -> dict[int, Fraction]:
-        """Tr_1..Tr_{d_max} by one DP over the forest (see the module
-        docstring)."""
-        self.fill(d_max)
+    def _fill(self, d: int) -> None:
+        """Add order d to every table: ``W_B[d; t]``, per root counts t
+        at the keyed vertices, is the sum over the block's order-d
+        rootings of ``tau * d!/prod c! * prod phi(r(v))`` over its rooted
+        vertices that are not keyed.  Root counts new at this order get
+        their DP polynomials here, over the masses reached."""
         m = self.m
-        tops: Poly = {}
-        child_sums: dict[int, dict[int, Poly]] = {}  # G_B of each block done
+        projected = []
+        for block in self.blocks:
+            # a block's table is read once, into W_B, so it is not kept
+            sums: dict[tuple[int, ...], int] = {}
+            for roots, num in _enumerate_table(block.host, d).items():
+                ts = tuple(roots[v] for v in block.keyed)
+                sums[ts] = sums.get(ts, 0) + num
+            projected.append(sums)
+        for block, sums in zip(self.blocks, projected):
+            if sums:
+                self.step = gcd(self.step, d)
+            for ts, num in sums.items():
+                den = d * (m - 1) ** block.host.n
+                for t in ts:
+                    if t:
+                        den *= _phi(m, t)
+                block.weights.setdefault(ts, {})[d] = num * (m - 1) ** d // den
+                kappa = ts[len(ts) - len(block.cuts):]
+                if kappa not in block.products:
+                    block.products[kappa] = self._product(block.cuts, kappa)
+
+    def _product(
+        self, cuts: list[_Cut], kappa: tuple[int, ...]
+    ) -> tuple[list[Poly], list[Poly]]:
+        """The factors ``A_w(t_w)`` over the cut vertices w with root
+        count t_w > 0 in kappa, and their running products over the
+        masses reached."""
+        factors = [self._below(cut, t) for cut, t in zip(cuts, kappa) if t]
+        running = [factors[0] if factors else {0: 1}]
+        for f in factors[1:]:
+            p = running[-1]
+            running.append({k: c for k, row in enumerate(self.rows) if (c := _mass(row, p, f))})
+        return factors, running
+
+    def _below(self, cut: _Cut, s: int) -> Poly:
+        """``A_w(s) = sum_sigma C_w[sigma] * phi(s + sigma)``, computed
+        over the masses reached when s is new."""
+        if s not in cut.below:
+            a: Poly = {}
+            for sigma, c in cut.joined[-1].items():
+                for k, v in c.items():
+                    a[k] = a.get(k, 0) + v * _phi(self.m, s + sigma)
+            cut.below[s] = a
+        return cut.below[s]
+
+    def _extend(self, k: int) -> None:
+        """Extend every DP polynomial by its coefficient at mass k (see
+        the module docstring) and record Tr_k.  Blocks come children
+        first, so every polynomial is extended after those it is built
+        from."""
+        m = self.m
+        row = self.rows[k]
+        top = 0
         for b in self.children_first:
             block = self.blocks[b]
-            below = [
-                _cut_vertex(m, [child_sums.pop(c) for c in self.at[w] if c != b], d_max, tops)
-                for w in block.kids
-            ]
-            sums: dict[int, Poly] = {}
-            for (d, ts), weight in block.table.items():
-                if d > d_max:
-                    continue
-                term: Poly = {d: weight}
-                for a, t in zip(below, ts[len(ts) - len(below):]):
-                    if t:
-                        term = _times(term, a(t), d_max)
-                top = block.up is None or ts[0] == 0
-                _add_into(tops if top else sums.setdefault(ts[0], {}), term)
-            if block.up is not None:
-                child_sums[b] = sums
-        return {
-            d: Fraction(d * (m - 1) ** self.n * total, (m - 1) ** d * factorial(d))
-            for d, total in sorted(tops.items())
-        }
+            for cut in block.cuts:
+                for prev, cur, child in zip(cut.joined, cut.joined[1:], cut.children):
+                    for sigma, p in prev.items():
+                        _add(cur, sigma, k, p.get(k, 0))
+                        for t, g in self.blocks[child].sums.items():
+                            _add(cur, sigma + t, k, _mass(row, p, g))
+                at_k = [(sigma, p[k]) for sigma, p in cut.joined[-1].items() if k in p]
+                top += sum(v * _phi(m, sigma) for sigma, v in at_k if sigma)
+                for s, a in cut.below.items():
+                    c = sum(v * _phi(m, s + sigma) for sigma, v in at_k)
+                    if c:
+                        a[k] = c
+            for factors, running in block.products.values():
+                for f, prev, cur in zip(factors[1:], running, running[1:]):
+                    c = _mass(row, prev, f)
+                    if c:
+                        cur[k] = c
+            cut_count = len(block.cuts)
+            for ts, weights in block.weights.items():
+                _, running = block.products[ts[len(ts) - cut_count:]]
+                c = _mass(row, weights, running[-1])
+                if block.up is None or ts[0] == 0:
+                    top += c
+                else:
+                    _add(block.sums, ts[0], k, c)
+        self.totals.append(
+            Fraction(k * (m - 1) ** self.n * top, (m - 1) ** k * factorial(k))
+        )
 
 
 def trace(h: UniformHypergraph, d: int, budget: Budget | None = None) -> Fraction:

@@ -13,6 +13,7 @@ from hypertrace import (
     LimitExceeded,
     ValidationError,
     decimal_str,
+    enumerate_hypertrees,
     estrada_index,
     estrada_index_m2_oracle,
     extremal_scan,
@@ -101,12 +102,23 @@ class TestBrackets:
             b = estrada_index_m2_oracle(h, Fraction(1, 10**4))
             assert (a.lower, a.upper, a.depth) == (b.lower, b.upper, b.depth)
             assert abs(a.center - b.center) <= 2 * Fraction(1, 10**4)
+        # deep series on every graph tree with up to six edges: the block
+        # DP's traces, read one order at a time, against the matrix powers
+        tol, budget = Fraction(1, 10**12), Budget(cost_limit=512)
+        for z in range(1, 7):
+            for h in enumerate_hypertrees(2, z):
+                a = estrada_index(h, tol, budget)
+                b = estrada_index_m2_oracle(h, tol, budget)
+                assert (a.lower, a.upper, a.depth) == (b.lower, b.upper, b.depth)
+                assert a.traces == b.traces
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValidationError):
-            estrada_index(hyperpath(2, 1), Fraction(-1, 10))
-        with pytest.raises(ValidationError):
-            estrada_index_m2_oracle(hyperpath(2, 1), Fraction(-1, 10))
+        # so is a tolerance that is not a finite number
+        for tol in (Fraction(-1, 10), float("nan"), float("inf"), float("-inf"), "huh", None):
+            with pytest.raises(ValidationError):
+                estrada_index(hyperpath(2, 1), tol)
+            with pytest.raises(ValidationError):
+                estrada_index_m2_oracle(hyperpath(2, 1), tol)
 
     def test_zero_tolerance_exhausts_the_budget_on_real_hosts(self):
         with pytest.raises(LimitExceeded):
@@ -178,8 +190,9 @@ class TestExtremalScan:
         assert payload["path_is_minimum"] and payload["star_is_maximum"]
 
     def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            extremal_scan(2, 3, Fraction(0))
+        for tol in (Fraction(0), Fraction(-1, 10), float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                extremal_scan(2, 3, tol)
 
     def test_class_ids_stable_under_relabeling(self):
         from hypertrace import permute_vertices

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -25,6 +26,7 @@ from hypertrace import (
     coalesce,
     dumps_json,
     enumerate_hypertrees,
+    extremal_scan,
     hyperpath,
     hyperstar,
     is_connected,
@@ -99,6 +101,13 @@ class TestGenerators:
             hyperpath(3, 0)
         with pytest.raises(ValidationError):
             hyperstar(1, 2)
+        # m and z must be ints; a bool or a float is not one
+        for m, z in ((3, True), (True, 2), (3.0, 2), (2, 2.0), (2, "2"), (None, 2)):
+            for generator in (hyperpath, hyperstar, enumerate_hypertrees):
+                with pytest.raises(ValidationError):
+                    generator(m, z)
+            with pytest.raises(ValidationError):
+                extremal_scan(m, z, Fraction(1, 10))
 
     def test_power_of_triangle(self):
         tri = new_hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])

@@ -30,6 +30,7 @@ from hypertrace import (
     trace_table,
 )
 
+import hypertrace.traces as traces_module
 from hypertrace.euler import contribution, enumerate_rootings
 from hypertrace.hypergraph import blocks, cut_vertices
 
@@ -290,6 +291,22 @@ C4 = new_hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 LOOSE_3_CYCLE = new_hypergraph(3, 6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)])
 K4_3 = new_hypergraph(3, 4, combinations(range(4), 3))
 PIECES = {2: (K3, K4, C4, hyperpath(2, 1)), 3: (LOOSE_3_CYCLE, K4_3, hyperpath(3, 1))}
+HYPERTREES = tuple(
+    h for m, z_max in ((2, 5), (3, 4)) for z in range(2, z_max + 1)
+    for h in enumerate_hypertrees(m, z)
+)
+
+
+def draw_glued(data):
+    """A host of 1-2 random coalesce steps over PIECES, m = 2 or 3."""
+    m = data.draw(st.sampled_from((2, 3)))
+    h = data.draw(st.sampled_from(PIECES[m]))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+        piece = data.draw(st.sampled_from(PIECES[m]))
+        u = data.draw(st.integers(min_value=0, max_value=h.n - 1))
+        v = data.draw(st.integers(min_value=0, max_value=piece.n - 1))
+        h = coalesce(h, u, piece, v)
+    return h
 
 
 class TestBlockRoute:
@@ -313,13 +330,7 @@ class TestBlockRoute:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_glued_hosts(self, data):
-        m = data.draw(st.sampled_from((2, 3)))
-        h = data.draw(st.sampled_from(PIECES[m]))
-        for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
-            piece = data.draw(st.sampled_from(PIECES[m]))
-            u = data.draw(st.integers(min_value=0, max_value=h.n - 1))
-            v = data.draw(st.integers(min_value=0, max_value=piece.n - 1))
-            h = coalesce(h, u, piece, v)
+        h = draw_glued(data)
         assert 1 <= len(cut_vertices(h)) <= 2
         d = data.draw(st.integers(min_value=1, max_value=7))
         want = enumerated_trace(h, d)
@@ -342,6 +353,58 @@ class TestBlockRoute:
         for h in (coalesce(K4, 0, K4, 0), coalesce(coalesce(C4, 0, K3, 0), 2, K4, 1)):
             for d in range(11):
                 assert trace(h, d, budget) == trace_m2_oracle(h, d)
+
+    def test_an_interrupted_extension_is_dropped(self, monkeypatch):
+        h = hyperstar(3, 3)
+        assert trace(h, 6) == enumerated_trace(h, 6)
+        mass, calls = traces_module._mass, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) > 3:
+                raise RuntimeError("interrupted")
+            return mass(*args)
+
+        monkeypatch.setattr(traces_module, "_mass", failing)
+        with pytest.raises(RuntimeError):
+            trace(h, 12)
+        monkeypatch.undo()
+        assert trace(h, 12) == enumerated_trace(h, 12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_call_order_matches_fresh_hosts_and_enumeration(self, data):
+        # the DP state stays with the host and is extended one order at a
+        # time, so no order of calls on a warm host may change an answer
+        if data.draw(st.booleans()):
+            h = data.draw(st.sampled_from(HYPERTREES))
+            d_top = 4 * h.m
+        else:
+            h = draw_glued(data)
+            d_top = 6
+        assert len(blocks(h)) > 1
+        orders = data.draw(st.lists(st.integers(min_value=1, max_value=d_top),
+                                    min_size=2, max_size=6))
+        shape = data.draw(st.sampled_from(("ascending", "descending", "as drawn")))
+        if shape != "as drawn":
+            orders.sort(reverse=shape == "descending")
+        orders.append(orders[0])  # an order asked for again
+        enumerated = {}
+
+        def oracle(d):
+            if d not in enumerated:
+                enumerated[d] = enumerated_trace(h, d)
+            return enumerated[d]
+
+        for d in orders:
+            fresh = new_hypergraph(h.m, h.n, h.edges)
+            if data.draw(st.booleans()):
+                assert trace(h, d) == trace(fresh, d) == oracle(d)
+            else:
+                table = trace_table(h, d)
+                assert table.entries == trace_table(fresh, d).entries
+                for e in range(d + 1):
+                    assert table.get(e) == oracle(e)
 
 
 K5_3 = new_hypergraph(3, 5, combinations(range(5), 3))
