@@ -4,14 +4,16 @@ Subcommands: ``gen`` writes generator hypergraphs as JSON, ``trace``
 evaluates plain or localized traces, ``estrada`` prints a certified
 index bracket, ``scan`` ranks hypertree classes, and ``audit`` runs a
 perturbation law comparison.  Exit codes: 0 on success, 1 for invalid
-input, 2 when a resource budget is exceeded.  Output is deterministic
-for fixed inputs.
+input, 2 when a resource budget is exceeded, 141 (128 + SIGPIPE) when
+standard output is closed before everything is written.  Output is
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -240,7 +242,16 @@ def main(argv: list[str] | None = None) -> int:
             budget = Budget(cost_limit=args.budget)
         else:
             budget = default_budget()
-        return _COMMANDS[args.command](args, budget)
+        status = _COMMANDS[args.command](args, budget)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader went away (``| head``): not an input error, so no
+        # message; what is still buffered goes to devnull at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,9 +14,9 @@ with the conventions t/d := 1 when t = d = 0 and the order-zero profile
 entry (m-1)^(n-1).  A :class:`LocalTraceProfile` stores the pinned
 localized traces Tr_{d;t} of one operand at its anchor vertex, in the
 operand's own ambient vertex count; the formula is self-normalizing for
-the glued ambient n1 + n2 - 1.  A profile groups the host's rooting
-table (``traces._rooting_table``) by the anchor's root count, so the
-profiles of one operand at two anchors enumerate it once per order.
+the glued ambient n1 + n2 - 1.  A profile folds the host's rooting
+table by the anchor's root count, so the profiles of one operand at
+two anchors enumerate it once per order.
 
 For d1, d2 > 0 the coefficient simplifies, since
 C(t1 + t2, t1) * t1 / (t1 + t2) = C(t1 + t2 - 1, t2):
@@ -47,10 +47,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Sequence
 
-from .config import Budget, default_budget
+from .config import Budget
 from .errors import (
     MissingProfileEntry,
     MixedUniformity,
@@ -69,7 +69,7 @@ from .hypergraph import (
 # not called here (profiles fold the host's rooting table), but bound so
 # that perfbench's span wrappers find them; perfbench/selftest.py checks
 from .euler import contribution_parts, enumerate_rootings  # noqa: F401
-from .traces import _check_cost, _check_order, _order_zero_local, _rooting_table, trace
+from .traces import _check, _check_order, _fold, _order_zero_local, trace
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,9 @@ class LocalTraceProfile:
     entries: dict[tuple[int, int], Fraction] = field(repr=False)
 
     def value(self, d: int, t: int) -> Fraction:
-        if d < 0 or t < 0 or t > d:
-            raise ValidationError(f"profile entry ({d}, {t}) is malformed")
+        if (any(not isinstance(x, int) or isinstance(x, bool) for x in (d, t))
+                or d < 0 or t < 0 or t > d):
+            raise ValidationError(f"profile entry ({d!r}, {t!r}) is malformed")
         if d > self.d_max:
             raise MissingProfileEntry(
                 f"profile of vertex {self.anchor} stops at order {self.d_max}, "
@@ -111,28 +112,13 @@ def local_trace_profile(
         raise ValidationError(f"anchor {anchor!r} is not an integer")
     if not 0 <= anchor < h.n:
         raise VertexOutOfRange(f"anchor {anchor} is not in 0..{h.n - 1}")
-    _check_order(d_max)
-    _check_cost(h, d_max, budget or default_budget())
+    _check(h, d_max, budget)
     entries: dict[tuple[int, int], Fraction] = {}
     for d in range(1, d_max + 1):
-        sums: dict[int, int] = {}
-        for roots, num in _rooting_table(h, d).items():
-            t = roots[anchor]
-            if t:
-                sums[t] = sums.get(t, 0) + num
-        entries.update({(d, t): Fraction(num, factorial(d)) for t, num in sums.items()})
+        by_count = _fold(h, d, lambda roots: roots[anchor])
+        entries.update({(d, t): value for t, value in by_count.items() if t})
     entries[(0, 0)] = _order_zero_local(h)
     return LocalTraceProfile(host=h, anchor=anchor, d_max=d_max, entries=entries)
-
-
-def embed_scale(value: Fraction, m: int, ambient_n: int, sub_n: int) -> Fraction:
-    """Rescale a trace computed on sub_n vertices to an ambient host:
-    every extra vertex multiplies the weight by (m-1)."""
-    if ambient_n < sub_n:
-        raise ValidationError(
-            f"ambient vertex count {ambient_n} is below the operand's {sub_n}"
-        )
-    return value * Fraction((m - 1) ** (ambient_n - sub_n))
 
 
 def coalescence_local_trace(
@@ -142,6 +128,7 @@ def coalescence_local_trace(
     assembled from the two operand profiles."""
     if p1.host.m != p2.host.m:
         raise MixedUniformity("profiles have different uniformity")
+    _check_order(d)
     if d < 1:
         raise ValidationError(f"composition needs d >= 1, got {d}")
     if p1.d_max < d or p2.d_max < d:
@@ -159,17 +146,20 @@ def coalescence_local_trace(
 def _mixed_cross_sum(
     p1: LocalTraceProfile, p2: LocalTraceProfile, d: int
 ) -> Fraction:
-    """Sum of weights of rootings spanning both sides of the glue."""
+    """Sum of weights of rootings spanning both sides of the glue.  The
+    callers have checked both profiles reach order d - 1, so entries are
+    read directly: absent ones are zero."""
+    e1, e2 = p1.entries, p2.entries
     total = Fraction(0)
     for d1 in range(1, d):
         d2 = d - d1
         for t2 in range(1, d2 + 1):
-            v2 = p2.value(d2, t2)
+            v2 = e2.get((d2, t2))
             if not v2:
                 continue
             inner = Fraction(0)
             for t1 in range(1, d1 + 1):
-                v1 = p1.value(d1, t1)
+                v1 = e1.get((d1, t1))
                 if v1:
                     inner += comb(t1 + t2 - 1, t2) * v1
             if inner:
@@ -188,6 +178,7 @@ def relocation_difference(
     profile_u and profile_v anchor the same operand at the two candidate
     attachment vertices; profile_w anchors the relocated operand.
     """
+    _check_order(d)
     if d < 1:
         raise ValidationError(f"relocation needs d >= 1, got {d}")
     if len({p.host.m for p in (profile_u, profile_v, profile_w)}) > 1:

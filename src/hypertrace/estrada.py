@@ -40,7 +40,7 @@ from .hypergraph import (
     hyperstar,
     is_hypertree,
 )
-from .traces import _check_cost, trace, trace_m2_oracle
+from .traces import _check, trace, trace_m2_oracle
 
 # any rational constant strictly above e keeps the tail bound valid
 E_UPPER = Fraction(271828182845905, 10**14)
@@ -148,7 +148,7 @@ def estrada_index_m2_oracle(
     budget = budget or default_budget()
 
     def oracle(d: int) -> Fraction:
-        _check_cost(h, d, budget)
+        _check(h, d, budget)
         return Fraction(trace_m2_oracle(h, d))
 
     return _bracket_series(h, tol, oracle)

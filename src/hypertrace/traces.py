@@ -20,25 +20,28 @@ numerator over d!, and an order's sum is one integer numerator over d!.
 rootings matching a :class:`LocalTraceQuery` (vertices required as
 roots, excluded entirely, or rooted a pinned number of times), and
 ``trace_table`` batches many orders and queries over one enumeration
-pass per order.  All three run one pass: check the orders and their
-cost, validate the queries, then fold rooting tables.
+per order.  Every entry point, ``composition``'s profiles included,
+runs one check: the order is a non-negative ``int`` within the budget
+and every query vertex lies in the host.  Every plain value comes from
+one route, below, and every other value but a localized trace is a
+fold of the whole host's rooting table.
 
-A rooting table (``_rooting_table``) holds the order-d rootings of a
-host that match a restriction, summed by their root counts
-``(r(0), .., r(n-1))`` as integer numerators over d!, and is kept in
-``UniformHypergraph.memo`` under ``(d, restriction)``.  Root counts
-decide every query, since a forbidden vertex is one with r(v) = 0; a
-localized trace still enumerates under its own restriction, because
-the enumerator prunes on it.  The whole-host pass groups a table's
-entries by the queries they match, and ``composition``'s profiles group
-them by the anchor's root count, so profiles of one host at two
-anchors enumerate it once.  A block of the forest below projects its
-table onto its cut vertices once per order and keeps only that.
+A rooting table holds the order-d rootings of a host, summed by their
+root counts at the vertices its reader keys on, as integer numerators
+over d!.  The whole host has one table per order, keyed by every root
+count ``(r(0), .., r(n-1))`` and kept in ``UniformHypergraph.memo``
+under d.  Root counts decide every query, since a forbidden vertex is
+one with r(v) = 0, so ``trace_table``'s queries fold that table by
+whether they match, and ``composition``'s profiles by the anchor's root
+count: profiles of one host at two anchors enumerate it once.  A
+localized trace enumerates under its own query instead, because the
+enumerator prunes on it, and keeps no table.
 
-Plain traces (``trace``, ``trace_local`` with an empty query and
-``trace_table`` without queries) of a host with more than one block
-(``hypergraph.blocks``) factor over its block-cut forest, the paper's
-cut-vertex theorem:
+Plain traces (``trace``, ``trace_local`` with an empty query and the
+plain entries of ``trace_table``) of a host with one block read its
+rooting table; the forest below would fill every lower order first.
+Those of a host with more than one block (``hypergraph.blocks``)
+factor over its block-cut forest, the paper's cut-vertex theorem:
 
 * Balance roots every vertex of a selected edge, and the two sides of
   a cut vertex are each balanced, since every other vertex of a side
@@ -52,10 +55,10 @@ cut-vertex theorem:
   ``d!/prod d_B!`` times a multinomial per block: the block terms
   multiply as exponential generating functions in the order mass.
 * Each block gets a table ``W_B[d_B; t]``, keyed by its order and the
-  root counts t at its cut vertices, projected from the rooting table
-  of the block alone: ``tau * d_B!/prod c! * prod phi(r(v))`` over the
-  rooted vertices that are not cut vertices.  Tables are kept with the
-  host and extended one order at a time.
+  root counts t at its cut vertices, from the rooting table of the
+  block alone keyed on those vertices: ``tau * d_B!/prod c! * prod
+  phi(r(v))`` over the rooted vertices that are not cut vertices.
+  Tables are kept with the host and extended one order at a time.
 * One DP joins them, children first.  At a cut vertex w, ``C_w[sigma]``
   is the product over its child blocks of ``1 + sum_t x^t G_B[t]``, and
   ``A_w(s) = sum_sigma C_w[sigma] * phi(s + sigma)``.  A child block
@@ -90,7 +93,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .config import Budget, default_budget
 from .errors import (
@@ -101,7 +104,7 @@ from .errors import (
     VertexOutOfRange,
 )
 from .euler import contribution_parts, enumerate_rootings
-from .hypergraph import UniformHypergraph, blocks, cut_vertices, new_hypergraph
+from .hypergraph import UniformHypergraph, blocks, new_hypergraph
 
 
 @dataclass(frozen=True)
@@ -178,16 +181,24 @@ def query(
     return LocalTraceQuery(frozenset(required), frozenset(forbidden), pinned)
 
 
-EMPTY_QUERY = LocalTraceQuery()
-
-
-def _check_cost(h: UniformHypergraph, d: int, budget: Budget) -> None:
-    cost = h.edge_count * d
-    if cost > budget.cost_limit:
+def _check(
+    h: UniformHypergraph,
+    d: int,
+    budget: Budget | None,
+    queries: Iterable[LocalTraceQuery] = (),
+) -> None:
+    """The one check behind every trace entry point: d is a
+    non-negative ``int``, h's edges times d are within the budget, and
+    every query vertex lies in h."""
+    _check_order(d)
+    limit = (budget or default_budget()).cost_limit
+    if h.edge_count * d > limit:
         raise LimitExceeded(
             f"trace cost {h.edge_count} edges * d={d} exceeds the budget "
-            f"of {budget.cost_limit}; raise it explicitly to proceed"
+            f"of {limit}; raise it explicitly to proceed"
         )
+    for q in queries:
+        q.check_vertices(h.n)
 
 
 def _order_zero(h: UniformHypergraph) -> Fraction:
@@ -204,77 +215,57 @@ def _check_order(d: object) -> None:
         raise ValidationError(f"trace order must be a non-negative integer, got {d!r}")
 
 
-def _rooting_table(
-    h: UniformHypergraph, d: int, restrict: LocalTraceQuery = EMPTY_QUERY
-) -> dict[tuple[int, ...], int]:
-    """The rooting table of h at order d under ``restrict`` (see the
-    module docstring), kept in ``h.memo`` under ``(d, restrict)`` and
-    shared by every caller, which must not change it."""
-    table = h.memo.get((d, restrict))
-    if table is None:
-        table = h.memo[d, restrict] = _enumerate_table(h, d, restrict)
-    return table
-
-
 def _enumerate_table(
-    h: UniformHypergraph, d: int, restrict: LocalTraceQuery = EMPTY_QUERY
+    h: UniformHypergraph,
+    d: int,
+    keyed: Sequence[int],
+    restrict: LocalTraceQuery | None = None,
 ) -> dict[tuple[int, ...], int]:
-    """Fill a rooting table.  Rootings of one k-vector share their root
-    counts, so each key is built once per k-vector."""
+    """The order-d rooting table of h under ``restrict``, keyed by the
+    root counts at the vertices in ``keyed``.  Rootings of one k-vector
+    share their root counts, so each key is built once per k-vector."""
     table: dict[tuple[int, ...], int] = {}
     k_vector, key = None, ()
     for mat in enumerate_rootings(h, d, restrict):
         if mat.k_vector is not k_vector:
             k_vector = mat.k_vector
-            key = tuple(mat.root_counts.get(v, 0) for v in range(h.n))
+            key = tuple(mat.root_counts.get(v, 0) for v in keyed)
         table[key] = table.get(key, 0) + contribution_parts(mat, h.n)
     return table
 
 
-def _trace_pass(
-    h: UniformHypergraph,
-    d_min: int,
-    d_max: int,
-    budget: Budget | None,
-    restrict: LocalTraceQuery = EMPTY_QUERY,
-    queries: Sequence[LocalTraceQuery] = (),
-) -> dict[tuple[int, tuple[LocalTraceQuery, ...]], Fraction]:
-    """The one pass behind every trace entry point.
+def _fold(
+    h: UniformHypergraph, d: int, key: Callable[[tuple[int, ...]], Hashable]
+) -> dict[Hashable, Fraction]:
+    """The order-d traces of h summed by ``key`` of each rooting's root
+    counts ``(r(0), .., r(n-1))``, folded from the whole host's rooting
+    table, which is enumerated once per order and kept in ``h.memo``."""
+    table = h.memo.get(d)
+    if table is None:
+        table = h.memo[d] = _enumerate_table(h, d, h.vertices)
+    sums: dict[Hashable, int] = {}
+    for roots, num in table.items():
+        k = key(roots)
+        sums[k] = sums.get(k, 0) + num
+    return {k: Fraction(num, factorial(d)) for k, num in sums.items()}
 
-    Checks that the orders are non-negative integers and the largest is
-    within the budget, validates every query against the host, then sums
-    the weights of the rootings of each positive order from d_min to
-    d_max that match ``restrict``, keyed by (d, the members of
-    ``queries`` the rooting matches).  A plain pass (no restriction, no
-    queries) over a host of several blocks takes the block route; any
-    other pass folds the rooting tables of the whole host.  Order zero
-    has no rootings; callers apply its convention.
-    """
-    _check_order(d_min)
-    _check_order(d_max)
-    _check_cost(h, d_max, budget or default_budget())
-    for q in (restrict, *queries):
-        q.check_vertices(h.n)
-    if restrict.is_empty and not queries:
-        forest = h.memo.get(_BlockForest)
-        if forest is None:
-            forest = h.memo[_BlockForest] = _BlockForest(h)
-        if len(forest.blocks) > 1:
-            try:
-                values = forest.traces(d_min, d_max)
-            except BaseException:
-                # an extension cut short leaves the DP part-way through an order
-                del h.memo[_BlockForest]
-                raise
-            return {(d, ()): value for d, value in values.items()}
-    totals: dict[tuple[int, tuple[LocalTraceQuery, ...]], Fraction] = {}
-    for d in range(max(d_min, 1), d_max + 1):
-        sums: dict[tuple[LocalTraceQuery, ...], int] = {}
-        for roots, num in _rooting_table(h, d, restrict).items():
-            key = tuple(q for q in queries if q.matches(dict(enumerate(roots))))
-            sums[key] = sums.get(key, 0) + num
-        totals.update({(d, key): Fraction(num, factorial(d)) for key, num in sums.items()})
-    return totals
+
+def _plain(h: UniformHypergraph, d_min: int, d_max: int) -> dict[int, Fraction]:
+    """Tr_d of h for 1 <= d_min <= d <= d_max: through the block forest
+    on a host of several blocks, else from the whole host's table (the
+    forest would fill every lower order first)."""
+    forest = h.memo.get(_BlockForest)
+    if forest is None:
+        forest = h.memo[_BlockForest] = _BlockForest(h)
+    if len(forest.blocks) > 1:
+        try:
+            return forest.traces(d_min, d_max)
+        except BaseException:
+            # an extension cut short leaves the DP part-way through an order
+            del h.memo[_BlockForest]
+            raise
+    return {d: _fold(h, d, lambda roots: ()).get((), Fraction(0))
+            for d in range(d_min, d_max + 1)}
 
 
 # --- the block route ------------------------------------------------------
@@ -351,7 +342,7 @@ class _BlockForest:
 
     def __init__(self, h: UniformHypergraph) -> None:
         self.m, self.n = h.m, h.n
-        parts, cuts = blocks(h), cut_vertices(h)
+        parts = blocks(h)
         verts = [sorted({v for i in b for v in h.edges[i]}) for b in parts]
         at: dict[int, list[int]] = {}
         for b, vs in enumerate(verts):
@@ -380,7 +371,7 @@ class _BlockForest:
         for b, (edge_ids, vs) in enumerate(zip(parts, verts)):
             up = parent[b]
             local = {v: i for i, v in enumerate(vs)}
-            kids = [w for w in vs if w != up and w in cuts]
+            kids = [w for w in vs if w != up and len(at[w]) > 1]  # cut vertices below
             host = new_hypergraph(
                 h.m, len(vs), [[local[v] for v in h.edges[i]] for i in edge_ids]
             )
@@ -395,8 +386,8 @@ class _BlockForest:
         self.totals: list[Fraction] = [Fraction(0)]  # Tr_k at every mass reached
 
     def traces(self, d_min: int, d_max: int) -> dict[int, Fraction]:
-        """The nonzero Tr_d for max(d_min, 1) <= d <= d_max, extending
-        the forest to order d_max first."""
+        """Tr_d for 1 <= d_min <= d <= d_max, extending the forest to
+        order d_max first."""
         for d in range(len(self.totals), d_max + 1):
             self._fill(d)
             self.rows.append([comb(d, i) for i in range(d + 1)])
@@ -404,7 +395,7 @@ class _BlockForest:
                 self._extend(d)
             else:  # no sum of the orders with rootings so far reaches mass d
                 self.totals.append(Fraction(0))
-        return {d: self.totals[d] for d in range(max(d_min, 1), d_max + 1) if self.totals[d]}
+        return {d: self.totals[d] for d in range(d_min, d_max + 1)}
 
     def _fill(self, d: int) -> None:
         """Add order d to every table: ``W_B[d; t]``, per root counts t
@@ -413,15 +404,9 @@ class _BlockForest:
         vertices that are not keyed.  Root counts new at this order get
         their DP polynomials here, over the masses reached."""
         m = self.m
-        projected = []
         for block in self.blocks:
             # a block's table is read once, into W_B, so it is not kept
-            sums: dict[tuple[int, ...], int] = {}
-            for roots, num in _enumerate_table(block.host, d).items():
-                ts = tuple(roots[v] for v in block.keyed)
-                sums[ts] = sums.get(ts, 0) + num
-            projected.append(sums)
-        for block, sums in zip(self.blocks, projected):
+            sums = _enumerate_table(block.host, d, block.keyed)
             if sums:
                 self.step = gcd(self.step, d)
             for ts, num in sums.items():
@@ -500,8 +485,8 @@ class _BlockForest:
 
 def trace(h: UniformHypergraph, d: int, budget: Budget | None = None) -> Fraction:
     """Exact order-d trace of the adjacency tensor of h."""
-    sums = _trace_pass(h, d, d, budget)
-    return sums.get((d, ()), Fraction(0)) if d else _order_zero(h)
+    _check(h, d, budget)
+    return _plain(h, d, d)[d] if d else _order_zero(h)
 
 
 def trace_local(
@@ -511,15 +496,18 @@ def trace_local(
     budget: Budget | None = None,
 ) -> Fraction:
     """Exact order-d trace restricted to rootings matching the query."""
-    sums = _trace_pass(h, d, d, budget, restrict=q)
-    if d:
-        return sums.get((d, ()), Fraction(0))
-    if q.constrains_positively:
-        raise InfeasibleQuery(
-            "order zero admits no roots, so required or pinned vertices "
-            "cannot be satisfied"
-        )
-    return _order_zero_local(h)
+    _check(h, d, budget, (q,))
+    if not d:
+        if q.constrains_positively:
+            raise InfeasibleQuery(
+                "order zero admits no roots, so required or pinned vertices "
+                "cannot be satisfied"
+            )
+        return _order_zero_local(h)
+    if q.is_empty:
+        return _plain(h, d, d)[d]
+    # enumerated under the query, which prunes it, and not kept
+    return Fraction(_enumerate_table(h, d, (), q).get((), 0), factorial(d))
 
 
 @dataclass(frozen=True)
@@ -551,20 +539,14 @@ def trace_table(
 ) -> TraceTable:
     """Batch plain and localized traces sharing one enumeration per order."""
     qs = tuple(queries)
-    distinct = tuple(dict.fromkeys(qs))
-    sums = _trace_pass(h, 0, d_max, budget, queries=distinct)
-    entries: dict[tuple[int, LocalTraceQuery | None], Fraction] = {
-        (d, q): Fraction(0) for d in range(1, d_max + 1) for q in (None, *distinct)
-    }
-    entries[(0, None)] = _order_zero(h)
-    for q in distinct:
-        entries[(0, q)] = (
-            Fraction(0) if q.constrains_positively else _order_zero_local(h)
-        )
-    for (d, matched), value in sums.items():
-        entries[(d, None)] += value
-        for q in matched:
-            entries[(d, q)] += value
+    _check(h, d_max, budget, qs)
+    entries: dict[tuple[int, LocalTraceQuery | None], Fraction] = {(0, None): _order_zero(h)}
+    entries.update(((d, None), value) for d, value in _plain(h, 1, d_max).items())
+    for q in dict.fromkeys(qs):
+        entries[0, q] = Fraction(0) if q.constrains_positively else _order_zero_local(h)
+        for d in range(1, d_max + 1):
+            matched = _fold(h, d, lambda roots: q.matches(dict(enumerate(roots))))
+            entries[d, q] = matched.get(True, Fraction(0))
     return TraceTable(host=h, d_max=d_max, queries=qs, entries=entries)
 
 

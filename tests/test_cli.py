@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -89,6 +90,26 @@ class TestTrace:
     def test_bad_budget_exits_one(self, path_file, capsys):
         assert main(["--budget", "0", "trace", "--input", path_file,
                      "--d", "3"]) == 1
+
+    def test_closed_stdout_exits_141_quietly(self, path_file, tmp_path, capsys,
+                                             monkeypatch):
+        # a reader that closes the pipe early (``| head -1``) is not bad
+        # input: no error line, and the status a shell gives on SIGPIPE
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return sink.fileno()
+
+        with open(tmp_path / "sink", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(["trace", "--input", path_file, "--d", "6",
+                         "--pinned", "2", "2", "--forbidden", "0"]) == 141
+        assert capsys.readouterr().err == ""
 
 
 class TestEstrada:

@@ -30,7 +30,6 @@ from hypertrace import (
     trace,
     trace_local,
 )
-from hypertrace.composition import embed_scale
 from hypertrace.euler import contribution, enumerate_rootings
 
 EDGE3 = hyperpath(3, 1)
@@ -76,6 +75,10 @@ class TestProfiles:
             p.value(3, 4)
         with pytest.raises(ValidationError):
             p.value(-1, 0)
+        # 2.5 read as an absent entry and returned 0
+        for d, t in ((2.5, 1), (3, 1.0), ("3", 1), (True, 1), (3, True)):
+            with pytest.raises(ValidationError):
+                p.value(d, t)
 
     def test_anchor_validated(self):
         with pytest.raises(VertexOutOfRange):
@@ -98,16 +101,6 @@ class TestProfiles:
         for d in (3, 6):
             total = sum(p.value(d, t) for t in range(1, d + 1))
             assert total == trace_local(h, d, query(required=[0]))
-
-
-class TestEmbedScale:
-    def test_each_extra_vertex_multiplies(self):
-        assert embed_scale(Fraction(9), 3, 5, 3) == 36
-        assert embed_scale(Fraction(9), 3, 3, 3) == 9
-
-    def test_ambient_must_cover(self):
-        with pytest.raises(ValidationError):
-            embed_scale(Fraction(1), 3, 2, 3)
 
 
 class TestCoalescence:
@@ -140,19 +133,16 @@ class TestCoalescence:
         glued, p1, p2 = glued_with_profiles(h1, u, h2, v, 6)
         for d in (3, 6):
             through = coalescence_local_trace(p1, p2, d)
-            side1 = embed_scale(
-                trace_local(h1, d, query(forbidden=[u])), 3, glued.n, h1.n
-            )
-            side2 = embed_scale(
-                trace_local(h2, d, query(forbidden=[v])), 3, glued.n, h2.n
-            )
+            # each vertex a side lacks multiplies its weights by m-1 = 2
+            side1 = trace_local(h1, d, query(forbidden=[u])) * 2 ** (glued.n - h1.n)
+            side2 = trace_local(h2, d, query(forbidden=[v])) * 2 ** (glued.n - h2.n)
             assert through + side1 + side2 == trace(glued, d)
 
     def test_order_zero_convention_feeds_one_sided_terms(self):
         # at (d1, t1) = (0, 0) only the other side roots the cut vertex;
         # dropping the convention would lose every one-sided rooting
         glued, p1, p2 = glued_with_profiles(EDGE3, 0, EDGE3, 0, 3)
-        one_sided = 2 * embed_scale(Fraction(9), 3, 5, 3)
+        one_sided = 2 * 9 * 2 ** (5 - 3)  # Tr_3 = 9 of each edge, on 5 vertices
         assert coalescence_local_trace(p1, p2, 3) == one_sided
 
     def test_mixed_uniformity_rejected(self):
@@ -166,8 +156,10 @@ class TestCoalescence:
         p2 = local_trace_profile(EDGE3, 0, 6)
         with pytest.raises(MissingProfileEntry):
             coalescence_local_trace(p1, p2, 6)
-        with pytest.raises(ValidationError):
-            coalescence_local_trace(p1, p2, 0)
+        # 2.5, 3.0 and "3" died with TypeError, True passed as order 1
+        for d in (0, 2.5, 3.0, "3", True):
+            with pytest.raises(ValidationError):
+                coalescence_local_trace(p1, p2, d)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), d=st.sampled_from([3, 6]))
@@ -244,8 +236,9 @@ class TestRelocation:
         p = local_trace_profile(EDGE3, 0, 3)
         with pytest.raises(MissingProfileEntry):
             relocation_difference(p, p, p, 5)
-        with pytest.raises(ValidationError):
-            relocation_difference(p, p, p, 0)
+        for d in (0, 2.5, 3.0, "3", True):
+            with pytest.raises(ValidationError):
+                relocation_difference(p, p, p, d)
 
     def test_sides_must_anchor_the_same_operand(self):
         pu = local_trace_profile(hyperpath(3, 2), 0, 5)

@@ -481,3 +481,15 @@ class TestWarmMemo:
                             if value:
                                 want[e, t] = value
                     assert got.entries == want
+
+    def test_one_table_per_order_and_none_for_localized_queries(self):
+        # a localized trace enumerates under its query and keeps nothing
+        h = new_hypergraph(3, 6, LOOSE_3_CYCLE.edges)
+        trace_table(h, 4, (query(required=[0]), query(pinned=(1, 1))))
+        local_trace_profile(h, 2, 4)
+        kept = set(h.memo)
+        assert kept == {1, 2, 3, 4, traces_module._BlockForest}
+        for q in (query(required=[0]), query(forbidden=[1]), query(pinned=(2, 2)),
+                  query(required=[3], forbidden=[0]), query()):
+            trace_local(h, 4, q)
+        assert set(h.memo) == kept
