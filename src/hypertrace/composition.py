@@ -40,7 +40,10 @@ side cancel in the difference, leaving only the mixed terms.
 The audit functions build the two hypergraphs named by a perturbation
 law, compare their exact traces order by order, and report equality,
 strictness or violations together with the first strict order observed
-versus the onset the law claims.
+versus the onset the law claims.  The two hypergraphs share one store
+of block tables (``traces._share_blocks``), so a block they have in
+common, such as the host the paths are glued to, is enumerated once
+per order for both.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from .hypergraph import (
 # not called here (profiles fold the host's rooting table), but bound so
 # that perfbench's span wrappers find them; perfbench/selftest.py checks
 from .euler import contribution_parts, enumerate_rootings  # noqa: F401
-from .traces import _check, _check_order, _fold, _order_zero_local, trace
+from .traces import _check, _check_order, _fold, _order_zero_local, _share_blocks, trace
 
 
 @dataclass(frozen=True)
@@ -273,6 +276,7 @@ def _compare_traces(
     _check_order(d_max)
     if d_max < 1:
         raise ValidationError(f"d_max must be >= 1, got {d_max}")
+    _share_blocks((larger, smaller))
     rows = []
     for d in range(1, d_max + 1):
         rows.append(

@@ -17,7 +17,10 @@ contribute at orders divisible by m and the series skips the rest.
 
 ``extremal_scan`` brackets every isomorphism class of hypertrees with a
 given edge count and declares a minimizer or maximizer only when its
-bracket is disjoint from every competitor's.
+bracket is disjoint from every competitor's.  The classes share one
+store of block tables (``traces._share_blocks``); every block of a
+hypertree is a single edge, so a scan enumerates one edge per number
+of cut vertices on it and per order, for all classes together.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .hypergraph import (
     hyperstar,
     is_hypertree,
 )
-from .traces import _check, trace, trace_m2_oracle
+from .traces import _check, _share_blocks, trace, trace_m2_oracle
 
 # any rational constant strictly above e keeps the tail bound valid
 E_UPPER = Fraction(271828182845905, 10**14)
@@ -247,6 +250,7 @@ def extremal_scan(
         raise ValidationError(f"scan tolerance must be positive, got {tol}")
     budget = budget or default_budget()
     classes = enumerate_hypertrees(m, z, budget)
+    _share_blocks(classes)
     estimates = [(class_id(h, budget), h, estrada_index(h, tol, budget)) for h in classes]
     estimates.sort(key=lambda item: (item[2].center, item[0]))
     entries = tuple(

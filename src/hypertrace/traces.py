@@ -59,6 +59,16 @@ factor over its block-cut forest, the paper's cut-vertex theorem:
   block alone keyed on those vertices: ``tau * d_B!/prod c! * prod
   phi(r(v))`` over the rooted vertices that are not cut vertices.
   Tables are kept with the host and extended one order at a time.
+* A block is relabeled with its keyed vertices first, in key order (the
+  cut vertex above it, then those below), and its other vertices after
+  them in sorted order.  The relabeled block, its number of keyed
+  vertices and the order then key its table in a store held by the
+  forest, so equal blocks (every single edge with as many keyed
+  vertices, for one) are enumerated once per order.  Hosts computed
+  together, the two of an audit or the classes of a scan, share one
+  store (``_share_blocks``).  A table enters the store only once it is
+  complete, so a forest dropped part-way through an order leaves the
+  store valid for the hosts still reading it.
 * One DP joins them, children first.  At a cut vertex w, ``C_w[sigma]``
   is the product over its child blocks of ``1 + sum_t x^t G_B[t]``, and
   ``A_w(s) = sum_sigma C_w[sigma] * phi(s + sigma)``.  A child block
@@ -82,7 +92,9 @@ factor over its block-cut forest, the paper's cut-vertex theorem:
 Order zero is the eigenvalue count: ``Tr_0 = n * (m-1)^(n-1)``.  The
 localized value at order zero follows the convention ``(m-1)^(n-1)``
 used by the cut-vertex composition formulas, and is only defined for
-queries without required or pinned vertices.
+queries without required or pinned vertices.  At d >= 1 a query that
+no rooting matches, a pinned count above the order included, gives an
+exact 0 on every entry point.
 
 ``trace_m2_oracle`` is an independent route for 2-uniform hosts: the
 trace of the d-th power of the ordinary adjacency matrix.
@@ -256,7 +268,7 @@ def _plain(h: UniformHypergraph, d_min: int, d_max: int) -> dict[int, Fraction]:
     forest would fill every lower order first)."""
     forest = h.memo.get(_BlockForest)
     if forest is None:
-        forest = h.memo[_BlockForest] = _BlockForest(h)
+        forest = h.memo[_BlockForest] = _BlockForest(h, {})
     if len(forest.blocks) > 1:
         try:
             return forest.traces(d_min, d_max)
@@ -266,6 +278,17 @@ def _plain(h: UniformHypergraph, d_min: int, d_max: int) -> dict[int, Fraction]:
             raise
     return {d: _fold(h, d, lambda roots: ()).get((), Fraction(0))
             for d in range(d_min, d_max + 1)}
+
+
+def _share_blocks(hosts: Iterable[UniformHypergraph]) -> None:
+    """Give the hosts one store of block tables, so that a block they
+    have in common is enumerated once per order across all of them (the
+    two hosts of an audit, the classes of a scan).  A host that already
+    has a forest keeps its own store."""
+    store: BlockTables = {}
+    for h in hosts:
+        if _BlockForest not in h.memo:
+            h.memo[_BlockForest] = _BlockForest(h, store)
 
 
 # --- the block route ------------------------------------------------------
@@ -316,32 +339,40 @@ class _Cut:
 
 @dataclass
 class _Block:
-    """One block of the forest: its edges relabeled onto 0..k-1, the
-    cut vertex above it (None at a component's first block), the cut
-    vertices below it, and its part of the DP state.  ``weights`` is the
-    table ``W_B``, root counts at the keyed vertices -> {order: weight};
-    ``products`` maps the root counts at the cut vertices below to the
-    ``A_w(t_w)`` with t_w > 0 and their running products, the last one
-    being the whole product; ``sums`` is ``G_B``."""
+    """One block of the forest: its edges relabeled onto 0..k-1 with the
+    ``keyed`` vertices first, the cut vertex above it (None at a
+    component's first block), the cut vertices below it, and its part of
+    the DP state.  ``weights`` is the table ``W_B``, root counts at the
+    keyed vertices -> {order: weight}; ``products`` maps the root counts
+    at the cut vertices below to the ``A_w(t_w)`` with t_w > 0 and their
+    running products, the last one being the whole product; ``sums`` is
+    ``G_B``."""
 
     host: UniformHypergraph
     up: int | None
     cuts: list[_Cut]
-    keyed: list[int]  # local ids of up (if any), then of the cut vertices below
+    keyed: int  # up (if any), then the cut vertices below, are 0..keyed-1 in host
     weights: dict[tuple[int, ...], Poly] = field(default_factory=dict)
     products: dict[tuple[int, ...], tuple[list[Poly], list[Poly]]] = field(default_factory=dict)
     sums: dict[int, Poly] = field(default_factory=dict)
+
+
+BlockTables = dict[tuple[UniformHypergraph, int, int], dict[tuple[int, ...], int]]
 
 
 class _BlockForest:
     """The block-cut forest of one host, the tables of its blocks and
     the DP that joins them, kept with the host and extended one order at
     a time: a run of trace calls on it (an Estrada series, an audit)
-    enumerates each block once per order and computes each DP
-    coefficient once, and an order already reached is read back."""
+    computes each DP coefficient once, and an order already reached is
+    read back.  ``store`` maps a relabeled block, its number of keyed
+    vertices and an order to the block's weights at that order, so equal
+    blocks, of this host or of the hosts sharing the store, are
+    enumerated once per order."""
 
-    def __init__(self, h: UniformHypergraph) -> None:
+    def __init__(self, h: UniformHypergraph, store: BlockTables) -> None:
         self.m, self.n = h.m, h.n
+        self.store = store
         parts = blocks(h)
         verts = [sorted({v for i in b for v in h.edges[i]}) for b in parts]
         at: dict[int, list[int]] = {}
@@ -370,17 +401,18 @@ class _BlockForest:
         self.blocks: list[_Block] = []
         for b, (edge_ids, vs) in enumerate(zip(parts, verts)):
             up = parent[b]
-            local = {v: i for i, v in enumerate(vs)}
             kids = [w for w in vs if w != up and len(at[w]) > 1]  # cut vertices below
+            keyed = ([] if up is None else [up]) + kids
+            # keyed vertices first, so that equal blocks are equal hosts
+            local = {v: i for i, v in enumerate(keyed + [v for v in vs if v not in keyed])}
             host = new_hypergraph(
                 h.m, len(vs), [[local[v] for v in h.edges[i]] for i in edge_ids]
             )
-            keyed = [local[w] for w in ([] if up is None else [up]) + kids]
             below = []
             for w in kids:
                 children = [c for c in at[w] if c != b]
                 below.append(_Cut(children, [{0: {0: 1}} for _ in range(len(children) + 1)]))
-            self.blocks.append(_Block(host, up, below, keyed))
+            self.blocks.append(_Block(host, up, below, len(keyed)))
         self.rows: list[list[int]] = [[1]]  # the binomial rows C(k, 0..k) reached
         self.step = 0  # the gcd of the orders with rootings so far
         self.totals: list[Fraction] = [Fraction(0)]  # Tr_k at every mass reached
@@ -401,20 +433,27 @@ class _BlockForest:
         """Add order d to every table: ``W_B[d; t]``, per root counts t
         at the keyed vertices, is the sum over the block's order-d
         rootings of ``tau * d!/prod c! * prod phi(r(v))`` over its rooted
-        vertices that are not keyed.  Root counts new at this order get
-        their DP polynomials here, over the masses reached."""
+        vertices that are not keyed, read from the store or enumerated
+        into it.  Root counts new at this order get their DP polynomials
+        here, over the masses reached."""
         m = self.m
         for block in self.blocks:
-            # a block's table is read once, into W_B, so it is not kept
-            sums = _enumerate_table(block.host, d, block.keyed)
-            if sums:
+            key = (block.host, block.keyed, d)
+            table = self.store.get(key)
+            if table is None:
+                table = {}
+                for ts, num in _enumerate_table(block.host, d, range(block.keyed)).items():
+                    den = d * (m - 1) ** block.host.n
+                    for t in ts:
+                        if t:
+                            den *= _phi(m, t)
+                    table[ts] = num * (m - 1) ** d // den
+                # stored only once complete: a fill cut short leaves the store valid
+                self.store[key] = table
+            if table:
                 self.step = gcd(self.step, d)
-            for ts, num in sums.items():
-                den = d * (m - 1) ** block.host.n
-                for t in ts:
-                    if t:
-                        den *= _phi(m, t)
-                block.weights.setdefault(ts, {})[d] = num * (m - 1) ** d // den
+            for ts, weight in table.items():
+                block.weights.setdefault(ts, {})[d] = weight
                 kappa = ts[len(ts) - len(block.cuts):]
                 if kappa not in block.products:
                     block.products[kappa] = self._product(block.cuts, kappa)
@@ -506,6 +545,8 @@ def trace_local(
         return _order_zero_local(h)
     if q.is_empty:
         return _plain(h, d, d)[d]
+    if q.pinned is not None and q.pinned[1] > d:
+        return Fraction(0)  # no vertex is rooted more often than the order
     # enumerated under the query, which prunes it, and not kept
     return Fraction(_enumerate_table(h, d, (), q).get((), 0), factorial(d))
 

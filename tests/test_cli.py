@@ -62,6 +62,11 @@ class TestTrace:
                      "--pinned", "2", "2"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "126/1"
 
+    def test_pinned_count_above_the_order_prints_zero(self, path_file, capsys):
+        assert main(["trace", "--input", path_file, "--d", "3",
+                     "--pinned", "0", "5"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "0/1"
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         assert main(["trace", "--input", "/nonexistent.json", "--d", "3"]) == 1
         assert "error" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from hypertrace import (
     Budget,
+    audit_path_shift,
     InfeasibleQuery,
     LimitExceeded,
     NotAGraph,
@@ -18,6 +20,8 @@ from hypertrace import (
     VertexOutOfRange,
     coalesce,
     enumerate_hypertrees,
+    estrada_index,
+    extremal_scan,
     hyperpath,
     hyperstar,
     local_trace_profile,
@@ -31,6 +35,7 @@ from hypertrace import (
 )
 
 import hypertrace.traces as traces_module
+from hypertrace.estrada import fraction_str
 from hypertrace.euler import contribution, enumerate_rootings
 from hypertrace.hypergraph import blocks, cut_vertices
 
@@ -202,6 +207,15 @@ class TestLocalTrace:
         with pytest.raises(InfeasibleQuery):
             trace_local(h, 0, query(pinned=(0, 1)))
 
+    def test_pinned_count_above_the_order_is_zero(self):
+        # no rooting roots a vertex more often than the order, so every
+        # entry point returns an exact 0 for such a pin, as for any other
+        # unsatisfiable one
+        h = hyperpath(3, 2)
+        for q in (query(pinned=(0, 5)), query(pinned=(0, 4)), query(pinned=(0, 2))):
+            assert trace_local(h, 3, q) == 0
+            assert trace_table(h, 3, (q,)).get(3, q) == 0
+
     def test_query_validation(self):
         with pytest.raises(ValidationError):
             query(required=[0], forbidden=[0])
@@ -255,8 +269,6 @@ class TestTraceTable:
             for q in qs:
                 if d == 0 and q.constrains_positively:
                     assert table.get(0, q) == 0
-                elif q.pinned is not None and q.pinned[1] > d:
-                    assert table.get(d, q) == 0
                 else:
                     assert table.get(d, q) == trace_local(h, d, q)
 
@@ -493,3 +505,110 @@ class TestWarmMemo:
                   query(required=[3], forbidden=[0]), query()):
             trace_local(h, 4, q)
         assert set(h.memo) == kept
+
+
+@contextmanager
+def counted_enumeration():
+    """Record (host, keyed vertices, order) of every rooting table the
+    trace routes enumerate while the context is open."""
+    calls = []
+    enumerate_table = traces_module._enumerate_table
+
+    def counted(h, d, keyed, restrict=None):
+        calls.append((h, tuple(keyed), d))
+        return enumerate_table(h, d, keyed, restrict)
+
+    traces_module._enumerate_table = counted
+    try:
+        yield calls
+    finally:
+        traces_module._enumerate_table = enumerate_table
+
+
+class TestSharedBlockTables:
+    """A block's table is keyed by the relabeled block, its number of
+    keyed vertices and the order, so equal blocks, of one host or of
+    hosts computed together, are enumerated once per order."""
+
+    def test_equal_edges_of_a_star_make_one_call_per_order(self):
+        h = hyperstar(3, 4)
+        with counted_enumeration() as calls:
+            assert trace(h, 12) == 91080
+        assert [d for _, _, d in calls] == list(range(1, 13))
+
+    def test_a_chain_of_three_k4_makes_two_calls_per_order(self):
+        # the two end blocks have one keyed vertex, the middle one two
+        h = coalesce(coalesce(K4, 0, K4, 0), 5, K4, 0)
+        assert len(blocks(h)) == 3
+        with counted_enumeration() as calls:
+            got = trace(h, 6)
+        assert got == trace_m2_oracle(h, 6)
+        assert sorted((keyed, d) for _, keyed, d in calls) == sorted(
+            (keyed, d) for keyed in ((0,), (0, 1)) for d in range(1, 7)
+        )
+
+    def test_the_hosts_of_an_audit_enumerate_their_k4_once_per_order(self):
+        with counted_enumeration() as calls:
+            report = audit_path_shift(K4, 0, 2, 1, 6)
+        assert [d for h, _, d in calls if h.edge_count == 6] == list(range(1, 7))
+        assert len(set(calls)) == len(calls)
+        larger = coalesce(coalesce(K4, 0, hyperpath(2, 2), 0), 0, hyperpath(2, 1), 0)
+        smaller = coalesce(K4, 0, hyperpath(2, 3), 0)
+        for row in report.rows:
+            assert row.left == trace_m2_oracle(larger, row.d)
+            assert row.right == trace_m2_oracle(smaller, row.d)
+
+    def test_a_scan_matches_brackets_of_fresh_hosts(self):
+        tol, budget = Fraction(1, 1000), Budget(cost_limit=1000)
+        with counted_enumeration() as calls:
+            report = extremal_scan(2, 6, tol, budget)
+        assert len(set(calls)) == len(calls)
+        classes = report.to_json_dict()["classes"]
+        assert len(classes) == len(report.entries) == 11
+        for entry, row in zip(report.entries, classes):
+            h = entry.hypergraph
+            fresh = estrada_index(new_hypergraph(h.m, h.n, h.edges), tol, budget)
+            assert (row["lower"], row["upper"]) == (
+                fraction_str(fresh.lower), fraction_str(fresh.upper))
+            assert entry.estimate.depth == fresh.depth
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_linked_glued_hosts_match_enumeration(self, data):
+        hosts = [draw_glued(data) for _ in range(2)]
+        d = data.draw(st.integers(min_value=1, max_value=7))
+        traces_module._share_blocks(hosts)
+        with counted_enumeration() as calls:
+            got = [trace(h, d) for h in hosts]
+        assert len(set(calls)) == len(calls)
+        assert got == [enumerated_trace(h, d) for h in hosts]
+
+    @pytest.mark.parametrize("name, after", (
+        ("_mass", 0), ("_mass", 2), ("_mass", 12), ("contribution_parts", 0),
+    ))
+    def test_an_interrupted_extension_leaves_linked_hosts_exact(
+        self, monkeypatch, name, after
+    ):
+        # tables enter the shared store only once complete, so the host
+        # whose forest is dropped and the host still reading the store
+        # both go on with exact values, also after an enumeration cut short
+        hosts = (hyperstar(3, 3), hyperpath(3, 3))
+        traces_module._share_blocks(hosts)
+        for h in hosts:
+            trace(h, 6)
+        inner, calls = getattr(traces_module, name), []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) > after:
+                raise RuntimeError("interrupted")
+            return inner(*args)
+
+        monkeypatch.setattr(traces_module, name, failing)
+        with pytest.raises(RuntimeError):
+            trace(hosts[0], 12)
+        monkeypatch.undo()
+        for h in reversed(hosts):
+            fresh = new_hypergraph(h.m, h.n, h.edges)
+            for d in (9, 12):
+                assert trace(h, d) == trace(fresh, d)
