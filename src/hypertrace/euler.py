@@ -45,21 +45,17 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .config import Budget, default_budget
 from .errors import (
     EmptyGraph,
-    InfeasibleQuery,
     LimitExceeded,
     NotEulerian,
     ValidationError,
     VertexOutOfRange,
 )
 from .hypergraph import Edge, UniformHypergraph, connected
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .traces import LocalTraceQuery
 
 
 @dataclass(frozen=True)
@@ -211,39 +207,26 @@ class EulerCountReport:
 def enumerate_rootings(
     h: UniformHypergraph,
     d: int,
-    query: "LocalTraceQuery | None" = None,
+    pinned: tuple[int, int] | None = None,
 ) -> Iterator[RootCountMatrix]:
     """Yield every Euler rooting of total multiplicity d, optionally
-    restricted by a localized query.
+    only those that root the vertex v of a pinned pair (v, t) exactly
+    t > 0 times.
 
-    A forbidden vertex may not appear in any selected edge: its root
-    count is zero and balance then forces incident multiplicity zero, so
-    edges through it are dropped before enumeration.  Required vertices
-    must be rooted at least once, a pinned vertex exactly the pinned
-    number of times.
+    A pin no rooting meets, t above d or v on no edge, yields nothing.
     """
     if d < 1:
         raise ValidationError(f"enumeration needs d >= 1, got {d}")
-    required: frozenset[int] = frozenset()
-    forbidden: frozenset[int] = frozenset()
-    pinned: tuple[int, int] | None = None
-    if query is not None:
-        query.check_vertices(h.n)
-        required, forbidden, pinned = query.required, query.forbidden, query.pinned
-        if pinned is not None and pinned[1] > d:
-            raise InfeasibleQuery(
-                f"pinned root count {pinned[1]} exceeds the trace order {d}"
-            )
+    if pinned is not None:
+        if pinned[1] < 1:
+            raise ValidationError(f"pinned root count must be positive, got {pinned[1]}")
+        if not h.degree(pinned[0]) or pinned[1] > d:
+            return  # stage one never checks a vertex on no edge
 
     m = h.m
-    cand = [i for i, e in enumerate(h.edges) if not any(v in forbidden for v in e)]
-    covered = {v for i in cand for v in h.edges[i]}
-    if not required <= covered or (pinned and pinned[0] not in covered):
-        return
-    edges = [h.edges[i] for i in cand]
+    edges = h.edges
     zero = (0,) * m
-    count = h.edge_count
-    rows = [zero] * count
+    rows = [zero] * h.edge_count
 
     # reads chosen, last, load, rem, k_vector and roots of the current
     # k-vector, bound in the loop below
@@ -271,30 +254,24 @@ def enumerate_rootings(
         for v in edge:
             load[v] += k
 
-    for kvec, load in _balanced_multiplicities(edges, h.n, m, d, required, pinned):
-        chosen = [(edges[p], k, cand[p]) for p, k in enumerate(kvec) if k]
+    for k_vector, load in _balanced_multiplicities(edges, h.n, m, d, pinned):
+        chosen = [(edges[i], k, i) for i, k in enumerate(k_vector) if k]
         support = [e for e, _, _ in chosen]
         if not connected({v for e in support for v in e}, support):
             continue
         last = len(chosen) - 1
         rem = [s // m for s in load]
-        full = [0] * count
-        for _, k, index in chosen:
-            full[index] = k
-        k_vector = tuple(full)
         roots = {v: r for v, r in enumerate(rem) if r}
         yield from distribute(0)
 
 
 def _balanced_multiplicities(
-    edges: list[Edge], n: int, m: int, d: int,
-    required: frozenset[int], pinned: tuple[int, int] | None,
+    edges: tuple[Edge, ...], n: int, m: int, d: int, pinned: tuple[int, int] | None,
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """Stage one: every multiplicity vector over ``edges`` summing to d
-    whose incident sums are divisible by m, positive at required
-    vertices and m * t at a vertex pinned to t roots.  Each vertex is
-    checked once its last edge is decided; the vector is yielded with a
-    copy of its incident sums."""
+    whose incident sums are divisible by m, and m * t at a vertex pinned
+    to t roots.  Each vertex is checked once its last edge is decided;
+    the vector is yielded with a copy of its incident sums."""
     count = len(edges)
     if count == 0:
         return
@@ -312,8 +289,6 @@ def _balanced_multiplicities(
         for v in finalize[pos]:
             s = load[v]
             if s % m:
-                return False
-            if s == 0 and v in required:
                 return False
             if v == pin_vertex and s != pin_sum:
                 return False

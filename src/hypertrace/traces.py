@@ -19,29 +19,31 @@ numerator over d!, and an order's sum is one integer numerator over d!.
 ``trace`` evaluates the sum exactly; ``trace_local`` restricts it to
 rootings matching a :class:`LocalTraceQuery` (vertices required as
 roots, excluded entirely, or rooted a pinned number of times), and
-``trace_table`` batches many orders and queries over one enumeration
-per order.  Every entry point, ``composition``'s profiles included,
-runs one check: the order is a non-negative ``int`` within the budget
-and every query vertex lies in the host.  Every plain value comes from
-one route, below, and every other value but a localized trace is a
-fold of the whole host's rooting table.
+``trace_table`` batches many orders and queries.  Every entry point,
+``composition``'s profiles included, runs one check: the order is a
+non-negative ``int`` within the budget and every query vertex lies in
+the host.
+
+Every localized value at d >= 1 is a signed sum of plain or pinned
+traces of sub-hosts.  Forbidding F gives the trace of h less the edges
+meeting F, on the same n: a rooting roots no vertex of F exactly when
+it selects no edge through one, and the weight reads only n.
+Requiring R sums (-1)^|S| times that value with F | S forbidden over
+the subsets S of R.  Root counts sum to d, so at most 2^min(|R|, d)
+sub-hosts are read; each is kept in ``h.memo`` under the edges it
+keeps, shares h's block tables and runs on the forest below if it has
+cut vertices.  A pinned trace enumerates the rootings meeting the pin.
 
 A rooting table holds the order-d rootings of a host, summed by their
 root counts at the vertices its reader keys on, as integer numerators
 over d!.  The whole host has one table per order, keyed by every root
-count ``(r(0), .., r(n-1))`` and kept in ``UniformHypergraph.memo``
-under d.  Root counts decide every query, since a forbidden vertex is
-one with r(v) = 0, so ``trace_table``'s queries fold that table by
-whether they match, and ``composition``'s profiles by the anchor's root
-count: profiles of one host at two anchors enumerate it once.  A
-localized trace enumerates under its own query instead, because the
-enumerator prunes on it, and keeps no table.
-
-Plain traces (``trace``, ``trace_local`` with an empty query and the
-plain entries of ``trace_table``) of a host with one block read its
-rooting table; the forest below would fill every lower order first.
-Those of a host with more than one block (``hypergraph.blocks``)
-factor over its block-cut forest, the paper's cut-vertex theorem:
+count ``(r(0), .., r(n-1))`` and kept in ``h.memo`` under d;
+``composition``'s profiles fold it by the anchor's root count, so
+profiles of one host at two anchors enumerate it once.  Plain traces of
+a host with one block read it, as the forest below would fill every
+lower order first; those of a host with more than one block
+(``hypergraph.blocks``) factor over its block-cut forest, the paper's
+cut-vertex theorem:
 
 * Balance roots every vertex of a selected edge, and the two sides of
   a cut vertex are each balanced, since every other vertex of a side
@@ -133,15 +135,17 @@ class LocalTraceQuery:
     pinned: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "required", frozenset(self.required))
-        object.__setattr__(self, "forbidden", frozenset(self.forbidden))
-        if self.pinned is None:
-            pinned = ()
-        elif isinstance(self.pinned, Sequence) and len(self.pinned) == 2:
-            pinned = tuple(self.pinned)
-        else:
-            raise ValidationError(f"pinned {self.pinned!r} is not a (vertex, count) pair")
-        for v in (*self.required, *self.forbidden, *pinned):
+        for name in ("required", "forbidden"):
+            vertices = getattr(self, name)
+            try:
+                object.__setattr__(self, name, frozenset(vertices))
+            except TypeError:
+                raise ValidationError(f"{name} {vertices!r} is not a set of vertices") from None
+        if self.pinned is not None:
+            if not isinstance(self.pinned, Sequence) or len(self.pinned) != 2:
+                raise ValidationError(f"pinned {self.pinned!r} is not a (vertex, count) pair")
+            object.__setattr__(self, "pinned", tuple(self.pinned))
+        for v in (*self.required, *self.forbidden, *(self.pinned or ())):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValidationError(f"query entry {v!r} is not an integer")
         if self.required & self.forbidden:
@@ -150,8 +154,7 @@ class LocalTraceQuery:
                 "required and forbidden"
             )
         if self.pinned is not None:
-            vertex, t = pinned
-            object.__setattr__(self, "pinned", pinned)
+            vertex, t = self.pinned
             if t < 1:
                 raise ValidationError(f"pinned root count must be positive, got {t}")
             if vertex in self.forbidden:
@@ -190,7 +193,7 @@ def query(
     pinned: tuple[int, int] | None = None,
 ) -> LocalTraceQuery:
     """Convenience constructor accepting any iterables."""
-    return LocalTraceQuery(frozenset(required), frozenset(forbidden), pinned)
+    return LocalTraceQuery(required, forbidden, pinned)
 
 
 def _check(
@@ -231,14 +234,15 @@ def _enumerate_table(
     h: UniformHypergraph,
     d: int,
     keyed: Sequence[int],
-    restrict: LocalTraceQuery | None = None,
+    pinned: tuple[int, int] | None = None,
 ) -> dict[tuple[int, ...], int]:
-    """The order-d rooting table of h under ``restrict``, keyed by the
-    root counts at the vertices in ``keyed``.  Rootings of one k-vector
-    share their root counts, so each key is built once per k-vector."""
+    """The order-d rooting table of h, of the rootings that meet the pin
+    if one is given, keyed by the root counts at the vertices in
+    ``keyed``.  Rootings of one k-vector share their root counts, so
+    each key is built once per k-vector."""
     table: dict[tuple[int, ...], int] = {}
     k_vector, key = None, ()
-    for mat in enumerate_rootings(h, d, restrict):
+    for mat in enumerate_rootings(h, d, pinned):
         if mat.k_vector is not k_vector:
             k_vector = mat.k_vector
             key = tuple(mat.root_counts.get(v, 0) for v in keyed)
@@ -266,9 +270,8 @@ def _plain(h: UniformHypergraph, d_min: int, d_max: int) -> dict[int, Fraction]:
     """Tr_d of h for 1 <= d_min <= d <= d_max: through the block forest
     on a host of several blocks, else from the whole host's table (the
     forest would fill every lower order first)."""
-    forest = h.memo.get(_BlockForest)
-    if forest is None:
-        forest = h.memo[_BlockForest] = _BlockForest(h, {})
+    _share_blocks((h,))
+    forest = h.memo[_BlockForest]
     if len(forest.blocks) > 1:
         try:
             return forest.traces(d_min, d_max)
@@ -280,12 +283,13 @@ def _plain(h: UniformHypergraph, d_min: int, d_max: int) -> dict[int, Fraction]:
             for d in range(d_min, d_max + 1)}
 
 
-def _share_blocks(hosts: Iterable[UniformHypergraph]) -> None:
-    """Give the hosts one store of block tables, so that a block they
-    have in common is enumerated once per order across all of them (the
-    two hosts of an audit, the classes of a scan).  A host that already
-    has a forest keeps its own store."""
-    store: BlockTables = {}
+def _share_blocks(hosts: Sequence[UniformHypergraph]) -> None:
+    """Give the hosts without a forest the first host's store of block
+    tables, or one new store, so that a block they share is enumerated
+    once per order across all of them (the two hosts of an audit, the
+    classes of a scan, a host and its sub-hosts)."""
+    first = hosts[0].memo.get(_BlockForest)
+    store: BlockTables = first.store if first else {}
     for h in hosts:
         if _BlockForest not in h.memo:
             h.memo[_BlockForest] = _BlockForest(h, store)
@@ -536,19 +540,39 @@ def trace_local(
 ) -> Fraction:
     """Exact order-d trace restricted to rootings matching the query."""
     _check(h, d, budget, (q,))
-    if not d:
-        if q.constrains_positively:
-            raise InfeasibleQuery(
-                "order zero admits no roots, so required or pinned vertices "
-                "cannot be satisfied"
-            )
-        return _order_zero_local(h)
-    if q.is_empty:
-        return _plain(h, d, d)[d]
-    if q.pinned is not None and q.pinned[1] > d:
-        return Fraction(0)  # no vertex is rooted more often than the order
-    # enumerated under the query, which prunes it, and not kept
-    return Fraction(_enumerate_table(h, d, (), q).get((), 0), factorial(d))
+    if d:
+        return _local(h, d, q)
+    if q.constrains_positively:
+        raise InfeasibleQuery(
+            "order zero admits no roots, so required or pinned vertices cannot be satisfied"
+        )
+    return _order_zero_local(h)
+
+
+def _local(h: UniformHypergraph, d: int, q: LocalTraceQuery) -> Fraction:
+    """Tr_d of h under q for d >= 1, one required vertex v at a time:
+    the rootings that root v are all rootings less those forbidding v."""
+    pinned, extra = (q.pinned[:1], q.pinned[1] - 1) if q.pinned else ((), 0)
+    required, total = sorted(q.required), Fraction(0)
+    todo = [(1, q.forbidden, 0)]
+    while todo:
+        sign, forbidden, i = todo.pop()
+        kept = tuple(e for e in h.edges if forbidden.isdisjoint(e))
+        demand = {*required[i:], *pinned}
+        if len(demand) + extra > d or not demand.issubset(w for e in kept for w in e):
+            continue  # 0 without a sub-host: the root counts sum to d
+        if i < len(required):
+            todo += [(sign, forbidden, i + 1), (-sign, forbidden | {required[i]}, i + 1)]
+            continue
+        g = h if len(kept) == h.edge_count else h.memo.get(kept)
+        if g is None:
+            g = h.memo[kept] = new_hypergraph(h.m, h.n, kept)
+            _share_blocks((h, g))
+        if q.pinned is None:
+            total += sign * _plain(g, d, d)[d]
+        else:
+            total += sign * Fraction(_enumerate_table(g, d, (), q.pinned).get((), 0), factorial(d))
+    return total
 
 
 @dataclass(frozen=True)
@@ -565,8 +589,8 @@ class TraceTable:
     entries: dict[tuple[int, LocalTraceQuery | None], Fraction] = field(repr=False)
 
     def get(self, d: int, q: LocalTraceQuery | None = None) -> Fraction:
-        if not 0 <= d <= self.d_max:
-            raise ValidationError(f"order {d} is outside 0..{self.d_max}")
+        if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d <= self.d_max:
+            raise ValidationError(f"order {d!r} is not an integer in 0..{self.d_max}")
         if (d, q) not in self.entries:
             raise ValidationError(f"query {q!r} was not part of this table")
         return self.entries[(d, q)]
@@ -578,16 +602,16 @@ def trace_table(
     queries: Sequence[LocalTraceQuery] = (),
     budget: Budget | None = None,
 ) -> TraceTable:
-    """Batch plain and localized traces sharing one enumeration per order."""
+    """Batch plain and localized traces of orders 0..d_max: each entry
+    reads the route of its own pointwise call, and the calls share the
+    state kept with h and its sub-hosts."""
     qs = tuple(queries)
     _check(h, d_max, budget, qs)
     entries: dict[tuple[int, LocalTraceQuery | None], Fraction] = {(0, None): _order_zero(h)}
     entries.update(((d, None), value) for d, value in _plain(h, 1, d_max).items())
     for q in dict.fromkeys(qs):
         entries[0, q] = Fraction(0) if q.constrains_positively else _order_zero_local(h)
-        for d in range(1, d_max + 1):
-            matched = _fold(h, d, lambda roots: q.matches(dict(enumerate(roots))))
-            entries[d, q] = matched.get(True, Fraction(0))
+        entries.update(((d, q), _local(h, d, q)) for d in range(1, d_max + 1))
     return TraceTable(host=h, d_max=d_max, queries=qs, entries=entries)
 
 

@@ -166,22 +166,11 @@ class TestEnumeration:
         # d=3: the two orientations of the full triangle
         assert len(list(enumerate_rootings(TRIANGLE, 3))) == 2
 
-    def test_forbidden_vertex_drops_incident_edges(self):
-        h = hyperpath(3, 2)
-        mats = list(enumerate_rootings(h, 3, query(forbidden=[4])))
-        assert [m.k_vector for m in mats] == [(3, 0)]
-        assert list(enumerate_rootings(h, 3, query(forbidden=[2]))) == []
-
-    def test_required_vertex_filters(self):
-        h = hyperpath(3, 2)
-        mats = list(enumerate_rootings(h, 3, query(required=[3])))
-        assert [m.k_vector for m in mats] == [(0, 3)]
-
     def test_pinned_vertex_filters(self):
         # triangle host at d=4: six rootings total, exactly two of which
         # root vertex 0 once (host edge order (0,1), (0,2), (1,2))
         assert len(list(enumerate_rootings(TRIANGLE, 4))) == 6
-        mats = list(enumerate_rootings(TRIANGLE, 4, query(pinned=(0, 1))))
+        mats = list(enumerate_rootings(TRIANGLE, 4, (0, 1)))
         assert {m.counts for m in mats} == {
             ((1, 1), (0, 0), (1, 1)),
             ((0, 0), (1, 1), (1, 1)),
@@ -189,33 +178,44 @@ class TestEnumeration:
         # on a path host the cut-vertex count is forced, so pinning the
         # forced value keeps every rooting
         h = hyperpath(3, 2)
-        assert len(list(enumerate_rootings(h, 6, query(pinned=(2, 2))))) == 3
+        assert len(list(enumerate_rootings(h, 6, (2, 2)))) == 3
+
+    def test_unsatisfiable_pin_yields_nothing(self):
+        # a vertex on no edge is never rooted, and none is rooted more
+        # often than the order
+        h = new_hypergraph(3, 4, [(0, 1, 2)])
+        assert len(list(enumerate_rootings(h, 3))) == 1
+        assert list(enumerate_rootings(h, 3, (3, 1))) == []
+        assert list(enumerate_rootings(h, 3, (0, 5))) == []
+        assert list(enumerate_rootings(h, 3, (0, 4))) == []
 
     def test_query_vertex_range_checked(self):
         with pytest.raises(VertexOutOfRange):
-            list(enumerate_rootings(hyperpath(3, 1), 3, query(required=[9])))
+            list(enumerate_rootings(hyperpath(3, 1), 3, (9, 1)))
+        with pytest.raises(VertexOutOfRange):
+            list(enumerate_rootings(hyperpath(3, 1), 3, (9, 5)))
+        for t in (0, -1):
+            with pytest.raises(ValidationError):
+                list(enumerate_rootings(hyperpath(3, 1), 3, (0, t)))
 
     @pytest.mark.parametrize("name", sorted(CENSUS_HOSTS))
     def test_enumeration_matches_brute_force_census(self, name):
         # completeness and uniqueness: every valid rooting appears once
         h = CENSUS_HOSTS[name]
-        queries = [None, query(required=[0]), query(forbidden=[1]),
-                   query(pinned=(0, 1)), query(pinned=(1, 2))]
+        pins = [None, (0, 1), (1, 2), (0, 3)]
         found = 0
         for d in range(1, 7):
             census = brute_force_census(h, d)
             # each weight is an integer over d!, which the trace sums rely on
             for mat in census:
                 assert (contribution(mat, h.n) * math.factorial(d)).denominator == 1
-            for q in queries:
-                if q is not None and q.pinned and q.pinned[1] > d:
-                    continue
-                mats = list(enumerate_rootings(h, d, q))
+            for pin in pins:
+                mats = list(enumerate_rootings(h, d, pin))
                 listed = [mat.counts for mat in mats]
                 assert len(listed) == len(set(listed))
                 assert set(listed) == {
                     mat.counts for mat in census
-                    if q is None or q.matches(mat.root_counts)
+                    if pin is None or query(pinned=pin).matches(mat.root_counts)
                 }
                 # the enumerator hands over derived fields without
                 # validating; they must equal what the validator derives
@@ -233,18 +233,10 @@ class TestEnumeration:
     @given(d=st.integers(min_value=1, max_value=6), data=st.data())
     def test_queries_select_exactly_the_matching_rootings(self, d, data):
         h = data.draw(st.sampled_from([hyperpath(3, 2), TRIANGLE, hyperstar(3, 2)]))
-        q = data.draw(
-            st.sampled_from(
-                [
-                    query(required=[0]),
-                    query(forbidden=[0]),
-                    query(pinned=(1, 1)),
-                    query(required=[1], forbidden=[0]),
-                ]
-            )
-        )
+        pin = (data.draw(st.integers(0, h.n - 1)), data.draw(st.integers(1, d + 1)))
+        q = query(pinned=pin)
         unfiltered = {m.counts for m in enumerate_rootings(h, d)}
-        filtered = {m.counts for m in enumerate_rootings(h, d, q)}
+        filtered = {m.counts for m in enumerate_rootings(h, d, pin)}
         expected = {
             m.counts for m in enumerate_rootings(h, d) if q.matches(m.root_counts)
         }

@@ -15,6 +15,7 @@ from hypertrace import (
     audit_path_shift,
     InfeasibleQuery,
     LimitExceeded,
+    LocalTraceQuery,
     NotAGraph,
     ValidationError,
     VertexOutOfRange,
@@ -227,10 +228,12 @@ class TestLocalTrace:
         for bad in (
             dict(required=["a"]), dict(forbidden=[1.0]), dict(required=[True]),
             dict(pinned=(0, 1.5)), dict(pinned=("0", 1)), dict(pinned=(False, 1)),
-            dict(pinned=(0, 1, 2)), dict(pinned=5),
+            dict(pinned=(0, 1, 2)), dict(pinned=5), dict(required=5), dict(forbidden=1),
         ):
             with pytest.raises(ValidationError):
                 query(**bad)
+            with pytest.raises(ValidationError):
+                LocalTraceQuery(**bad)
         # query vertices are checked against the host at every order
         h = hyperpath(3, 2)
         for q in (query(forbidden=[99]), query(required=[5]), query(pinned=(-1, 1))):
@@ -278,6 +281,11 @@ class TestTraceTable:
             table.get(4)
         with pytest.raises(ValidationError):
             table.get(3, query(required=[0]))
+        # orders are plain integers, as in every other entry point
+        table = trace_table(hyperpath(3, 2), 3)
+        for bad in (True, False, 2.0, 2.5, "2", -1):
+            with pytest.raises(ValidationError, match="order"):
+                table.get(bad)
 
     def test_budget_checked_at_maximum_order(self):
         with pytest.raises(LimitExceeded):
@@ -441,16 +449,25 @@ class TestWarmMemo:
                 and not any(roots.get(v, 0) for v in q.forbidden)
                 and (q.pinned is None or roots.get(q.pinned[0], 0) == q.pinned[1]))
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_interleaved_calls_match_fresh_hosts_and_enumeration(self, data):
-        h = data.draw(st.sampled_from(
-            connected_graph_classes(4) + (K4, LOOSE_3_CYCLE, K5_3)
-        ))
+        # localized values are signed sums over sub-hosts kept with h, on
+        # the forest wherever deleting edges leaves cut vertices
+        if data.draw(st.booleans()):
+            h = draw_glued(data)
+        else:
+            h = data.draw(st.sampled_from(
+                connected_graph_classes(4) + (K4, LOOSE_3_CYCLE, K5_3)
+                + tuple(g for g in HYPERTREES if g.m == 3)
+            ))
         d_top = 4 if h.edge_count > 6 else 6
         vertex = st.integers(min_value=0, max_value=h.n - 1)
         orders = st.integers(min_value=1, max_value=d_top)
         u, v = data.draw(vertex), data.draw(vertex)
+        kinds = ("required", "forbidden", "pinned")
+        if h.n > 1:
+            kinds += ("two required", "required and forbidden", "required and pinned")
         cache = {}
 
         def oracle(d, q):
@@ -458,10 +475,17 @@ class TestWarmMemo:
             return sum((w for roots, w in rootings if self.keeps(q, roots)), Fraction(0))
 
         def draw_query(d):
-            kind = data.draw(st.sampled_from(("required", "forbidden", "pinned")))
-            if kind == "pinned":
-                return query(pinned=(data.draw(vertex), data.draw(st.integers(1, d))))
-            return query(**{kind: [data.draw(vertex)]})
+            kind = data.draw(st.sampled_from(kinds))
+            a, b = data.draw(st.permutations(range(h.n)))[:2] if h.n > 1 else (0, 0)
+            pin = (data.draw(st.sampled_from((a, b))), data.draw(st.integers(1, d + 1)))
+            return {
+                "required": lambda: query(required=[a]),
+                "forbidden": lambda: query(forbidden=[a]),
+                "pinned": lambda: query(pinned=pin),
+                "two required": lambda: query(required=[a, b]),
+                "required and forbidden": lambda: query(required=[a], forbidden=[b]),
+                "required and pinned": lambda: query(required=[a], pinned=pin),
+            }[kind]()
 
         for _ in range(data.draw(st.integers(min_value=3, max_value=7))):
             fresh = new_hypergraph(h.m, h.n, h.edges)
@@ -494,17 +518,52 @@ class TestWarmMemo:
                                 want[e, t] = value
                     assert got.entries == want
 
-    def test_one_table_per_order_and_none_for_localized_queries(self):
-        # a localized trace enumerates under its query and keeps nothing
-        h = new_hypergraph(3, 6, LOOSE_3_CYCLE.edges)
+    def test_one_table_per_order_and_one_sub_host_per_edge_set(self):
+        # plain values and profiles keep one table per order and the
+        # forest; a localized value keeps one sub-host per set of edges
+        # it keeps, h less the edges meeting the vertices it forbids on
+        # h's n vertices, and a pinned one keeps nothing else
+        h = new_hypergraph(3, 7, LOOSE_3_CYCLE.edges)  # vertex 6 is isolated
         trace_table(h, 4, (query(required=[0]), query(pinned=(1, 1))))
         local_trace_profile(h, 2, 4)
-        kept = set(h.memo)
-        assert kept == {1, 2, 3, 4, traces_module._BlockForest}
+        orders = {1, 2, 3, 4, traces_module._BlockForest}
+
+        def less(*vs):
+            return tuple(e for e in h.edges if set(vs).isdisjoint(e))
+
+        assert set(h.memo) == orders | {less(0)}
+        sub = h.memo[less(0)]
+        assert (sub.n, sub.edges) == (7, ((2, 3, 4),))
+        # forbidding 0 and 5 deletes the same edges as forbidding 0, and
+        # forbidding the isolated vertex deletes none
         for q in (query(required=[0]), query(forbidden=[1]), query(pinned=(2, 2)),
-                  query(required=[3], forbidden=[0]), query()):
+                  query(required=[3], forbidden=[0]), query(pinned=(2, 1), forbidden=[1]),
+                  query(forbidden=[0, 5]), query(forbidden=[6]), query(required=[6]),
+                  query()):
             trace_local(h, 4, q)
-        assert set(h.memo) == kept
+        assert h.memo[less(0)] is sub
+        kept = {less(0), less(1), less(0, 3)}
+        assert set(h.memo) == orders | kept
+        store = h.memo[traces_module._BlockForest].store
+        for edges in kept:
+            g = h.memo[edges]
+            assert (g.n, g.edges) == (h.n, edges)
+            assert g.memo[traces_module._BlockForest].store is store
+
+    def test_more_required_vertices_than_the_order_is_zero(self):
+        # the root counts sum to d, so a query requiring more than d
+        # vertices, or pinning more roots than the order leaves, is 0
+        # without visiting its 2^|R| subsets or building a sub-host
+        h = hyperpath(3, 20)
+        assert trace_local(h, 6, query(required=range(30))) == 0
+        assert trace_local(h, 6, query(required=range(3), pinned=(10, 4))) == 0
+        assert trace_local(h, 6, query(required=range(4), pinned=(0, 4))) == 0
+        assert set(h.memo) == set()
+        # demanding exactly d roots is not pruned
+        q = query(required=range(3))
+        want = sum((contribution(mat, h.n) for mat in enumerate_rootings(h, 3)
+                    if q.matches(mat.root_counts)), Fraction(0))
+        assert trace_local(h, 3, q) == want != 0
 
 
 @contextmanager
@@ -514,9 +573,9 @@ def counted_enumeration():
     calls = []
     enumerate_table = traces_module._enumerate_table
 
-    def counted(h, d, keyed, restrict=None):
+    def counted(h, d, keyed, pinned=None):
         calls.append((h, tuple(keyed), d))
-        return enumerate_table(h, d, keyed, restrict)
+        return enumerate_table(h, d, keyed, pinned)
 
     traces_module._enumerate_table = counted
     try:
