@@ -14,9 +14,10 @@ with the conventions t/d := 1 when t = d = 0 and the order-zero profile
 entry (m-1)^(n-1).  A :class:`LocalTraceProfile` stores the pinned
 localized traces Tr_{d;t} of one operand at its anchor vertex, in the
 operand's own ambient vertex count; the formula is self-normalizing for
-the glued ambient n1 + n2 - 1.  A profile folds the host's rooting
-table by the anchor's root count, so the profiles of one operand at
-two anchors enumerate it once per order.
+the glued ambient n1 + n2 - 1.  A profile is read from the host's
+block-cut forest rooted at the anchor (``traces._profile``); its
+forests share their block tables, so K4's profiles at two anchors
+enumerate K4 once per order.
 
 For d1, d2 > 0 the coefficient simplifies, since
 C(t1 + t2, t1) * t1 / (t1 + t2) = C(t1 + t2 - 1, t2):
@@ -50,29 +51,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .config import Budget
-from .errors import (
-    MissingProfileEntry,
-    MixedUniformity,
-    ValidationError,
-    VertexOutOfRange,
-)
+from .errors import MissingProfileEntry, MixedUniformity, ValidationError
 from .estrada import fraction_str
 from .hypergraph import (
     AttachSpec,
     UniformHypergraph,
+    _check_vertex,
     attach,
     coalesce,
     hyperpath,
     new_hypergraph,
 )
-# not called here (profiles fold the host's rooting table), but bound so
-# that perfbench's span wrappers find them; perfbench/selftest.py checks
-from .euler import contribution_parts, enumerate_rootings  # noqa: F401
-from .traces import _check, _check_order, _fold, _order_zero_local, _share_blocks, trace
+# enumerate_rootings and contribution_parts are not called here (profiles
+# are read from the block forest), but bound so that perfbench's span
+# wrappers find them; perfbench/selftest.py checks
+from .euler import _check_order, contribution_parts, enumerate_rootings  # noqa: F401
+from .traces import _check, _order_zero_local, _profile, _share_blocks, trace
 
 
 @dataclass(frozen=True)
@@ -99,8 +97,6 @@ class LocalTraceProfile:
                 f"profile of vertex {self.anchor} stops at order {self.d_max}, "
                 f"order {d} was requested"
             )
-        if d == 0:
-            return self.entries[(0, 0)]
         return self.entries.get((d, t), Fraction(0))
 
 
@@ -111,15 +107,9 @@ def local_trace_profile(
     budget: Budget | None = None,
 ) -> LocalTraceProfile:
     """Compute all pinned localized traces at the anchor up to d_max."""
-    if not isinstance(anchor, int) or isinstance(anchor, bool):
-        raise ValidationError(f"anchor {anchor!r} is not an integer")
-    if not 0 <= anchor < h.n:
-        raise VertexOutOfRange(f"anchor {anchor} is not in 0..{h.n - 1}")
+    _check_vertex(h, anchor, "anchor")
     _check(h, d_max, budget)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for d in range(1, d_max + 1):
-        by_count = _fold(h, d, lambda roots: roots[anchor])
-        entries.update({(d, t): value for t, value in by_count.items() if t})
+    entries = _profile(h, anchor, d_max)
     entries[(0, 0)] = _order_zero_local(h)
     return LocalTraceProfile(host=h, anchor=anchor, d_max=d_max, entries=entries)
 
@@ -129,21 +119,23 @@ def coalescence_local_trace(
 ) -> Fraction:
     """Localized trace of the glued hypergraph at the identified vertex,
     assembled from the two operand profiles."""
-    if p1.host.m != p2.host.m:
-        raise MixedUniformity("profiles have different uniformity")
-    _check_order(d)
-    if d < 1:
-        raise ValidationError(f"composition needs d >= 1, got {d}")
-    if p1.d_max < d or p2.d_max < d:
-        raise MissingProfileEntry(
-            f"composition at order {d} needs both profiles computed to that depth"
-        )
+    _check_profiles("composition", d, 0, p1, p2)
+    e1, e2 = p1.entries, p2.entries
     one_sided = sum(
-        (p1.value(0, 0) * p2.value(d, t) + p2.value(0, 0) * p1.value(d, t)
-         for t in range(1, d + 1)),
+        (e1[0, 0] * e2.get((d, t), 0) + e2[0, 0] * e1.get((d, t), 0) for t in range(1, d + 1)),
         Fraction(0),
     )
     return one_sided + _mixed_cross_sum(p1, p2, d)
+
+
+def _check_profiles(what: str, d: int, short: int, *profiles: LocalTraceProfile) -> None:
+    """Reject an order d that is not an ``int`` >= 1, profiles of
+    different uniformity, and a profile that stops below order d - short."""
+    _check_order(d, 1)
+    if len({p.host.m for p in profiles}) > 1:
+        raise MixedUniformity("profiles have different uniformity")
+    if any(p.d_max < d - short for p in profiles):
+        raise MissingProfileEntry(f"{what} at order {d} needs profiles to depth {d - short}")
 
 
 def _mixed_cross_sum(
@@ -151,22 +143,21 @@ def _mixed_cross_sum(
 ) -> Fraction:
     """Sum of weights of rootings spanning both sides of the glue.  The
     callers have checked both profiles reach order d - 1, so entries are
-    read directly: absent ones are zero."""
+    read directly: absent ones are zero.  The inner sum over t1 runs on
+    the numerators of p1's entries at order d1 over their common
+    denominator."""
     e1, e2 = p1.entries, p2.entries
     total = Fraction(0)
     for d1 in range(1, d):
         d2 = d - d1
+        side1 = [(t1, v1) for t1 in range(1, d1 + 1) if (v1 := e1.get((d1, t1)))]
+        den = lcm(*(v1.denominator for _, v1 in side1))
+        side1 = [(t1, v1.numerator * (den // v1.denominator)) for t1, v1 in side1]
         for t2 in range(1, d2 + 1):
             v2 = e2.get((d2, t2))
-            if not v2:
-                continue
-            inner = Fraction(0)
-            for t1 in range(1, d1 + 1):
-                v1 = e1.get((d1, t1))
-                if v1:
-                    inner += comb(t1 + t2 - 1, t2) * v1
-            if inner:
-                total += Fraction(d * t2, d1 * d2) * v2 * inner
+            if v2 and side1:
+                inner = sum(comb(t1 + t2 - 1, t2) * n1 for t1, n1 in side1)
+                total += Fraction(d * t2 * v2.numerator * inner, d1 * d2 * v2.denominator * den)
     return total
 
 
@@ -181,19 +172,9 @@ def relocation_difference(
     profile_u and profile_v anchor the same operand at the two candidate
     attachment vertices; profile_w anchors the relocated operand.
     """
-    _check_order(d)
-    if d < 1:
-        raise ValidationError(f"relocation needs d >= 1, got {d}")
-    if len({p.host.m for p in (profile_u, profile_v, profile_w)}) > 1:
-        raise MixedUniformity("profiles have different uniformity")
+    _check_profiles("relocation", d, 1, profile_u, profile_v, profile_w)
     if profile_u.host != profile_v.host:
         raise ValidationError("profile_u and profile_v must anchor the same operand")
-    needed = d - 1
-    for p in (profile_u, profile_v, profile_w):
-        if p.d_max < needed:
-            raise MissingProfileEntry(
-                f"relocation at order {d} needs profiles to depth {needed}"
-            )
     return _mixed_cross_sum(profile_u, profile_w, d) - _mixed_cross_sum(
         profile_v, profile_w, d
     )
@@ -273,9 +254,7 @@ def _compare_traces(
     claimed_strict_onset: int,
     budget: Budget | None,
 ) -> InequalityAuditReport:
-    _check_order(d_max)
-    if d_max < 1:
-        raise ValidationError(f"d_max must be >= 1, got {d_max}")
+    _check_order(d_max, 1)
     _share_blocks((larger, smaller))
     rows = []
     for d in range(1, d_max + 1):
@@ -304,7 +283,10 @@ def _branched_edge(
     m: int, first: int, p: int, branches: Sequence[UniformHypergraph] | None
 ) -> UniformHypergraph:
     """The edge {0, .., m-1} with a branch glued by its vertex 0 at each
-    of the vertices first..first+p-1; single edges by default."""
+    of the vertices first..first+p-1, for an ``int`` p in 1..m-first;
+    single edges by default."""
+    if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= m - first:
+        raise ValidationError(f"branch count p must be an integer in 1..{m - first}, got {p!r}")
     if branches is None:
         branches = [hyperpath(m, 1)] * p
     if len(branches) != p:
@@ -328,8 +310,7 @@ def audit_path_shift(
     """
     if not (r >= s >= 1):
         raise ValidationError(f"path shift needs r >= s >= 1, got r={r}, s={s}")
-    if not 0 <= w < h.n:
-        raise VertexOutOfRange(f"vertex {w} is not in 0..{h.n - 1}")
+    _check_vertex(h, w)
     return _compare_traces(
         law="path-shift",
         params={"m": h.m, "host_n": h.n, "host_edges": h.edge_count, "w": w,
@@ -360,8 +341,6 @@ def audit_edge_shift(
     """
     if m < 3:
         raise ValidationError(f"edge shift needs m >= 3, got {m}")
-    if not 1 <= p <= m - 2:
-        raise ValidationError(f"edge shift needs 1 <= p <= m-2, got p={p}")
     if not (r >= s >= 1):
         raise ValidationError(f"edge shift needs r >= s >= 1, got r={r}, s={s}")
     host = _branched_edge(m, 2, p, branches)
@@ -394,8 +373,6 @@ def audit_cored_shift(
     """
     if m < 2:
         raise ValidationError(f"uniformity m must be >= 2, got {m}")
-    if not 1 <= p <= m - 1:
-        raise ValidationError(f"cored shift needs 1 <= p <= m-1, got p={p}")
     host = _branched_edge(m, 1, p, branches)
     if other is None:
         other = hyperpath(m, 1)

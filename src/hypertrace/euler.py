@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .config import Budget, default_budget
 from .errors import (
@@ -55,7 +55,7 @@ from .errors import (
     ValidationError,
     VertexOutOfRange,
 )
-from .hypergraph import Edge, UniformHypergraph, connected
+from .hypergraph import Edge, UniformHypergraph, _check_int, connected
 
 
 @dataclass(frozen=True)
@@ -119,10 +119,7 @@ class RootCountMatrix:
         its derived fields given rather than recomputed; only
         :func:`enumerate_rootings` calls this."""
         mat = object.__new__(cls)
-        object.__setattr__(mat, "host", host)
-        object.__setattr__(mat, "counts", counts)
-        object.__setattr__(mat, "k_vector", k_vector)
-        object.__setattr__(mat, "root_counts", root_counts)
+        mat.__dict__.update(host=host, counts=counts, k_vector=k_vector, root_counts=root_counts)
         return mat
 
     @property
@@ -155,19 +152,14 @@ class DirectedMultigraph:
             u, w = arc
             if u not in present or w not in present:
                 raise ValidationError(f"arc ({u!r}, {w!r}) leaves the vertex set")
-            if not isinstance(mult, int) or isinstance(mult, bool) or mult < 0:
-                raise ValidationError(
-                    f"arc ({u!r}, {w!r}) has multiplicity {mult!r}, not a "
-                    "non-negative integer"
-                )
+            _check_int(f"multiplicity of arc ({u!r}, {w!r})", mult, 0)
 
     @classmethod
     def _trusted(cls, vertices: tuple[int, ...], arcs: dict) -> DirectedMultigraph:
         """A digraph valid by construction, built without the input
         checks; only :func:`build_digraph` calls this."""
         g = object.__new__(cls)
-        object.__setattr__(g, "vertices", vertices)
-        object.__setattr__(g, "arcs", arcs)
+        g.__dict__.update(vertices=vertices, arcs=arcs)
         return g
 
     @cached_property
@@ -204,6 +196,24 @@ class EulerCountReport:
     arborescences: int
 
 
+def _check_order(d: object, least: int = 0) -> None:
+    """Reject an order that is not an ``int`` (``bool`` included) or is
+    below ``least``."""
+    _check_int("trace order", d, least)
+
+
+def _check_pin(pinned: object) -> tuple[int, int]:
+    """A (vertex, t) pin as a tuple of two ``int``s (``bool`` excluded)
+    with t > 0."""
+    if not isinstance(pinned, Sequence) or len(pinned) != 2 or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in pinned
+    ):
+        raise ValidationError(f"pinned {pinned!r} is not a (vertex, count) pair of integers")
+    if pinned[1] < 1:
+        raise ValidationError(f"pinned root count must be positive, got {pinned[1]}")
+    return tuple(pinned)
+
+
 def enumerate_rootings(
     h: UniformHypergraph,
     d: int,
@@ -215,11 +225,9 @@ def enumerate_rootings(
 
     A pin no rooting meets, t above d or v on no edge, yields nothing.
     """
-    if d < 1:
-        raise ValidationError(f"enumeration needs d >= 1, got {d}")
+    _check_order(d, 1)
     if pinned is not None:
-        if pinned[1] < 1:
-            raise ValidationError(f"pinned root count must be positive, got {pinned[1]}")
+        pinned = _check_pin(pinned)
         if not h.degree(pinned[0]) or pinned[1] > d:
             return  # stage one never checks a vertex on no edge
 
@@ -228,26 +236,29 @@ def enumerate_rootings(
     zero = (0,) * m
     rows = [zero] * h.edge_count
 
-    # reads chosen, last, load, rem, k_vector and roots of the current
+    # read chosen, last, load, rem, k_vector and roots of the current
     # k-vector, bound in the loop below
+    def complete() -> RootCountMatrix:
+        # no later edge can root anything, so every remaining root lies
+        # in the last edge and its row is forced
+        edge, _, index = chosen[last]
+        rows[index] = tuple(rem[v] for v in edge)
+        return RootCountMatrix._trusted(h, tuple(rows), k_vector, dict(roots))
+
     def distribute(i: int) -> Iterator[RootCountMatrix]:
         edge, k, index = chosen[i]
-        if i == last:
-            # no later edge can root anything, so every remaining root
-            # lies in this edge and its row is forced
-            rows[index] = tuple(rem[v] for v in edge)
-            yield RootCountMatrix._trusted(h, tuple(rows), k_vector, dict(roots))
-            rows[index] = zero
-            return
         for v in edge:
             load[v] -= k
-        lows = [max(0, rem[v] - load[v]) for v in edge]
-        highs = [min(rem[v], k) for v in edge]
+        lows = [x if (x := rem[v] - load[v]) > 0 else 0 for v in edge]
+        highs = [x if (x := rem[v]) < k else k for v in edge]
         for row in _bounded_compositions(k, lows, highs):
             for v, c in zip(edge, row):
                 rem[v] -= c
             rows[index] = row
-            yield from distribute(i + 1)
+            if i + 1 == last:
+                yield complete()
+            else:
+                yield from distribute(i + 1)
             for v, c in zip(edge, row):
                 rem[v] += c
         rows[index] = zero
@@ -262,7 +273,8 @@ def enumerate_rootings(
         last = len(chosen) - 1
         rem = [s // m for s in load]
         roots = {v: r for v, r in enumerate(rem) if r}
-        yield from distribute(0)
+        yield from distribute(0) if last else [complete()]
+        rows[chosen[last][2]] = zero
 
 
 def _balanced_multiplicities(

@@ -56,10 +56,8 @@ class UniformHypergraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 2:
-            raise ValidationError(f"uniformity m must be an integer >= 2, got {self.m!r}")
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValidationError(f"vertex count n must be an integer >= 1, got {self.n!r}")
+        _check_int("uniformity m", self.m, 2)
+        _check_int("vertex count n", self.n, 1)
         canon = []
         for edge in self.edges:
             for v in edge:
@@ -138,11 +136,24 @@ def hyperstar(m: int, z: int) -> UniformHypergraph:
 
 
 def _check_generator_args(m: int, z: int) -> None:
-    """Reject an m below 2, a z below 1, and either one not an ``int``
-    (``bool`` included)."""
-    for name, value, least in (("uniformity m", m, 2), ("edge count z", z, 1)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < least:
-            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    _check_int("uniformity m", m, 2)
+    _check_int("edge count z", z, 1)
+
+
+def _check_int(name: str, value: object, least: int) -> None:
+    """Reject a value that is not an ``int`` (``bool`` included) or is
+    below ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_vertex(h: UniformHypergraph, v: object, name: str = "vertex") -> None:
+    """Reject a v that is not an ``int`` (``bool`` included) or not a
+    vertex of h."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValidationError(f"{name} {v!r} is not an integer")
+    if not 0 <= v < h.n:
+        raise VertexOutOfRange(f"{name} {v} is not in 0..{h.n - 1}")
 
 
 def power(graph: UniformHypergraph, m: int) -> UniformHypergraph:
@@ -171,8 +182,7 @@ def coalesce(
     if h1.m != h2.m:
         raise MixedUniformity(f"cannot coalesce m={h1.m} with m={h2.m}")
     for h, w in ((h1, u), (h2, v)):
-        if not 0 <= w < h.n:
-            raise VertexOutOfRange(f"vertex {w} is not in 0..{h.n - 1}")
+        _check_vertex(h, w)
         if h.n < 2 or h.edge_count < 1:
             raise TrivialOperand("coalescence operands must have an edge and >= 2 vertices")
         if not is_connected(h):
@@ -200,10 +210,7 @@ class AttachSpec:
 def attach(host: UniformHypergraph, specs: Sequence[AttachSpec]) -> UniformHypergraph:
     """Iterated coalescence; host vertex ids remain valid throughout."""
     for spec in specs:
-        if not 0 <= spec.host_vertex < host.n:
-            raise VertexOutOfRange(
-                f"host vertex {spec.host_vertex} is not in 0..{host.n - 1}"
-            )
+        _check_vertex(host, spec.host_vertex, "host vertex")
     result = host
     for spec in specs:
         result = coalesce(result, spec.host_vertex, spec.sub, spec.sub_vertex)

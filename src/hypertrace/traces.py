@@ -21,8 +21,8 @@ rootings matching a :class:`LocalTraceQuery` (vertices required as
 roots, excluded entirely, or rooted a pinned number of times), and
 ``trace_table`` batches many orders and queries.  Every entry point,
 ``composition``'s profiles included, runs one check: the order is a
-non-negative ``int`` within the budget and every query vertex lies in
-the host.
+non-negative ``int`` within the budget and every query is a
+:class:`LocalTraceQuery` whose vertices lie in the host.
 
 Every localized value at d >= 1 is a signed sum of plain or pinned
 traces of sub-hosts.  Forbidding F gives the trace of h less the edges
@@ -34,16 +34,15 @@ sub-hosts are read; each is kept in ``h.memo`` under the edges it
 keeps, shares h's block tables and runs on the forest below if it has
 cut vertices.  A pinned trace enumerates the rootings meeting the pin.
 
-A rooting table holds the order-d rootings of a host, summed by their
-root counts at the vertices its reader keys on, as integer numerators
-over d!.  The whole host has one table per order, keyed by every root
-count ``(r(0), .., r(n-1))`` and kept in ``h.memo`` under d;
-``composition``'s profiles fold it by the anchor's root count, so
-profiles of one host at two anchors enumerate it once.  Plain traces of
-a host with one block read it, as the forest below would fill every
-lower order first; those of a host with more than one block
-(``hypergraph.blocks``) factor over its block-cut forest, the paper's
-cut-vertex theorem:
+A rooting table holds the order-d rootings of a block
+(``hypergraph.blocks``), summed by their root counts at the vertices
+its reader keys on, as integer numerators over d!.  A host keeps one
+store of them in ``h.memo``, read by all of its forests and sub-hosts.
+Plain traces and ``composition``'s profiles factor over the host's
+block-cut forest, the paper's cut-vertex theorem, kept in ``h.memo``
+per anchor (``None`` for plain traces).  The plain trace of a host with
+one block is that block's table at its order alone, as the forest
+would fill every lower order first.
 
 * Balance roots every vertex of a selected edge, and the two sides of
   a cut vertex are each balanced, since every other vertex of a side
@@ -57,15 +56,14 @@ cut-vertex theorem:
   ``d!/prod d_B!`` times a multinomial per block: the block terms
   multiply as exponential generating functions in the order mass.
 * Each block gets a table ``W_B[d_B; t]``, keyed by its order and the
-  root counts t at its cut vertices, from the rooting table of the
-  block alone keyed on those vertices: ``tau * d_B!/prod c! * prod
-  phi(r(v))`` over the rooted vertices that are not cut vertices.
-  Tables are kept with the host and extended one order at a time.
-* A block is relabeled with its keyed vertices first, in key order (the
-  cut vertex above it, then those below), and its other vertices after
-  them in sorted order.  The relabeled block, its number of keyed
-  vertices and the order then key its table in a store held by the
-  forest, so equal blocks (every single edge with as many keyed
+  root counts t at its keyed vertices (the vertex above it and the cut
+  vertices below), from the rooting table of the block alone keyed on
+  those vertices: ``tau * d_B!/prod c! * prod phi(r(v))`` over the
+  rooted vertices that are not keyed.
+* A block is relabeled with its keyed vertices first, in key order,
+  and its other vertices after them in sorted order.  The relabeled
+  block, its number of keyed vertices and the order then key its table
+  in the store, so equal blocks (every single edge with as many keyed
   vertices, for one) are enumerated once per order.  Hosts computed
   together, the two of an audit or the classes of a scan, share one
   store (``_share_blocks``).  A table enters the store only once it is
@@ -78,8 +76,14 @@ cut-vertex theorem:
   ``A_w(t_w)`` for every lower cut vertex w it roots.
 * Every rooting has one topmost element: a cut vertex, adding
   ``sum_{sigma>=1} C_w[sigma] * phi(sigma)``, or a block not rooted at
-  its parent vertex (or the first block of a component), adding those
-  entries.  The total at mass d is ``Tr_d * d! * (m-1)^(d-n) / d``.
+  the vertex above it (or the first block of a component), adding
+  those entries.  The total at mass d is ``Tr_d * d! * (m-1)^(d-n) / d``.
+* A plain forest hangs each component from its first block.  A
+  profile's forest hangs every block through its anchor from the
+  anchor, which joins them as a cut vertex with nothing above it, so
+  an anchor that is a cut vertex is no special case.  Its top term at
+  mass k per sigma = r(anchor) >= 1, ``C_a[sigma] * phi(sigma)``,
+  scaled as the total is, is the profile entry ``Tr_{k;sigma}``.
 * The DP state (``G_B``, ``C_w``, ``A_w(s)``, the products of the
   ``A_w`` a block entry needs, and the totals) lives with the forest.
   The coefficient at mass k of a product reads only the masses up to k
@@ -106,19 +110,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, gcd
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from functools import cache
+from math import comb, factorial, gcd, prod
+from typing import Iterable, Mapping, Sequence
 
 from .config import Budget, default_budget
-from .errors import (
-    InfeasibleQuery,
-    LimitExceeded,
-    NotAGraph,
-    ValidationError,
-    VertexOutOfRange,
-)
-from .euler import contribution_parts, enumerate_rootings
-from .hypergraph import UniformHypergraph, blocks, new_hypergraph
+from .errors import InfeasibleQuery, LimitExceeded, NotAGraph, ValidationError
+from .euler import _check_order, _check_pin, contribution_parts, enumerate_rootings
+from .hypergraph import UniformHypergraph, _check_vertex, blocks, new_hypergraph
 
 
 @dataclass(frozen=True)
@@ -141,11 +140,7 @@ class LocalTraceQuery:
                 object.__setattr__(self, name, frozenset(vertices))
             except TypeError:
                 raise ValidationError(f"{name} {vertices!r} is not a set of vertices") from None
-        if self.pinned is not None:
-            if not isinstance(self.pinned, Sequence) or len(self.pinned) != 2:
-                raise ValidationError(f"pinned {self.pinned!r} is not a (vertex, count) pair")
-            object.__setattr__(self, "pinned", tuple(self.pinned))
-        for v in (*self.required, *self.forbidden, *(self.pinned or ())):
+        for v in (*self.required, *self.forbidden):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValidationError(f"query entry {v!r} is not an integer")
         if self.required & self.forbidden:
@@ -154,18 +149,9 @@ class LocalTraceQuery:
                 "required and forbidden"
             )
         if self.pinned is not None:
-            vertex, t = self.pinned
-            if t < 1:
-                raise ValidationError(f"pinned root count must be positive, got {t}")
-            if vertex in self.forbidden:
-                raise ValidationError(f"pinned vertex {vertex} is forbidden")
-
-    def check_vertices(self, n: int) -> None:
-        """Reject any query vertex outside 0..n-1."""
-        pinned = [self.pinned[0]] if self.pinned else []
-        for v in sorted(self.required | self.forbidden) + pinned:
-            if not 0 <= v < n:
-                raise VertexOutOfRange(f"query vertex {v} is not in 0..{n - 1}")
+            object.__setattr__(self, "pinned", _check_pin(self.pinned))
+            if self.pinned[0] in self.forbidden:
+                raise ValidationError(f"pinned vertex {self.pinned[0]} is forbidden")
 
     @property
     def is_empty(self) -> bool:
@@ -204,7 +190,7 @@ def _check(
 ) -> None:
     """The one check behind every trace entry point: d is a
     non-negative ``int``, h's edges times d are within the budget, and
-    every query vertex lies in h."""
+    every query is a :class:`LocalTraceQuery` whose vertices lie in h."""
     _check_order(d)
     limit = (budget or default_budget()).cost_limit
     if h.edge_count * d > limit:
@@ -213,7 +199,11 @@ def _check(
             f"of {limit}; raise it explicitly to proceed"
         )
     for q in queries:
-        q.check_vertices(h.n)
+        if not isinstance(q, LocalTraceQuery):
+            raise ValidationError(f"query {q!r} is not a LocalTraceQuery")
+        pinned = [q.pinned[0]] if q.pinned else []
+        for v in sorted(q.required | q.forbidden) + pinned:
+            _check_vertex(h, v, "query vertex")
 
 
 def _order_zero(h: UniformHypergraph) -> Fraction:
@@ -222,12 +212,6 @@ def _order_zero(h: UniformHypergraph) -> Fraction:
 
 def _order_zero_local(h: UniformHypergraph) -> Fraction:
     return Fraction((h.m - 1) ** (h.n - 1))
-
-
-def _check_order(d: object) -> None:
-    """Reject an order that is not a non-negative ``int`` (``bool`` included)."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-        raise ValidationError(f"trace order must be a non-negative integer, got {d!r}")
 
 
 def _enumerate_table(
@@ -250,49 +234,54 @@ def _enumerate_table(
     return table
 
 
-def _fold(
-    h: UniformHypergraph, d: int, key: Callable[[tuple[int, ...]], Hashable]
-) -> dict[Hashable, Fraction]:
-    """The order-d traces of h summed by ``key`` of each rooting's root
-    counts ``(r(0), .., r(n-1))``, folded from the whole host's rooting
-    table, which is enumerated once per order and kept in ``h.memo``."""
-    table = h.memo.get(d)
-    if table is None:
-        table = h.memo[d] = _enumerate_table(h, d, h.vertices)
-    sums: dict[Hashable, int] = {}
-    for roots, num in table.items():
-        k = key(roots)
-        sums[k] = sums.get(k, 0) + num
-    return {k: Fraction(num, factorial(d)) for k, num in sums.items()}
-
-
 def _plain(h: UniformHypergraph, d_min: int, d_max: int) -> dict[int, Fraction]:
     """Tr_d of h for 1 <= d_min <= d <= d_max: through the block forest
-    on a host of several blocks, else from the whole host's table (the
-    forest would fill every lower order first)."""
-    _share_blocks((h,))
-    forest = h.memo[_BlockForest]
-    if len(forest.blocks) > 1:
-        try:
-            return forest.traces(d_min, d_max)
-        except BaseException:
-            # an extension cut short leaves the DP part-way through an order
-            del h.memo[_BlockForest]
-            raise
-    return {d: _fold(h, d, lambda roots: ()).get((), Fraction(0))
-            for d in range(d_min, d_max + 1)}
+    on a host of several blocks, else from its one block's table at each
+    order alone (the forest would fill every lower order first)."""
+    forest = _forest(h, None, 0)
+    if len(forest.blocks) == 1:
+        return {d: forest.scaled(d, forest.table(forest.blocks[0], d).get((), 0))
+                for d in range(d_min, d_max + 1)}
+    forest = _forest(h, None, d_max)
+    return {d: forest.scaled(d, forest.totals[d]) for d in range(d_min, d_max + 1)}
+
+
+def _profile(h: UniformHypergraph, anchor: int, d_max: int) -> dict[tuple[int, int], Fraction]:
+    """The nonzero Tr_{d;t} of h at the anchor for 1 <= t <= d <= d_max:
+    the top terms ``C_a[t] * phi(t)`` of h's block forest rooted at the
+    anchor, scaled."""
+    forest = _forest(h, anchor, d_max)
+    c_a = forest.anchor.joined[-1]
+    return {(d, t): forest.scaled(d, c_a[t][d] * _phi(h.m, t))
+            for d in range(1, d_max + 1) for t in sorted(c_a) if t and d in c_a[t]}
+
+
+_STORE = "block tables"  # the h.memo key of the store shared by h's forests
+
+
+def _forest(h: UniformHypergraph, anchor: int | None, d_max: int) -> _BlockForest:
+    """h's block forest rooted at the anchor, kept in ``h.memo`` and
+    extended to order d_max."""
+    key = (_BlockForest, anchor)
+    forest = h.memo.get(key)
+    if forest is None:
+        forest = h.memo[key] = _BlockForest(h, h.memo.setdefault(_STORE, {}), anchor)
+    try:
+        forest.extend(d_max)
+    except BaseException:
+        # an extension cut short leaves the DP part-way through an order
+        del h.memo[key]
+        raise
+    return forest
 
 
 def _share_blocks(hosts: Sequence[UniformHypergraph]) -> None:
-    """Give the hosts without a forest the first host's store of block
-    tables, or one new store, so that a block they share is enumerated
-    once per order across all of them (the two hosts of an audit, the
-    classes of a scan, a host and its sub-hosts)."""
-    first = hosts[0].memo.get(_BlockForest)
-    store: BlockTables = first.store if first else {}
+    """Give the hosts without a store of block tables the first host's,
+    or one new store, so that a block they share is enumerated once per
+    order for all (an audit's two hosts, a scan's classes, sub-hosts)."""
+    store = hosts[0].memo.get(_STORE, {})
     for h in hosts:
-        if _BlockForest not in h.memo:
-            h.memo[_BlockForest] = _BlockForest(h, store)
+        h.memo.setdefault(_STORE, store)
 
 
 # --- the block route ------------------------------------------------------
@@ -300,7 +289,13 @@ def _share_blocks(hosts: Sequence[UniformHypergraph]) -> None:
 Poly = dict[int, int]  # exponential generating function: mass k -> coefficient of y^k/k!
 
 
-def _mass(row: list[int], p: Poly, q: Poly) -> int:
+@cache
+def _row(k: int) -> tuple[int, ...]:
+    """The binomial row ``C(k, 0..k)``."""
+    return tuple(comb(k, i) for i in range(k + 1))
+
+
+def _mass(row: tuple[int, ...], p: Poly, q: Poly) -> int:
     """The coefficient at mass k of the product of p and q, where
     ``row`` is the binomial row ``C(k, 0..k)``: it reads only the masses
     up to k of either factor."""
@@ -330,67 +325,72 @@ def _phi(m: int, r: int) -> int:
 
 @dataclass
 class _Cut:
-    """A cut vertex w below a block and its part of the DP state:
-    ``joined[i][sigma]`` is the product over the first i child blocks B
-    of ``1 + sum_t x^t G_B[t]`` at ``x^sigma``, so ``joined[-1]`` is
-    ``C_w``, and ``below[s]`` is ``A_w(s)`` for every s the block above
-    has rooted w with so far."""
+    """A cut vertex w, or the anchor, and its part of the DP state: the
+    ``sums`` of its child blocks as ``factors``; ``joined[i][sigma]``,
+    their product over the first i + 1 at ``x^sigma`` (the first factor
+    itself, or 1 without a child), so ``joined[-1]`` is ``C_w``; and
+    ``below[s]``, ``A_w(s)`` for every s the block above has rooted w
+    with so far."""
 
-    children: list[int]
-    joined: list[dict[int, Poly]]
+    factors: list[dict[int, Poly]]
+    joined: list[dict[int, Poly]] = field(init=False)
     below: dict[int, Poly] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.joined = self.factors[:1] or [{0: {0: 1}}]
+        self.joined += [{0: {0: 1}} for _ in self.factors[1:]]
 
 
 @dataclass
 class _Block:
     """One block of the forest: its edges relabeled onto 0..k-1 with the
-    ``keyed`` vertices first, the cut vertex above it (None at a
-    component's first block), the cut vertices below it, and its part of
-    the DP state.  ``weights`` is the table ``W_B``, root counts at the
-    keyed vertices -> {order: weight}; ``products`` maps the root counts
-    at the cut vertices below to the ``A_w(t_w)`` with t_w > 0 and their
-    running products, the last one being the whole product; ``sums`` is
-    ``G_B``."""
+    ``keyed`` vertices first, the vertex above it (None at a component's
+    first block), the cut vertices below it, and its part of the DP
+    state.  ``weights`` is ``W_B``, root counts at the keyed vertices ->
+    {order: weight}; ``products`` maps the root counts at the cut
+    vertices below to the ``A_w(t_w)`` with t_w > 0 and their running
+    products, the last one being the whole product; ``sums`` is
+    ``1 + sum_t x^t G_B[t]`` by t, the 1 at t = 0."""
 
     host: UniformHypergraph
     up: int | None
     cuts: list[_Cut]
     keyed: int  # up (if any), then the cut vertices below, are 0..keyed-1 in host
+    sums: dict[int, Poly]
     weights: dict[tuple[int, ...], Poly] = field(default_factory=dict)
     products: dict[tuple[int, ...], tuple[list[Poly], list[Poly]]] = field(default_factory=dict)
-    sums: dict[int, Poly] = field(default_factory=dict)
 
 
 BlockTables = dict[tuple[UniformHypergraph, int, int], dict[tuple[int, ...], int]]
 
 
 class _BlockForest:
-    """The block-cut forest of one host, the tables of its blocks and
-    the DP that joins them, kept with the host and extended one order at
-    a time: a run of trace calls on it (an Estrada series, an audit)
-    computes each DP coefficient once, and an order already reached is
-    read back.  ``store`` maps a relabeled block, its number of keyed
-    vertices and an order to the block's weights at that order, so equal
-    blocks, of this host or of the hosts sharing the store, are
-    enumerated once per order."""
+    """The block-cut forest of one host rooted at an anchor (or None),
+    the tables of its blocks and the DP that joins them, extended one
+    order at a time: a run of calls on it (an Estrada series, an audit,
+    a profile) computes each DP coefficient once.  ``store`` maps a
+    relabeled block, its number of keyed vertices and an order to the
+    block's weights at that order, so equal blocks, of this host or of
+    the hosts sharing the store, are enumerated once per order."""
 
-    def __init__(self, h: UniformHypergraph, store: BlockTables) -> None:
+    def __init__(self, h: UniformHypergraph, store: BlockTables, anchor: int | None) -> None:
         self.m, self.n = h.m, h.n
         self.store = store
         parts = blocks(h)
         verts = [sorted({v for i in b for v in h.edges[i]}) for b in parts]
-        at: dict[int, list[int]] = {}
+        at: dict[int | None, list[int]] = {}
         for b, vs in enumerate(verts):
             for v in vs:
                 at.setdefault(v, []).append(b)
-        # preorder; each component hangs from its first block, every
-        # other block from its parent cut vertex
+        # preorder; the blocks through the anchor hang from it, other
+        # components from their first block, other blocks from a cut vertex
         parent: dict[int, int | None] = {}
         order: list[int] = []
-        for root in range(len(parts)):
+        starts = [(b, anchor) for b in at.get(anchor, ())] + [(b, None) for b in range(len(parts))]
+        for root, up in starts:
             if root in parent:
                 continue
-            parent[root] = None
+            parent[root] = up
             todo = [root]
             while todo:
                 b = todo.pop()
@@ -403,6 +403,7 @@ class _BlockForest:
                                 todo.append(c)
         self.children_first = order[::-1]
         self.blocks: list[_Block] = []
+        sums = [{0: {0: 1}} for _ in parts]
         for b, (edge_ids, vs) in enumerate(zip(parts, verts)):
             up = parent[b]
             kids = [w for w in vs if w != up and len(at[w]) > 1]  # cut vertices below
@@ -412,48 +413,46 @@ class _BlockForest:
             host = new_hypergraph(
                 h.m, len(vs), [[local[v] for v in h.edges[i]] for i in edge_ids]
             )
-            below = []
-            for w in kids:
-                children = [c for c in at[w] if c != b]
-                below.append(_Cut(children, [{0: {0: 1}} for _ in range(len(children) + 1)]))
-            self.blocks.append(_Block(host, up, below, len(keyed)))
-        self.rows: list[list[int]] = [[1]]  # the binomial rows C(k, 0..k) reached
+            cuts = [_Cut([sums[c] for c in at[w] if c != b]) for w in kids]
+            self.blocks.append(_Block(host, up, cuts, len(keyed), sums[b]))
+        self.anchor = _Cut([sums[c] for c in at.get(anchor, [])])  # nothing above it
         self.step = 0  # the gcd of the orders with rootings so far
-        self.totals: list[Fraction] = [Fraction(0)]  # Tr_k at every mass reached
+        self.totals: list[int] = [0]  # the total at every mass reached
 
-    def traces(self, d_min: int, d_max: int) -> dict[int, Fraction]:
-        """Tr_d for 1 <= d_min <= d <= d_max, extending the forest to
-        order d_max first."""
+    def extend(self, d_max: int) -> None:
+        """Extend the forest to order d_max."""
         for d in range(len(self.totals), d_max + 1):
             self._fill(d)
-            self.rows.append([comb(d, i) for i in range(d + 1)])
             if self.step and d % self.step == 0:
                 self._extend(d)
             else:  # no sum of the orders with rootings so far reaches mass d
-                self.totals.append(Fraction(0))
-        return {d: self.totals[d] for d in range(d_min, d_max + 1)}
+                self.totals.append(0)
+
+    def scaled(self, k: int, c: int) -> Fraction:
+        """The trace at order k of a total or top term c at mass k."""
+        return Fraction(k * (self.m - 1) ** self.n * c, (self.m - 1) ** k * factorial(k))
+
+    def table(self, block: _Block, d: int) -> dict[tuple[int, ...], int]:
+        """``W_B[d; t]`` per root counts t at the block's keyed vertices:
+        the sum over its order-d rootings of ``tau * d!/prod c! * prod
+        phi(r(v))`` over its rooted vertices that are not keyed, read
+        from the store or enumerated into it."""
+        key = (block.host, block.keyed, d)
+        table = self.store.get(key)
+        if table is None:
+            m, table = self.m, {}
+            for ts, num in _enumerate_table(block.host, d, range(block.keyed)).items():
+                den = d * (m - 1) ** block.host.n * prod(_phi(m, t) for t in ts if t)
+                table[ts] = num * (m - 1) ** d // den
+            # stored only once complete: a fill cut short leaves the store valid
+            self.store[key] = table
+        return table
 
     def _fill(self, d: int) -> None:
-        """Add order d to every table: ``W_B[d; t]``, per root counts t
-        at the keyed vertices, is the sum over the block's order-d
-        rootings of ``tau * d!/prod c! * prod phi(r(v))`` over its rooted
-        vertices that are not keyed, read from the store or enumerated
-        into it.  Root counts new at this order get their DP polynomials
-        here, over the masses reached."""
-        m = self.m
+        """Add order d to every block's weights.  Root counts new at this
+        order get their DP polynomials here, over the masses reached."""
         for block in self.blocks:
-            key = (block.host, block.keyed, d)
-            table = self.store.get(key)
-            if table is None:
-                table = {}
-                for ts, num in _enumerate_table(block.host, d, range(block.keyed)).items():
-                    den = d * (m - 1) ** block.host.n
-                    for t in ts:
-                        if t:
-                            den *= _phi(m, t)
-                    table[ts] = num * (m - 1) ** d // den
-                # stored only once complete: a fill cut short leaves the store valid
-                self.store[key] = table
+            table = self.table(block, d)
             if table:
                 self.step = gcd(self.step, d)
             for ts, weight in table.items():
@@ -472,7 +471,7 @@ class _BlockForest:
         running = [factors[0] if factors else {0: 1}]
         for f in factors[1:]:
             p = running[-1]
-            running.append({k: c for k, row in enumerate(self.rows) if (c := _mass(row, p, f))})
+            running.append({k: c for k in range(len(self.totals)) if (c := _mass(_row(k), p, f))})
         return factors, running
 
     def _below(self, cut: _Cut, s: int) -> Poly:
@@ -486,28 +485,33 @@ class _BlockForest:
             cut.below[s] = a
         return cut.below[s]
 
+    def _join(self, cut: _Cut, k: int, row: tuple[int, ...]) -> int:
+        """Extend ``C_w``, the partial products it is built from and the
+        ``A_w(s)`` of a cut by their coefficients at mass k, and return
+        its top term ``sum_{sigma>=1} C_w[sigma] * phi(sigma)`` there;
+        ``row`` is ``C(k, 0..k)``."""
+        for prev, cur, factor in zip(cut.joined, cut.joined[1:], cut.factors[1:]):
+            for sigma, p in prev.items():
+                for t, g in factor.items():
+                    _add(cur, sigma + t, k, _mass(row, p, g))
+        at_k = [(sigma, p[k]) for sigma, p in cut.joined[-1].items() if k in p]
+        for s, a in cut.below.items():
+            c = sum(v * _phi(self.m, s + sigma) for sigma, v in at_k)
+            if c:
+                a[k] = c
+        return sum(v * _phi(self.m, sigma) for sigma, v in at_k if sigma)
+
     def _extend(self, k: int) -> None:
         """Extend every DP polynomial by its coefficient at mass k (see
-        the module docstring) and record Tr_k.  Blocks come children
-        first, so every polynomial is extended after those it is built
-        from."""
-        m = self.m
-        row = self.rows[k]
+        the module docstring) and record the total there.  Blocks come
+        children first and the anchor last, so every polynomial is
+        extended after those it is built from."""
+        row = _row(k)
         top = 0
         for b in self.children_first:
             block = self.blocks[b]
             for cut in block.cuts:
-                for prev, cur, child in zip(cut.joined, cut.joined[1:], cut.children):
-                    for sigma, p in prev.items():
-                        _add(cur, sigma, k, p.get(k, 0))
-                        for t, g in self.blocks[child].sums.items():
-                            _add(cur, sigma + t, k, _mass(row, p, g))
-                at_k = [(sigma, p[k]) for sigma, p in cut.joined[-1].items() if k in p]
-                top += sum(v * _phi(m, sigma) for sigma, v in at_k if sigma)
-                for s, a in cut.below.items():
-                    c = sum(v * _phi(m, s + sigma) for sigma, v in at_k)
-                    if c:
-                        a[k] = c
+                top += self._join(cut, k, row)
             for factors, running in block.products.values():
                 for f, prev, cur in zip(factors[1:], running, running[1:]):
                     c = _mass(row, prev, f)
@@ -521,9 +525,7 @@ class _BlockForest:
                     top += c
                 else:
                     _add(block.sums, ts[0], k, c)
-        self.totals.append(
-            Fraction(k * (m - 1) ** self.n * top, (m - 1) ** k * factorial(k))
-        )
+        self.totals.append(top + self._join(self.anchor, k, row))
 
 
 def trace(h: UniformHypergraph, d: int, budget: Budget | None = None) -> Fraction:

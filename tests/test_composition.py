@@ -315,6 +315,9 @@ class TestAuditLaws:
             audit_path_shift(EDGE3, 0, 1, 2, 6)  # needs r >= s
         with pytest.raises(VertexOutOfRange):
             audit_path_shift(EDGE3, 9, 1, 1, 6)
+        for w in (True, 1.0):
+            with pytest.raises(ValidationError):
+                audit_path_shift(EDGE3, w, 1, 1, 6)
         with pytest.raises(ValidationError):
             audit_path_shift(EDGE3, 0, 1, 1, 0)  # d_max must be >= 1
         for d_max in (True, 6.0):
@@ -336,6 +339,10 @@ class TestAuditLaws:
             audit_edge_shift(3, 1, 1, 1, 6, branches=[EDGE3, EDGE3])
         with pytest.raises(ValidationError):
             audit_edge_shift(3, 1, 1, 1, 0)
+        # 1.0 died with TypeError and True ran, reporting "p": true
+        for p in (1.0, True, "1"):
+            with pytest.raises(ValidationError):
+                audit_edge_shift(3, p, 1, 1, 6)
 
     def test_cored_shift_holds_with_late_onset(self):
         report = audit_cored_shift(3, 6)
@@ -357,3 +364,12 @@ class TestAuditLaws:
             audit_cored_shift(3, 6, p=1, branches=[EDGE3, EDGE3])
         with pytest.raises(ValidationError):
             audit_cored_shift(3, 0)
+        for p in (1.0, True, "1"):
+            with pytest.raises(ValidationError):
+                audit_cored_shift(3, 6, p)
+        # True glued the other operand at its vertex 1
+        for w in (True, 1.0, 0.5):
+            with pytest.raises(ValidationError):
+                audit_cored_shift(3, 6, other_vertex=w)
+        with pytest.raises(VertexOutOfRange):
+            audit_cored_shift(3, 6, other_vertex=3)

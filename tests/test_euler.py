@@ -139,6 +139,19 @@ class TestEnumeration:
         with pytest.raises(ValidationError):
             list(enumerate_rootings(hyperpath(3, 1), 0))
 
+    def test_rejects_orders_and_pins_that_are_not_integers(self):
+        # True enumerated order 1, (True, 1) pinned vertex 1 and (1, 2.0)
+        # two roots; 2.5, "3", (1.0, 2) and a bare 5 died with TypeError
+        k4 = new_hypergraph(2, 4, combinations(range(4), 2))
+        for d in (True, 2.5, "3", -1):
+            with pytest.raises(ValidationError):
+                list(enumerate_rootings(k4, d))
+        for pinned in ((True, 1), (1, 2.0), (1.0, 2), (1, True), 5, (1,), (1, 2, 3), "12"):
+            with pytest.raises(ValidationError):
+                list(enumerate_rootings(k4, 4, pinned))
+        assert len(list(enumerate_rootings(k4, 4, [1, 2]))) == len(
+            list(enumerate_rootings(k4, 4, (1, 2)))) > 0
+
     def test_two_edge_path_order_six(self):
         mats = {m.counts for m in enumerate_rootings(hyperpath(3, 2), 6)}
         assert mats == {

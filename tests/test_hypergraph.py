@@ -152,6 +152,13 @@ class TestSurgery:
         disconnected = new_hypergraph(2, 4, [(0, 1), (2, 3)])
         with pytest.raises(ValidationError):
             coalesce(disconnected, 0, hyperpath(2, 1), 0)
+        # 0.5 raised NonUniformEdge about an internal edge, while 1.0 and
+        # True glued at vertex 1
+        for w in (0.5, 1.0, True, "1", None):
+            with pytest.raises(ValidationError):
+                coalesce(e, 0, e, w)
+            with pytest.raises(ValidationError):
+                coalesce(e, w, e, 0)
 
     def test_attach_builds_star(self):
         e = hyperpath(3, 1)
@@ -162,6 +169,11 @@ class TestSurgery:
         e = hyperpath(3, 1)
         with pytest.raises(VertexOutOfRange):
             attach(e, [AttachSpec(7, e, 0)])
+        for w in (1.0, True):
+            with pytest.raises(ValidationError):
+                attach(e, [AttachSpec(0, e, 0), AttachSpec(w, e, 0)])
+            with pytest.raises(ValidationError):
+                attach(e, [AttachSpec(0, e, w)])
 
 
 class TestConnectivity:

@@ -234,6 +234,13 @@ class TestLocalTrace:
                 query(**bad)
             with pytest.raises(ValidationError):
                 LocalTraceQuery(**bad)
+        # a query that is not a LocalTraceQuery died with AttributeError
+        k4 = new_hypergraph(2, 4, combinations(range(4), 2))
+        for bad in (None, (0, 1), {"required": [0]}):
+            with pytest.raises(ValidationError):
+                trace_local(k4, 3, bad)
+            with pytest.raises(ValidationError):
+                trace_table(k4, 3, [bad])
         # query vertices are checked against the host at every order
         h = hyperpath(3, 2)
         for q in (query(forbidden=[99]), query(required=[5]), query(pinned=(-1, 1))):
@@ -431,8 +438,8 @@ K5_3 = new_hypergraph(3, 5, combinations(range(5), 3))
 
 
 class TestWarmMemo:
-    """Every query on a host reads one memoized rooting table per order;
-    a table left by earlier calls must change no later answer."""
+    """Every query on a host reads the block tables and forests kept
+    with it; state left by earlier calls must change no later answer."""
 
     @staticmethod
     def weighed_rootings(h, d, cache):
@@ -518,20 +525,22 @@ class TestWarmMemo:
                                 want[e, t] = value
                     assert got.entries == want
 
-    def test_one_table_per_order_and_one_sub_host_per_edge_set(self):
-        # plain values and profiles keep one table per order and the
-        # forest; a localized value keeps one sub-host per set of edges
-        # it keeps, h less the edges meeting the vertices it forbids on
-        # h's n vertices, and a pinned one keeps nothing else
+    def test_one_store_one_forest_per_anchor_and_one_sub_host_per_edge_set(self):
+        # h keeps one store of block tables, one forest per anchor (None
+        # for plain values) and no table keyed by an order; a localized
+        # value keeps one sub-host per set of edges it keeps, h less the
+        # edges meeting the vertices it forbids on h's n vertices, and a
+        # pinned one keeps nothing else
         h = new_hypergraph(3, 7, LOOSE_3_CYCLE.edges)  # vertex 6 is isolated
         trace_table(h, 4, (query(required=[0]), query(pinned=(1, 1))))
         local_trace_profile(h, 2, 4)
-        orders = {1, 2, 3, 4, traces_module._BlockForest}
+        forest = traces_module._BlockForest
+        own = {traces_module._STORE, (forest, None), (forest, 2)}
 
         def less(*vs):
             return tuple(e for e in h.edges if set(vs).isdisjoint(e))
 
-        assert set(h.memo) == orders | {less(0)}
+        assert set(h.memo) == own | {less(0)}
         sub = h.memo[less(0)]
         assert (sub.n, sub.edges) == (7, ((2, 3, 4),))
         # forbidding 0 and 5 deletes the same edges as forbidding 0, and
@@ -543,12 +552,15 @@ class TestWarmMemo:
             trace_local(h, 4, q)
         assert h.memo[less(0)] is sub
         kept = {less(0), less(1), less(0, 3)}
-        assert set(h.memo) == orders | kept
-        store = h.memo[traces_module._BlockForest].store
+        assert set(h.memo) == own | kept
+        # a profile at the isolated vertex is its order-zero entry alone
+        assert local_trace_profile(h, 6, 4).entries == {(0, 0): Fraction(2 ** 6)}
+        assert set(h.memo) == own | kept | {(forest, 6)}
+        store = h.memo[traces_module._STORE]
         for edges in kept:
             g = h.memo[edges]
             assert (g.n, g.edges) == (h.n, edges)
-            assert g.memo[traces_module._BlockForest].store is store
+            assert g.memo[traces_module._STORE] is store
 
     def test_more_required_vertices_than_the_order_is_zero(self):
         # the root counts sum to d, so a query requiring more than d
@@ -671,3 +683,75 @@ class TestSharedBlockTables:
             fresh = new_hypergraph(h.m, h.n, h.edges)
             for d in (9, 12):
                 assert trace(h, d) == trace(fresh, d)
+
+
+def enumerated_profile(h, anchor, d_max):
+    """The nonzero Tr_{d;t} at the anchor straight from the definition:
+    every rooting of the whole host, matched by a pinned query."""
+    entries = {}
+    for d in range(1, d_max + 1):
+        for t in range(1, d + 1):
+            q = query(pinned=(anchor, t))
+            value = sum((contribution(mat, h.n) for mat in enumerate_rootings(h, d)
+                         if q.matches(mat.root_counts)), Fraction(0))
+            if value:
+                entries[d, t] = value
+    return entries
+
+
+class TestAnchoredForest:
+    """A profile is read from the host's block forest rooted at the
+    anchor: every block through the anchor hangs from it, and the
+    anchor's terms per root count are the profile's entries."""
+
+    def test_profiles_at_every_anchor_match_enumeration(self):
+        hosts = (
+            (coalesce(K4, 0, K4, 0), 6),  # anchor 0 is the cut vertex
+            (coalesce(LOOSE_3_CYCLE, 3, hyperpath(3, 1), 0), 9),
+            (new_hypergraph(2, 6, list(K3.edges) + [(4, 5)]), 6),  # vertex 3 is isolated
+            (hyperstar(3, 3), 9),
+        )
+        for h, d_max in hosts:
+            for anchor in range(h.n):
+                got = local_trace_profile(h, anchor, d_max).entries
+                want = enumerated_profile(h, anchor, d_max)
+                assert got == {**want, (0, 0): Fraction((h.m - 1) ** (h.n - 1))}
+
+    def test_profiles_of_k4_at_two_anchors_enumerate_it_once_per_order(self):
+        h = new_hypergraph(2, 4, K4.edges)
+        with counted_enumeration() as calls:
+            p0, p3 = (local_trace_profile(h, anchor, 8) for anchor in (0, 3))
+        assert [(keyed, d) for _, keyed, d in calls] == [((0,), d) for d in range(1, 9)]
+        assert p0.entries == p3.entries
+        assert p0.entries == {**enumerated_profile(h, 0, 8), (0, 0): 1}
+
+    def test_a_fresh_one_block_trace_enumerates_its_order_only(self):
+        for h, d in ((new_hypergraph(2, 5, combinations(range(5), 2)), 7),
+                     (new_hypergraph(3, 5, K5_3.edges), 5)):
+            with counted_enumeration() as calls:
+                assert trace(h, d) == enumerated_trace(h, d)
+                assert trace(h, d - 2) == enumerated_trace(h, d - 2)
+                assert trace(h, d) == enumerated_trace(h, d)
+            assert [(keyed, e) for _, keyed, e in calls] == [((), d), ((), d - 2)]
+
+    @pytest.mark.parametrize("after", (0, 3, 40))
+    def test_an_interrupted_profile_is_dropped(self, monkeypatch, after):
+        h = coalesce(K4, 0, hyperpath(2, 2), 0)
+        anchor = 1
+        assert local_trace_profile(h, anchor, 4).entries == {
+            **enumerated_profile(h, anchor, 4), (0, 0): 1}
+        mass, calls = traces_module._mass, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) > after:
+                raise RuntimeError("interrupted")
+            return mass(*args)
+
+        monkeypatch.setattr(traces_module, "_mass", failing)
+        with pytest.raises(RuntimeError):
+            local_trace_profile(h, anchor, 8)
+        assert (traces_module._BlockForest, anchor) not in h.memo
+        monkeypatch.undo()
+        assert local_trace_profile(h, anchor, 8).entries == {
+            **enumerated_profile(h, anchor, 8), (0, 0): 1}
