@@ -32,6 +32,19 @@ that gives exact lower and upper bounds and no dead ends.  The root
 budgets before stage two are the root counts of every rooting of that
 k-vector.
 
+On a 2-uniform host each rooting F has a reversal: every row swapped,
+its digraph with every arc reversed.  Balance gives ``r(v) = deg_k(v)/2
+= deg_k(v) - r(v)``, so the reversal is a rooting of the same k-vector
+with the same root counts, support and ``prod c!``.  In an Eulerian
+digraph out-degrees equal in-degrees, so the reversed digraph's
+Laplacian is the transpose of the original's and their principal minors
+agree: the two weigh the same.  With ``reversal_pairs`` stage two yields
+one rooting of each pair, the one whose first row with unequal entries
+has more roots at the edge's first vertex, and a rooting that is its
+own reversal (every row equal) once.  While the rows so far are equal,
+the current row's first entry starts at ``ceil(k/2)``, and a forced last
+row that breaks the tie the wrong way is dropped.
+
 Counting on the resulting digraph is exact integer arithmetic: spanning
 arborescences come from a principal minor of the out-degree Laplacian
 evaluated with fraction-free Bareiss elimination, and Euler circuits
@@ -76,16 +89,16 @@ class RootCountMatrix:
 
     def __post_init__(self) -> None:
         h = self.host
-        if len(self.counts) != h.edge_count:
-            raise ValidationError("counts must have one row per host edge")
+        if not isinstance(self.counts, tuple) or len(self.counts) != h.edge_count:
+            raise ValidationError("counts must be a tuple with one row per host edge")
         kvec: list[int] = []
         roots: dict[int, int] = {}
         degree = [0] * h.n
         for row, edge in zip(self.counts, h.edges):
-            if len(row) != h.m:
-                raise ValidationError("each counts row must have m entries")
-            if any(c < 0 for c in row):
-                raise ValidationError("root counts must be non-negative")
+            if not isinstance(row, tuple) or len(row) != h.m:
+                raise ValidationError(f"counts row {row!r} is not a tuple of m entries")
+            for c in row:
+                _check_int("root count", c, 0)
             k = sum(row)
             kvec.append(k)
             if k:
@@ -135,7 +148,7 @@ class RootCountMatrix:
 
 @dataclass(frozen=True)
 class DirectedMultigraph:
-    """A directed multigraph given by arc multiplicities: distinct
+    """A directed multigraph given by arc multiplicities: distinct integer
     vertices, and arcs between them with non-negative integer
     multiplicities."""
 
@@ -143,6 +156,9 @@ class DirectedMultigraph:
     arcs: Mapping[tuple[int, int], int]
 
     def __post_init__(self) -> None:
+        for v in self.vertices:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValidationError(f"digraph vertex {v!r} is not an integer")
         present = set(self.vertices)
         if len(present) != len(self.vertices):
             raise ValidationError("digraph vertices must be distinct")
@@ -218,12 +234,17 @@ def enumerate_rootings(
     h: UniformHypergraph,
     d: int,
     pinned: tuple[int, int] | None = None,
+    *,
+    reversal_pairs: bool = False,
 ) -> Iterator[RootCountMatrix]:
     """Yield every Euler rooting of total multiplicity d, optionally
     only those that root the vertex v of a pinned pair (v, t) exactly
     t > 0 times.
 
     A pin no rooting meets, t above d or v on no edge, yields nothing.
+    With ``reversal_pairs`` on a 2-uniform host, only one rooting of
+    each pair {F, reversal of F} is yielded (see the module docstring),
+    in the order of the full enumeration; on m >= 3 it changes nothing.
     """
     _check_order(d, 1)
     if pinned is not None:
@@ -245,26 +266,31 @@ def enumerate_rootings(
         rows[index] = tuple(rem[v] for v in edge)
         return RootCountMatrix._trusted(h, tuple(rows), k_vector, dict(roots))
 
-    def distribute(i: int) -> Iterator[RootCountMatrix]:
+    def distribute(i: int, tied: bool) -> Iterator[RootCountMatrix]:
+        # tied: pairing, with every row so far equal to its reversal
         edge, k, index = chosen[i]
         for v in edge:
             load[v] -= k
         lows = [x if (x := rem[v] - load[v]) > 0 else 0 for v in edge]
         highs = [x if (x := rem[v]) < k else k for v in edge]
+        if tied and lows[0] < (k + 1) // 2:
+            lows[0] = (k + 1) // 2
         for row in _bounded_compositions(k, lows, highs):
             for v, c in zip(edge, row):
                 rem[v] -= c
             rows[index] = row
-            if i + 1 == last:
-                yield complete()
-            else:
-                yield from distribute(i + 1)
+            still = tied and row[0] == row[1]
+            if i + 1 != last:
+                yield from distribute(i + 1, still)
+            elif not still or rem[chosen[last][0][0]] >= rem[chosen[last][0][1]]:
+                yield complete()  # else the forced row is the reversal's
             for v, c in zip(edge, row):
                 rem[v] += c
         rows[index] = zero
         for v in edge:
             load[v] += k
 
+    pair = reversal_pairs and m == 2
     for k_vector, load in _balanced_multiplicities(edges, h.n, m, d, pinned):
         chosen = [(edges[i], k, i) for i, k in enumerate(k_vector) if k]
         support = [e for e, _, _ in chosen]
@@ -273,7 +299,8 @@ def enumerate_rootings(
         last = len(chosen) - 1
         rem = [s // m for s in load]
         roots = {v: r for v, r in enumerate(rem) if r}
-        yield from distribute(0) if last else [complete()]
+        # a single edge's row is forced and, on m = 2, its own reversal
+        yield from distribute(0, pair) if last else [complete()]
         rows[chosen[last][2]] = zero
 
 
@@ -361,6 +388,8 @@ def arborescence_count(g: DirectedMultigraph, root: int) -> int:
     principal minor of the out-degree Laplacian at the root, filled in
     one pass over the arcs: an arc u -> w out of a non-root u adds to
     the diagonal at u and, unless w is the root, subtracts at (u, w)."""
+    if not isinstance(root, int) or isinstance(root, bool):
+        raise ValidationError(f"root {root!r} is not an integer")
     if not g.vertices:
         raise EmptyGraph("arborescence count needs at least one vertex")
     if root not in g.vertices:
@@ -495,10 +524,7 @@ def contribution_parts(mat: RootCountMatrix, ambient_n: int) -> int:
     tau * prod_v (r(v)-1)! / prod c!`` over the rooted vertices R.  The c
     sum to d, so ``prod c!`` divides d! (the quotient is a multinomial).
     """
-    if ambient_n < mat.host.n:
-        raise ValidationError(
-            f"ambient vertex count {ambient_n} is below the host's {mat.host.n}"
-        )
+    _check_int("ambient vertex count", ambient_n, mat.host.n)
     d = mat.total
     g = build_digraph(mat)
     tau = arborescence_count(g, g.vertices[0])

@@ -36,7 +36,10 @@ cut vertices.  A pinned trace enumerates the rootings meeting the pin.
 
 A rooting table holds the order-d rootings of a block
 (``hypergraph.blocks``), summed by their root counts at the vertices
-its reader keys on, as integer numerators over d!.  A host keeps one
+its reader keys on, as integer numerators over d!.  On m = 2 it reads
+one rooting of each reversal pair from the enumerator and counts a
+rooting that is not its own reversal twice, as the pair shares its
+root counts and its weight (``euler``'s docstring).  A host keeps one
 store of them in ``h.memo``, read by all of its forests and sub-hosts.
 Plain traces and ``composition``'s profiles factor over the host's
 block-cut forest, the paper's cut-vertex theorem, kept in ``h.memo``
@@ -223,14 +226,20 @@ def _enumerate_table(
     """The order-d rooting table of h, of the rootings that meet the pin
     if one is given, keyed by the root counts at the vertices in
     ``keyed``.  Rootings of one k-vector share their root counts, so
-    each key is built once per k-vector."""
+    each key is built once per k-vector.  On m = 2 the enumerator yields
+    one rooting of each reversal pair, and a rooting that is not its own
+    reversal counts twice: the pair shares its key and its weight."""
     table: dict[tuple[int, ...], int] = {}
     k_vector, key = None, ()
-    for mat in enumerate_rootings(h, d, pinned):
+    paired = h.m == 2
+    for mat in enumerate_rootings(h, d, pinned, reversal_pairs=True):
         if mat.k_vector is not k_vector:
             k_vector = mat.k_vector
             key = tuple(mat.root_counts.get(v, 0) for v in keyed)
-        table[key] = table.get(key, 0) + contribution_parts(mat, h.n)
+        part = contribution_parts(mat, h.n)
+        if paired and any(a != b for a, b in mat.counts):
+            part *= 2
+        table[key] = table.get(key, 0) + part
     return table
 
 

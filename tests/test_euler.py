@@ -31,7 +31,7 @@ from hypertrace import (
     query,
     tuple_multiplicity,
 )
-from hypertrace.euler import _bareiss_determinant
+from hypertrace.euler import _bareiss_determinant, contribution_parts
 
 TRIANGLE = new_hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
 
@@ -125,6 +125,25 @@ class TestRootCountMatrix:
         h = new_hypergraph(3, 7, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
         with pytest.raises(NotEulerian):
             RootCountMatrix(host=h, counts=((1, 1, 1), (0, 0, 0), (1, 1, 1)))
+
+    def test_entries_must_be_integers_in_tuples(self):
+        # halves passed the balance check and died in contribution with a
+        # TypeError; bools were read as counts; list rows made the frozen
+        # matrix unhashable
+        bad = [
+            ((0.5, 0.5),) * 3,
+            ((1.0, 1.0), (0, 0), (0, 0)),
+            ((True, True), (0, 0), (0, 0)),
+            ((1, 1), (False, 0), (0, 0)),
+            ([1, 1], (0, 0), (0, 0)),
+            [(1, 1), (0, 0), (0, 0)],
+            (("1", "1"), (0, 0), (0, 0)),
+        ]
+        for counts in bad:
+            with pytest.raises(ValidationError):
+                RootCountMatrix(host=TRIANGLE, counts=counts)
+        mat = RootCountMatrix(host=TRIANGLE, counts=((1, 1), (0, 0), (0, 0)))
+        assert hash(mat) == hash(RootCountMatrix(host=TRIANGLE, counts=mat.counts))
 
 
 class TestEnumeration:
@@ -257,6 +276,84 @@ class TestEnumeration:
         assert filtered <= unfiltered
 
 
+PAIRED_HOSTS = {
+    "triangle": TRIANGLE,
+    "c4": new_hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "k4": new_hypergraph(2, 4, combinations(range(4), 2)),
+    "k5-e": new_hypergraph(2, 5, [e for e in combinations(range(5), 2) if e != (0, 1)]),
+}
+PAIR_PINS = [None, (0, 1), (1, 2), (2, 3)]
+
+
+def reversed_counts(counts):
+    return tuple(row[::-1] for row in counts)
+
+
+class TestReversalPairs:
+    @pytest.mark.parametrize("name", sorted(PAIRED_HOSTS))
+    def test_the_reversal_of_a_rooting_is_a_rooting_of_equal_weight(self, name):
+        h = PAIRED_HOSTS[name]
+        for d in range(1, 9):
+            for pin in PAIR_PINS:
+                mats = list(enumerate_rootings(h, d, pin))
+                listed = {mat.counts for mat in mats}
+                for mat in mats:
+                    # the validating constructor raises on a non-rooting
+                    rev = RootCountMatrix(host=h, counts=reversed_counts(mat.counts))
+                    assert rev.counts in listed
+                    assert rev.k_vector == mat.k_vector
+                    assert rev.root_counts == mat.root_counts
+                    for ambient in (h.n, h.n + 2):
+                        assert contribution_parts(rev, ambient) == contribution_parts(
+                            mat, ambient)
+                    g, g_rev = build_digraph(mat), build_digraph(rev)
+                    assert g_rev.arcs == {(w, u): c for (u, w), c in g.arcs.items()}
+                    assert (euler_circuits_best(g_rev).arborescences
+                            == euler_circuits_best(g).arborescences)
+
+    @pytest.mark.parametrize("name", sorted(PAIRED_HOSTS))
+    def test_pairing_yields_one_rooting_of_each_reversal_pair(self, name):
+        h = PAIRED_HOSTS[name]
+        for d in range(1, 9):
+            for pin in PAIR_PINS:
+                full = [mat.counts for mat in enumerate_rootings(h, d, pin)]
+                mats = list(enumerate_rootings(h, d, pin, reversal_pairs=True))
+                paired = [mat.counts for mat in mats]
+                kept = set(paired)
+                reversals = {reversed_counts(c) for c in paired}
+                assert len(kept) == len(paired)
+                assert kept | reversals == set(full)
+                assert kept & reversals == {c for c in paired if reversed_counts(c) == c}
+                # in the order of the full enumeration, each with more
+                # roots first in its first row of unequal entries
+                assert [c for c in full if c in kept] == paired
+                for c in paired:
+                    unequal = [row for row in c if row[0] != row[1]]
+                    assert not unequal or unequal[0][0] > unequal[0][1]
+                for mat in mats:
+                    checked = RootCountMatrix(host=h, counts=mat.counts)
+                    assert mat.k_vector == checked.k_vector
+                    assert mat.root_counts == checked.root_counts
+
+    def test_pairing_changes_nothing_on_three_uniform_hosts(self):
+        hosts = [
+            (new_hypergraph(3, 5, combinations(range(5), 3)), 6),
+            (CENSUS_HOSTS["loose-3-cycle"], 9),
+        ]
+        for h, d_max in hosts:
+            for d in range(1, d_max + 1):
+                for pin in (None, (0, 1), (1, 2)):
+                    full = list(enumerate_rootings(h, d, pin))
+                    paired = list(enumerate_rootings(h, d, pin, reversal_pairs=True))
+                    assert [m.counts for m in paired] == [m.counts for m in full]
+                    assert [(m.k_vector, m.root_counts) for m in paired] == [
+                        (m.k_vector, m.root_counts) for m in full]
+
+    def test_pairing_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            enumerate_rootings(TRIANGLE, 4, None, True)
+
+
 class TestArborescences:
     def test_directed_cycle_has_one_arborescence_per_root(self):
         g = cycle_digraph(4)
@@ -295,6 +392,10 @@ class TestArborescences:
         g = cycle_digraph(3)
         with pytest.raises(VertexOutOfRange):
             arborescence_count(g, 7)
+        # True and 1.0 were read as vertex 1
+        for root in (True, 1.0, "1", None):
+            with pytest.raises(ValidationError):
+                arborescence_count(g, root)
         with pytest.raises(EmptyGraph):
             arborescence_count(DirectedMultigraph(vertices=(), arcs={}), 0)
         two_cycle = {(0, 1): 1, (1, 0): 1}
@@ -306,6 +407,8 @@ class TestArborescences:
             ((0, 1), {(0, 1): 1.0, (1, 0): 1}),
             ((0, 1), {(0, 1, 2): 1}),  # arc keys that are not pairs
             ((0, 1), {5: 1}),
+            ((0, "a"), {}),  # vertices that are not integers, which no
+            ((True, 2), {}),  # root could name
         ]
         for vertices, arcs in bad_digraphs:
             with pytest.raises(ValidationError):
@@ -436,6 +539,16 @@ class TestContributions:
         mat = RootCountMatrix(host=hyperpath(3, 1), counts=((1, 1, 1),))
         with pytest.raises(ValidationError):
             contribution(mat, 2)
+
+    def test_ambient_must_be_an_integer(self):
+        # 4.0 and 4.5 returned a float, "9" died with TypeError and True
+        # was compared as 1
+        mat = RootCountMatrix(host=new_hypergraph(2, 4, [(0, 1)]), counts=((1, 1),))
+        assert contribution_parts(mat, 4) == 4
+        for ambient in (4.0, 4.5, "9", True, None, Fraction(4)):
+            for weigh in (contribution_parts, contribution):
+                with pytest.raises(ValidationError):
+                    weigh(mat, ambient)
 
     def test_contribution_factors_out_degrees(self):
         # denominator is the product of digraph out-degrees; sanity-check

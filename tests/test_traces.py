@@ -37,7 +37,7 @@ from hypertrace import (
 
 import hypertrace.traces as traces_module
 from hypertrace.estrada import fraction_str
-from hypertrace.euler import contribution, enumerate_rootings
+from hypertrace.euler import contribution, contribution_parts, enumerate_rootings
 from hypertrace.hypergraph import blocks, cut_vertices
 
 from conftest import connected_graph_classes
@@ -755,3 +755,31 @@ class TestAnchoredForest:
         monkeypatch.undo()
         assert local_trace_profile(h, anchor, 8).entries == {
             **enumerated_profile(h, anchor, 8), (0, 0): 1}
+
+
+def unpaired_table(h, d, keyed, pinned):
+    """The rooting table summed over every rooting, each weighed once."""
+    table = {}
+    for mat in enumerate_rootings(h, d, pinned):
+        key = tuple(mat.root_counts.get(v, 0) for v in keyed)
+        table[key] = table.get(key, 0) + contribution_parts(mat, h.n)
+    return table
+
+
+class TestPairedTables:
+    """On m = 2 a rooting table reads one rooting of each reversal pair
+    and counts a rooting that is not its own reversal twice."""
+
+    @pytest.mark.parametrize("h, d_max", [
+        (TRIANGLE, 8),
+        (new_hypergraph(2, 4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]), 8),
+        (new_hypergraph(2, 4, combinations(range(4), 2)), 8),
+        (new_hypergraph(2, 5, [e for e in combinations(range(5), 2) if e != (0, 1)]), 7),
+        (new_hypergraph(3, 6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)]), 9),
+    ], ids=["triangle", "c4-chord", "k4", "k5-e", "loose-3-cycle"])
+    def test_tables_equal_the_unpaired_sums(self, h, d_max):
+        for d in range(1, d_max + 1):
+            for keyed in ((), (0,), (0, 2)):
+                for pinned in (None, (0, 1), (2, 2)):
+                    assert traces_module._enumerate_table(h, d, keyed, pinned) == (
+                        unpaired_table(h, d, keyed, pinned))
