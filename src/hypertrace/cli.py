@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from .composition import (
@@ -26,19 +25,9 @@ from .composition import (
 )
 from .config import Budget, default_budget
 from .errors import LimitExceeded, ValidationError
-from .estrada import decimal_str, estrada_index, extremal_scan, fraction_str
+from .estrada import _tolerance, decimal_str, estrada_index, extremal_scan, fraction_str
 from .hypergraph import dumps_json, hyperpath, hyperstar, load_json
 from .traces import query, trace, trace_local
-
-
-def _parse_tol(text: str) -> Fraction:
-    try:
-        value = Fraction(Decimal(text))
-    except (InvalidOperation, ValueError, OverflowError):
-        raise ValidationError(f"tolerance {text!r} is not a decimal number") from None
-    if value < 0:
-        raise ValidationError(f"tolerance must be non-negative, got {text}")
-    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,7 +135,7 @@ def cmd_trace(args: argparse.Namespace, budget: Budget) -> int:
 
 def cmd_estrada(args: argparse.Namespace, budget: Budget) -> int:
     h = load_json(args.input)
-    tol = _parse_tol(args.tol)
+    tol = _tolerance(args.tol)
     estimate = estrada_index(h, tol, budget)
     places = _places(tol if tol else Fraction(1, 10**6))
     lo = decimal_str(estimate.lower, places, rounding="floor")
@@ -168,7 +157,7 @@ def cmd_estrada(args: argparse.Namespace, budget: Budget) -> int:
 
 
 def cmd_scan(args: argparse.Namespace, budget: Budget) -> int:
-    tol = _parse_tol(args.tol)
+    tol = _tolerance(args.tol)
     report = extremal_scan(args.m, args.edges, tol, budget)
     if args.format == "json":
         _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.output)

@@ -298,17 +298,6 @@ def blocks(h: UniformHypergraph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found))
 
 
-def cut_vertices(h: UniformHypergraph) -> frozenset[int]:
-    """The vertices lying in more than one block."""
-    seen: set[int] = set()
-    cuts: set[int] = set()
-    for block in blocks(h):
-        vs = {v for i in block for v in h.edges[i]}
-        cuts |= seen & vs
-        seen |= vs
-    return frozenset(cuts)
-
-
 def is_hypertree(h: UniformHypergraph) -> bool:
     """Connected and acyclic: exactly z*(m-1)+1 vertices for z edges."""
     return h.edge_count >= 1 and h.n == h.edge_count * (h.m - 1) + 1 and is_connected(h)

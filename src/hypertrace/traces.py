@@ -35,8 +35,8 @@ keeps, shares h's block tables and runs on the forest below if it has
 cut vertices.  A pinned trace enumerates the rootings meeting the pin.
 
 A rooting table holds the order-d rootings of a block
-(``hypergraph.blocks``), summed by their root counts at the vertices
-its reader keys on, as integer numerators over d!.  On m = 2 it reads
+(``hypergraph.blocks``), summed by their root counts at every vertex of
+the block, as integer numerators over d!.  On m = 2 it reads
 one rooting of each reversal pair from the enumerator and counts a
 rooting that is not its own reversal twice, as the pair shares its
 root counts and its weight (``euler``'s docstring).  A host keeps one
@@ -60,14 +60,15 @@ would fill every lower order first.
   multiply as exponential generating functions in the order mass.
 * Each block gets a table ``W_B[d_B; t]``, keyed by its order and the
   root counts t at its keyed vertices (the vertex above it and the cut
-  vertices below), from the rooting table of the block alone keyed on
-  those vertices: ``tau * d_B!/prod c! * prod phi(r(v))`` over the
-  rooted vertices that are not keyed.
-* A block is relabeled with its keyed vertices first, in key order,
-  and its other vertices after them in sorted order.  The relabeled
-  block, its number of keyed vertices and the order then key its table
-  in the store, so equal blocks (every single edge with as many keyed
-  vertices, for one) are enumerated once per order.  Hosts computed
+  vertices below), from the rooting table of the block alone summed
+  onto those vertices: ``tau * d_B!/prod c! * prod phi(r(v))`` over
+  the rooted vertices that are not keyed.
+* A block is relabeled onto 0..k-1 in increasing vertex order, and the
+  relabeled block and the order key its rooting table in the store.
+  So equal blocks (every single edge, for one) are enumerated once per
+  order whatever vertices their readers key: the end and middle blocks
+  of a path, or a one-block host traced plainly and profiled at any
+  anchor, read one table.  Hosts computed
   together, the two of an audit or the classes of a scan, share one
   store (``_share_blocks``).  A table enters the store only once it is
   complete, so a forest dropped part-way through an order leaves the
@@ -218,24 +219,22 @@ def _order_zero_local(h: UniformHypergraph) -> Fraction:
 
 
 def _enumerate_table(
-    h: UniformHypergraph,
-    d: int,
-    keyed: Sequence[int],
-    pinned: tuple[int, int] | None = None,
+    h: UniformHypergraph, d: int, pinned: tuple[int, int] | None = None
 ) -> dict[tuple[int, ...], int]:
     """The order-d rooting table of h, of the rootings that meet the pin
-    if one is given, keyed by the root counts at the vertices in
-    ``keyed``.  Rootings of one k-vector share their root counts, so
-    each key is built once per k-vector.  On m = 2 the enumerator yields
-    one rooting of each reversal pair, and a rooting that is not its own
-    reversal counts twice: the pair shares its key and its weight."""
+    if one is given, keyed by the root counts at every vertex of h.
+    Rootings of one k-vector share their root counts, so each key is
+    built once per k-vector.  On m = 2 the enumerator yields one rooting
+    of each reversal pair, and a rooting that is not its own reversal
+    counts twice: the pair shares its key and its weight."""
     table: dict[tuple[int, ...], int] = {}
     k_vector, key = None, ()
+    vertices, zeros = range(h.n), (0,) * h.n
     paired = h.m == 2
     for mat in enumerate_rootings(h, d, pinned, reversal_pairs=True):
         if mat.k_vector is not k_vector:
             k_vector = mat.k_vector
-            key = tuple(mat.root_counts.get(v, 0) for v in keyed)
+            key = tuple(map(mat.root_counts.get, vertices, zeros))
         part = contribution_parts(mat, h.n)
         if paired and any(a != b for a, b in mat.counts):
             part *= 2
@@ -352,25 +351,27 @@ class _Cut:
 
 @dataclass
 class _Block:
-    """One block of the forest: its edges relabeled onto 0..k-1 with the
-    ``keyed`` vertices first, the vertex above it (None at a component's
-    first block), the cut vertices below it, and its part of the DP
-    state.  ``weights`` is ``W_B``, root counts at the keyed vertices ->
-    {order: weight}; ``products`` maps the root counts at the cut
-    vertices below to the ``A_w(t_w)`` with t_w > 0 and their running
-    products, the last one being the whole product; ``sums`` is
-    ``1 + sum_t x^t G_B[t]`` by t, the 1 at t = 0."""
+    """One block of the forest: its edges relabeled onto 0..k-1 in
+    increasing vertex order, the vertex above it (None at a component's
+    first block), the cut vertices below it, where its ``keyed``
+    vertices (the vertex above, if any, then the cut vertices below)
+    sit in ``host``, and its part of the DP state.  ``weights`` is
+    ``W_B``, root counts at the keyed vertices -> {order: weight};
+    ``products`` maps the root counts at the cut vertices below to the
+    ``A_w(t_w)`` with t_w > 0 and their running products, the last one
+    being the whole product; ``sums`` is ``1 + sum_t x^t G_B[t]`` by t,
+    the 1 at t = 0."""
 
     host: UniformHypergraph
     up: int | None
     cuts: list[_Cut]
-    keyed: int  # up (if any), then the cut vertices below, are 0..keyed-1 in host
+    keyed: tuple[int, ...]
     sums: dict[int, Poly]
     weights: dict[tuple[int, ...], Poly] = field(default_factory=dict)
     products: dict[tuple[int, ...], tuple[list[Poly], list[Poly]]] = field(default_factory=dict)
 
 
-BlockTables = dict[tuple[UniformHypergraph, int, int], dict[tuple[int, ...], int]]
+BlockTables = dict[tuple[UniformHypergraph, int], dict[tuple[int, ...], int]]
 
 
 class _BlockForest:
@@ -378,9 +379,9 @@ class _BlockForest:
     the tables of its blocks and the DP that joins them, extended one
     order at a time: a run of calls on it (an Estrada series, an audit,
     a profile) computes each DP coefficient once.  ``store`` maps a
-    relabeled block, its number of keyed vertices and an order to the
-    block's weights at that order, so equal blocks, of this host or of
-    the hosts sharing the store, are enumerated once per order."""
+    relabeled block and an order to the block's rooting table at that
+    order, so equal blocks, of this host or of the hosts sharing the
+    store, are enumerated once per order whatever vertices they key."""
 
     def __init__(self, h: UniformHypergraph, store: BlockTables, anchor: int | None) -> None:
         self.m, self.n = h.m, h.n
@@ -417,13 +418,12 @@ class _BlockForest:
             up = parent[b]
             kids = [w for w in vs if w != up and len(at[w]) > 1]  # cut vertices below
             keyed = ([] if up is None else [up]) + kids
-            # keyed vertices first, so that equal blocks are equal hosts
-            local = {v: i for i, v in enumerate(keyed + [v for v in vs if v not in keyed])}
+            local = {v: i for i, v in enumerate(vs)}
             host = new_hypergraph(
                 h.m, len(vs), [[local[v] for v in h.edges[i]] for i in edge_ids]
             )
             cuts = [_Cut([sums[c] for c in at[w] if c != b]) for w in kids]
-            self.blocks.append(_Block(host, up, cuts, len(keyed), sums[b]))
+            self.blocks.append(_Block(host, up, cuts, tuple(map(local.get, keyed)), sums[b]))
         self.anchor = _Cut([sums[c] for c in at.get(anchor, [])])  # nothing above it
         self.step = 0  # the gcd of the orders with rootings so far
         self.totals: list[int] = [0]  # the total at every mass reached
@@ -444,18 +444,21 @@ class _BlockForest:
     def table(self, block: _Block, d: int) -> dict[tuple[int, ...], int]:
         """``W_B[d; t]`` per root counts t at the block's keyed vertices:
         the sum over its order-d rootings of ``tau * d!/prod c! * prod
-        phi(r(v))`` over its rooted vertices that are not keyed, read
-        from the store or enumerated into it."""
-        key = (block.host, block.keyed, d)
-        table = self.store.get(key)
-        if table is None:
-            m, table = self.m, {}
-            for ts, num in _enumerate_table(block.host, d, range(block.keyed)).items():
-                den = d * (m - 1) ** block.host.n * prod(_phi(m, t) for t in ts if t)
-                table[ts] = num * (m - 1) ** d // den
+        phi(r(v))`` over its rooted vertices that are not keyed, from
+        the block's rooting table in the store (enumerated into it if
+        absent) summed onto the keyed vertices."""
+        key = (block.host, d)
+        rootings = self.store.get(key)
+        if rootings is None:
             # stored only once complete: a fill cut short leaves the store valid
-            self.store[key] = table
-        return table
+            rootings = self.store[key] = _enumerate_table(block.host, d)
+        sums: dict[tuple[int, ...], int] = {}
+        for counts, num in rootings.items():
+            ts = tuple(counts[i] for i in block.keyed)
+            sums[ts] = sums.get(ts, 0) + num
+        m, den = self.m, d * (self.m - 1) ** block.host.n
+        return {ts: num * (m - 1) ** d // (den * prod(_phi(m, t) for t in ts if t))
+                for ts, num in sums.items()}
 
     def _fill(self, d: int) -> None:
         """Add order d to every block's weights.  Root counts new at this
@@ -582,7 +585,7 @@ def _local(h: UniformHypergraph, d: int, q: LocalTraceQuery) -> Fraction:
         if q.pinned is None:
             total += sign * _plain(g, d, d)[d]
         else:
-            total += sign * Fraction(_enumerate_table(g, d, (), q.pinned).get((), 0), factorial(d))
+            total += sign * Fraction(sum(_enumerate_table(g, d, q.pinned).values()), factorial(d))
     return total
 
 

@@ -120,6 +120,14 @@ class TestBrackets:
             with pytest.raises(ValidationError):
                 estrada_index_m2_oracle(hyperpath(2, 1), tol)
 
+    def test_boolean_tolerance_rejected(self):
+        # True would read as tol 1 and False as tol 0
+        for tol in (True, False):
+            with pytest.raises(ValidationError):
+                estrada_index(hyperpath(2, 1), tol)
+            with pytest.raises(ValidationError):
+                extremal_scan(2, 2, tol)
+
     def test_zero_tolerance_exhausts_the_budget_on_real_hosts(self):
         with pytest.raises(LimitExceeded):
             estrada_index(hyperpath(2, 1), Fraction(0))

@@ -36,7 +36,7 @@ from hypertrace import (
     permute_vertices,
     power,
 )
-from hypertrace.hypergraph import blocks, cut_vertices
+from hypertrace.hypergraph import blocks
 
 from conftest import brute_force_isomorphic, connected_graph_classes
 
@@ -224,29 +224,24 @@ class TestBlocks:
         for m, z in ((2, 5), (3, 4), (4, 3)):
             for h in enumerate_hypertrees(m, z):
                 assert blocks(h) == tuple((i,) for i in range(z))
-                assert cut_vertices(h) == {v for v in h.vertices if h.degree(v) >= 2}
 
     def test_two_connected_hosts_are_one_block(self):
         for h in (new_hypergraph(2, 4, combinations(range(4), 2)),
                   new_hypergraph(3, 5, combinations(range(5), 3)), LOOSE_3_CYCLE):
             assert blocks(h) == (tuple(range(h.edge_count)),)
-            assert cut_vertices(h) == frozenset()
 
     def test_coalesced_cycles(self):
         g = coalesce(LOOSE_3_CYCLE, 1, LOOSE_3_CYCLE, 3)
         assert len(blocks(g)) == 2
-        assert cut_vertices(g) == {1}
         assert {frozenset(v for i in b for v in g.edges[i]) for b in blocks(g)} == {
             frozenset(range(6)), frozenset({1, *range(6, 11)}),
         }
 
     def test_edgeless_and_disconnected_hosts(self):
         assert blocks(new_hypergraph(3, 4, [])) == ()
-        assert cut_vertices(new_hypergraph(3, 4, [])) == frozenset()
         # a triangle, an isolated vertex and a two-edge path
         h = new_hypergraph(2, 7, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6)])
         assert blocks(h) == ((0, 1, 2), (3,), (4,))
-        assert cut_vertices(h) == {5}
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

@@ -38,7 +38,7 @@ from hypertrace import (
 import hypertrace.traces as traces_module
 from hypertrace.estrada import fraction_str
 from hypertrace.euler import contribution, contribution_parts, enumerate_rootings
-from hypertrace.hypergraph import blocks, cut_vertices
+from hypertrace.hypergraph import blocks
 
 from conftest import connected_graph_classes
 
@@ -358,7 +358,7 @@ class TestBlockRoute:
     @given(data=st.data())
     def test_glued_hosts(self, data):
         h = draw_glued(data)
-        assert 1 <= len(cut_vertices(h)) <= 2
+        assert len(blocks(h)) >= 2
         d = data.draw(st.integers(min_value=1, max_value=7))
         want = enumerated_trace(h, d)
         assert trace(h, d) == want
@@ -580,14 +580,14 @@ class TestWarmMemo:
 
 @contextmanager
 def counted_enumeration():
-    """Record (host, keyed vertices, order) of every rooting table the
-    trace routes enumerate while the context is open."""
+    """Record (host, order) of every rooting table the trace routes
+    enumerate while the context is open."""
     calls = []
     enumerate_table = traces_module._enumerate_table
 
-    def counted(h, d, keyed, pinned=None):
-        calls.append((h, tuple(keyed), d))
-        return enumerate_table(h, d, keyed, pinned)
+    def counted(h, d, pinned=None):
+        calls.append((h, d))
+        return enumerate_table(h, d, pinned)
 
     traces_module._enumerate_table = counted
     try:
@@ -597,31 +597,37 @@ def counted_enumeration():
 
 
 class TestSharedBlockTables:
-    """A block's table is keyed by the relabeled block, its number of
-    keyed vertices and the order, so equal blocks, of one host or of
-    hosts computed together, are enumerated once per order."""
+    """A block's table is keyed by the relabeled block and the order, so
+    equal blocks, of one host or of hosts computed together, are
+    enumerated once per order whatever vertices they key."""
 
     def test_equal_edges_of_a_star_make_one_call_per_order(self):
         h = hyperstar(3, 4)
         with counted_enumeration() as calls:
             assert trace(h, 12) == 91080
-        assert [d for _, _, d in calls] == list(range(1, 13))
+        assert [d for _, d in calls] == list(range(1, 13))
 
-    def test_a_chain_of_three_k4_makes_two_calls_per_order(self):
+    def test_a_chain_of_three_k4_makes_one_call_per_order(self):
         # the two end blocks have one keyed vertex, the middle one two
         h = coalesce(coalesce(K4, 0, K4, 0), 5, K4, 0)
         assert len(blocks(h)) == 3
         with counted_enumeration() as calls:
             got = trace(h, 6)
         assert got == trace_m2_oracle(h, 6)
-        assert sorted((keyed, d) for _, keyed, d in calls) == sorted(
-            (keyed, d) for keyed in ((0,), (0, 1)) for d in range(1, 7)
-        )
+        assert [d for _, d in calls] == list(range(1, 7))
+
+    def test_a_hyperpath_makes_one_call_per_order(self):
+        # the end edges key one vertex, the middle edges two
+        h = hyperpath(3, 5)
+        with counted_enumeration() as calls:
+            got = trace(h, 15)
+        assert got == enumerated_trace(h, 15)
+        assert [d for _, d in calls] == list(range(1, 16))
 
     def test_the_hosts_of_an_audit_enumerate_their_k4_once_per_order(self):
         with counted_enumeration() as calls:
             report = audit_path_shift(K4, 0, 2, 1, 6)
-        assert [d for h, _, d in calls if h.edge_count == 6] == list(range(1, 7))
+        assert [d for h, d in calls if h.edge_count == 6] == list(range(1, 7))
         assert len(set(calls)) == len(calls)
         larger = coalesce(coalesce(K4, 0, hyperpath(2, 2), 0), 0, hyperpath(2, 1), 0)
         smaller = coalesce(K4, 0, hyperpath(2, 3), 0)
@@ -721,9 +727,27 @@ class TestAnchoredForest:
         h = new_hypergraph(2, 4, K4.edges)
         with counted_enumeration() as calls:
             p0, p3 = (local_trace_profile(h, anchor, 8) for anchor in (0, 3))
-        assert [(keyed, d) for _, keyed, d in calls] == [((0,), d) for d in range(1, 9)]
+        assert [d for _, d in calls] == list(range(1, 9))
         assert p0.entries == p3.entries
         assert p0.entries == {**enumerated_profile(h, 0, 8), (0, 0): 1}
+
+    def test_a_one_block_trace_after_a_profile_enumerates_nothing(self):
+        h = new_hypergraph(2, 4, K4.edges)
+        with counted_enumeration() as calls:
+            local_trace_profile(h, 0, 6)
+            got = [trace(h, d) for d in range(1, 7)]
+        assert [d for _, d in calls] == list(range(1, 7))
+        assert got == [trace_m2_oracle(h, d) for d in range(1, 7)]
+
+    def test_profiles_of_the_loose_3_cycle_at_two_anchors_share_its_table(self):
+        # vertex 0 lies on two edges and vertex 1 on one
+        h = new_hypergraph(3, 6, LOOSE_3_CYCLE.edges)
+        with counted_enumeration() as calls:
+            p0, p1 = (local_trace_profile(h, anchor, 9) for anchor in (0, 1))
+        assert [d for _, d in calls] == list(range(1, 10))
+        assert (p0.value(9, 3), p1.value(9, 3)) == (468, 72)
+        for anchor, p in ((0, p0), (1, p1)):
+            assert p.entries == {**enumerated_profile(h, anchor, 9), (0, 0): 32}
 
     def test_a_fresh_one_block_trace_enumerates_its_order_only(self):
         for h, d in ((new_hypergraph(2, 5, combinations(range(5), 2)), 7),
@@ -732,7 +756,7 @@ class TestAnchoredForest:
                 assert trace(h, d) == enumerated_trace(h, d)
                 assert trace(h, d - 2) == enumerated_trace(h, d - 2)
                 assert trace(h, d) == enumerated_trace(h, d)
-            assert [(keyed, e) for _, keyed, e in calls] == [((), d), ((), d - 2)]
+            assert [e for _, e in calls] == [d, d - 2]
 
     @pytest.mark.parametrize("after", (0, 3, 40))
     def test_an_interrupted_profile_is_dropped(self, monkeypatch, after):
@@ -757,11 +781,12 @@ class TestAnchoredForest:
             **enumerated_profile(h, anchor, 8), (0, 0): 1}
 
 
-def unpaired_table(h, d, keyed, pinned):
-    """The rooting table summed over every rooting, each weighed once."""
+def unpaired_table(h, d, pinned):
+    """The rooting table summed over every rooting, each weighed once,
+    keyed by the root counts at every vertex."""
     table = {}
     for mat in enumerate_rootings(h, d, pinned):
-        key = tuple(mat.root_counts.get(v, 0) for v in keyed)
+        key = tuple(mat.root_counts.get(v, 0) for v in h.vertices)
         table[key] = table.get(key, 0) + contribution_parts(mat, h.n)
     return table
 
@@ -779,7 +804,6 @@ class TestPairedTables:
     ], ids=["triangle", "c4-chord", "k4", "k5-e", "loose-3-cycle"])
     def test_tables_equal_the_unpaired_sums(self, h, d_max):
         for d in range(1, d_max + 1):
-            for keyed in ((), (0,), (0, 2)):
-                for pinned in (None, (0, 1), (2, 2)):
-                    assert traces_module._enumerate_table(h, d, keyed, pinned) == (
-                        unpaired_table(h, d, keyed, pinned))
+            for pinned in (None, (0, 1), (2, 2)):
+                assert traces_module._enumerate_table(h, d, pinned) == (
+                    unpaired_table(h, d, pinned))
