@@ -19,8 +19,8 @@ contribute at orders divisible by m and the series skips the rest.
 given edge count and declares a minimizer or maximizer only when its
 bracket is disjoint from every competitor's.  The classes share one
 store of block tables (``traces._share_blocks``); every block of a
-hypertree is a single edge, so a scan enumerates one edge per number
-of cut vertices on it and per order, for all classes together.
+hypertree is a single edge, so a scan enumerates one single-edge table
+per order for all classes together.
 """
 
 from __future__ import annotations

@@ -45,6 +45,18 @@ own reversal (every row equal) once.  While the rows so far are equal,
 the current row's first entry starts at ``ceil(k/2)``, and a forced last
 row that breaks the tie the wrong way is dropped.
 
+An automorphism g of the host maps every rooting to a rooting: row
+``e`` moves to the edge ``g(e)``, its entries to the images of their
+vertices.  The image has the root counts ``r`` moved to ``g.r``, a
+relabeled digraph and the same entries c, so it weighs the same.  With
+``automorphisms``, generators of a group of automorphisms, the support
+test and stage two run only for the k-vectors whose root-count vector
+is the lexicographically least of its orbit under the group, and a
+caller summing by root counts copies each sum onto the rest of the
+orbit.  Each orbit is closed under the generators once per call, when
+the first vector in it comes up, and remembered for the rest.  The
+filter reads only root counts, so it composes with ``reversal_pairs``.
+
 Counting on the resulting digraph is exact integer arithmetic: spanning
 arborescences come from a principal minor of the out-degree Laplacian
 evaluated with fraction-free Bareiss elimination, and Euler circuits
@@ -58,7 +70,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import Budget, default_budget
 from .errors import (
@@ -236,6 +248,7 @@ def enumerate_rootings(
     pinned: tuple[int, int] | None = None,
     *,
     reversal_pairs: bool = False,
+    automorphisms: Iterable[Sequence[int]] = (),
 ) -> Iterator[RootCountMatrix]:
     """Yield every Euler rooting of total multiplicity d, optionally
     only those that root the vertex v of a pinned pair (v, t) exactly
@@ -245,12 +258,20 @@ def enumerate_rootings(
     With ``reversal_pairs`` on a 2-uniform host, only one rooting of
     each pair {F, reversal of F} is yielded (see the module docstring),
     in the order of the full enumeration; on m >= 3 it changes nothing.
+    With ``automorphisms``, permutations of 0..n-1 (the images of the
+    vertices in order) that each map h's edges onto its edges, only the
+    rootings whose root counts, as a vector over 0..n-1, are the
+    lexicographically least of their orbit under the group they
+    generate are yielded, again in the order of the full enumeration.
+    A permutation that is not an automorphism of h is rejected.
     """
     _check_order(d, 1)
     if pinned is not None:
         pinned = _check_pin(pinned)
         if not h.degree(pinned[0]) or pinned[1] > d:
             return  # stage one never checks a vertex on no edge
+    generators = _check_automorphisms(h, automorphisms)
+    least: dict[tuple[int, ...], bool] = {}  # root-count vector -> least of its orbit
 
     m = h.m
     edges = h.edges
@@ -292,6 +313,14 @@ def enumerate_rootings(
 
     pair = reversal_pairs and m == 2
     for k_vector, load in _balanced_multiplicities(edges, h.n, m, d, pinned):
+        if generators:
+            r = tuple(s // m for s in load)
+            if r not in least:
+                orbit = _orbit(r, generators)
+                least.update(dict.fromkeys(orbit, False))
+                least[min(orbit)] = True
+            if not least[r]:
+                continue
         chosen = [(edges[i], k, i) for i, k in enumerate(k_vector) if k]
         support = [e for e, _, _ in chosen]
         if not connected({v for e in support for v in e}, support):
@@ -302,6 +331,42 @@ def enumerate_rootings(
         # a single edge's row is forced and, on m = 2, its own reversal
         yield from distribute(0, pair) if last else [complete()]
         rows[chosen[last][2]] = zero
+
+
+def _check_automorphisms(
+    h: UniformHypergraph, automorphisms: Iterable[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """The automorphisms as tuples, the identity left out; anything
+    that is not a permutation of 0..n-1 mapping every edge of h onto an
+    edge of h raises :class:`ValidationError`."""
+    generators = []
+    for g in automorphisms:
+        try:
+            g = tuple(g)
+        except TypeError:
+            raise ValidationError(f"{g!r} is not a vertex permutation") from None
+        edges = set(h.edges)
+        if (not all(type(x) is int for x in g) or sorted(g) != list(h.vertices)
+                or any(tuple(sorted(g[v] for v in e)) not in edges for e in h.edges)):
+            raise ValidationError(f"{g!r} is not an automorphism of the host")
+        if g != tuple(h.vertices):
+            generators.append(g)
+    return generators
+
+
+def _orbit(r: tuple[int, ...], generators: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The orbit of a vector over the vertices under the group that the
+    vertex permutations generate, closed one generator step at a time."""
+    orbit = {r}
+    todo = [r]
+    while todo:
+        x = todo.pop()
+        for g in generators:
+            y = tuple(map(x.__getitem__, g))
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
 
 
 def _balanced_multiplicities(

@@ -351,6 +351,20 @@ def _attach_pendant_edge(h: UniformHypergraph, v: VertexId) -> UniformHypergraph
 # every vertex has its own color, so the coloring is a relabeling; the
 # form is the sorted relabeled edge list, and the smallest over all
 # leaves wins.
+#
+# Every step is equivariant, so an automorphism g maps the subtree below
+# a node onto the subtree below its image, leaf forms included.  Two
+# leaves with the same form give one: the map from the earlier leaf's
+# coloring to the later one's.  It fixes the vertices the two paths
+# individualized in common and maps the earlier path's next vertex to
+# the later one's, so the subtree below the later one's holds no new
+# form and the search returns to their common ancestor.  Each new leaf
+# is compared with the first leaf and with the least so far.  A child
+# in the orbit of an explored sibling under the automorphisms found
+# that fix the node's individualized vertices is skipped.  On the first
+# path those found below a node generate the stabilizer of its
+# individualized vertices, so the automorphisms found generate the
+# whole group.
 
 
 def canonical_form(h: UniformHypergraph, budget: Budget | None = None) -> bytes:
@@ -361,31 +375,97 @@ def canonical_form(h: UniformHypergraph, budget: Budget | None = None) -> bytes:
             f"canonical labeling of {h.n} vertices exceeds the configured "
             f"limit of {budget.canon_vertex_limit}"
         )
-    # In a hypertree the stable color of a vertex fixes its rooted
-    # incidence tree up to isomorphism (a tree is its own universal
-    # cover).  So each class is an automorphism orbit, every choice in it
-    # leads to the same form, and the first vertex is enough.
-    one_path = is_hypertree(h)
-    best: list[Edge] | None = None
-
-    def search(colors: list[int]) -> None:
-        nonlocal best
-        colors = _refined_colors(h, colors)
-        ranks = sorted(colors)
-        repeated = [a for a, b in zip(ranks, ranks[1:]) if a == b]
-        if not repeated:
-            form = sorted(tuple(sorted(colors[v] for v in e)) for e in h.edges)
-            if best is None or form < best:
-                best = form
-            return
-        cell = [v for v, c in enumerate(colors) if c == repeated[0]]
-        for v in cell[:1] if one_path else cell:
-            search(_ranked([(c, w != v) for w, c in enumerate(colors)]))
-
-    search(_ranked(list(h.degrees)))
-    assert best is not None
+    best, _ = _labeling(h)
     body = ";".join(",".join(map(str, e)) for e in best)
     return f"{h.m}|{h.n}|{body}".encode("ascii")
+
+
+def _labeling(h: UniformHypergraph) -> tuple[list[Edge], list[tuple[int, ...]]]:
+    """The least leaf form of the search and, unless h is a hypertree,
+    generators of h's automorphism group, each as the tuple of the
+    images of 0..n-1."""
+    colors, cell = _node(h, _ranked(list(h.degrees)))
+    if is_hypertree(h):
+        # The stable color of a vertex fixes its rooted incidence tree up
+        # to isomorphism (a tree is its own universal cover).  So each
+        # class is an automorphism orbit, every choice in it leads to the
+        # same form, and the first vertex is enough; no generator is found.
+        while cell:
+            colors, cell = _node(h, _individualized(colors, cell[0]))
+        return _form(h, colors), []
+    # the first leaf and the least so far: (form, coloring, path)
+    first: tuple[list[Edge], list[int], list[int]] | None = None
+    best = first
+    generators: list[tuple[int, ...]] = []
+
+    def leaf(colors: list[int], path: list[int]) -> int:
+        nonlocal first, best
+        form = _form(h, colors)
+        if first is None:
+            first = best = (form, colors, path)
+            return len(path)
+        for seen, seen_colors, seen_path in (first, best):
+            if form == seen:
+                at = [0] * h.n
+                for v, c in enumerate(colors):
+                    at[c] = v
+                generators.append(tuple(at[c] for c in seen_colors))
+                common = 0
+                while path[common] == seen_path[common]:
+                    common += 1
+                return common
+        if form < best[0]:
+            best = (form, colors, path)
+        return len(path)
+
+    def search(colors: list[int], cell: list[int], path: list[int]) -> int:
+        """Explore the node individualizing ``path`` and return the
+        depth to resume at: below the node's own, it returns there."""
+        if not cell:
+            return leaf(colors, path)
+        depth = len(path)
+        explored: set[int] = set()
+        for v in cell:
+            if explored:  # close the explored children under the found automorphisms
+                fixing = [g for g in generators if all(g[u] == u for u in path)]
+                todo = list(explored)
+                while todo:
+                    u = todo.pop()
+                    for g in fixing:
+                        if g[u] not in explored:
+                            explored.add(g[u])
+                            todo.append(g[u])
+                if v in explored:
+                    continue
+            back = search(*_node(h, _individualized(colors, v)), path + [v])
+            if back < depth:
+                return back
+            explored.add(v)
+        return depth
+
+    search(colors, cell, [])
+    assert best is not None
+    return best[0], generators
+
+
+def _node(h: UniformHypergraph, colors: list[int]) -> tuple[list[int], list[int]]:
+    """A search node's coloring, refined, and the vertices of its least
+    color held by more than one vertex (none at a leaf)."""
+    colors = _refined_colors(h, colors)
+    ranks = sorted(colors)
+    repeated = [a for a, b in zip(ranks, ranks[1:]) if a == b]
+    return colors, [v for v, c in enumerate(colors) if repeated and c == repeated[0]]
+
+
+def _individualized(colors: list[int], v: int) -> list[int]:
+    """The coloring with v given a color of its own, just below the rest
+    of its class."""
+    return _ranked([(c, w != v) for w, c in enumerate(colors)])
+
+
+def _form(h: UniformHypergraph, colors: list[int]) -> list[Edge]:
+    """The edges relabeled by a discrete coloring, sorted."""
+    return sorted(tuple(sorted(colors[v] for v in e)) for e in h.edges)
 
 
 def _refined_colors(h: UniformHypergraph, colors: list[int]) -> list[int]:

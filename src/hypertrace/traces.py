@@ -120,8 +120,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .config import Budget, default_budget
 from .errors import InfeasibleQuery, LimitExceeded, NotAGraph, ValidationError
-from .euler import _check_order, _check_pin, contribution_parts, enumerate_rootings
-from .hypergraph import UniformHypergraph, _check_vertex, blocks, new_hypergraph
+from .euler import _check_order, _check_pin, _orbit, contribution_parts, enumerate_rootings
+from .hypergraph import UniformHypergraph, _check_vertex, _labeling, blocks, new_hypergraph
 
 
 @dataclass(frozen=True)
@@ -219,19 +219,27 @@ def _order_zero_local(h: UniformHypergraph) -> Fraction:
 
 
 def _enumerate_table(
-    h: UniformHypergraph, d: int, pinned: tuple[int, int] | None = None
+    h: UniformHypergraph,
+    d: int,
+    pinned: tuple[int, int] | None = None,
+    automorphisms: Sequence[tuple[int, ...]] = (),
 ) -> dict[tuple[int, ...], int]:
     """The order-d rooting table of h, of the rootings that meet the pin
     if one is given, keyed by the root counts at every vertex of h.
     Rootings of one k-vector share their root counts, so each key is
     built once per k-vector.  On m = 2 the enumerator yields one rooting
     of each reversal pair, and a rooting that is not its own reversal
-    counts twice: the pair shares its key and its weight."""
+    counts twice: the pair shares its key and its weight.  Given
+    generators of a group of automorphisms of h (with no pin), the
+    enumerator yields only the rootings whose key is the least of its
+    orbit, and each such entry is copied onto the rest of the orbit:
+    the automorphisms map the rootings of one key onto those of the
+    other, weight for weight."""
     table: dict[tuple[int, ...], int] = {}
     k_vector, key = None, ()
     vertices, zeros = range(h.n), (0,) * h.n
     paired = h.m == 2
-    for mat in enumerate_rootings(h, d, pinned, reversal_pairs=True):
+    for mat in enumerate_rootings(h, d, pinned, reversal_pairs=True, automorphisms=automorphisms):
         if mat.k_vector is not k_vector:
             k_vector = mat.k_vector
             key = tuple(map(mat.root_counts.get, vertices, zeros))
@@ -239,6 +247,8 @@ def _enumerate_table(
         if paired and any(a != b for a, b in mat.counts):
             part *= 2
         table[key] = table.get(key, 0) + part
+    for key, part in list(table.items()) if automorphisms else ():
+        table.update(dict.fromkeys(_orbit(key, automorphisms), part))
     return table
 
 
@@ -371,7 +381,12 @@ class _Block:
     products: dict[tuple[int, ...], tuple[list[Poly], list[Poly]]] = field(default_factory=dict)
 
 
-BlockTables = dict[tuple[UniformHypergraph, int], dict[tuple[int, ...], int]]
+# a relabeled block and an order -> its rooting table at that order, and
+# a relabeled block -> generators of its automorphism group
+BlockTables = dict[
+    tuple[UniformHypergraph, int] | UniformHypergraph,
+    dict[tuple[int, ...], int] | list[tuple[int, ...]],
+]
 
 
 class _BlockForest:
@@ -381,7 +396,9 @@ class _BlockForest:
     a profile) computes each DP coefficient once.  ``store`` maps a
     relabeled block and an order to the block's rooting table at that
     order, so equal blocks, of this host or of the hosts sharing the
-    store, are enumerated once per order whatever vertices they key."""
+    store, are enumerated once per order whatever vertices they key;
+    it also keeps each relabeled block's automorphism generators, found
+    once, for the enumerations to reduce by."""
 
     def __init__(self, h: UniformHypergraph, store: BlockTables, anchor: int | None) -> None:
         self.m, self.n = h.m, h.n
@@ -450,8 +467,13 @@ class _BlockForest:
         key = (block.host, d)
         rootings = self.store.get(key)
         if rootings is None:
+            generators = self.store.get(block.host)
+            if generators is None:
+                # a single edge's one key per order is fixed by every automorphism
+                generators = self.store[block.host] = (
+                    _labeling(block.host)[1] if block.host.edge_count > 1 else [])
             # stored only once complete: a fill cut short leaves the store valid
-            rootings = self.store[key] = _enumerate_table(block.host, d)
+            rootings = self.store[key] = _enumerate_table(block.host, d, automorphisms=generators)
         sums: dict[tuple[int, ...], int] = {}
         for counts, num in rootings.items():
             ts = tuple(counts[i] for i in block.keyed)

@@ -7,6 +7,7 @@ reuse them without re-deriving anything.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from itertools import combinations, permutations
 
@@ -15,6 +16,7 @@ from hypertrace import (
     canonical_form,
     is_connected,
     new_hypergraph,
+    permute_vertices,
 )
 
 
@@ -54,3 +56,89 @@ def brute_force_isomorphic(h1: UniformHypergraph, h2: UniformHypergraph) -> bool
         if all(tuple(sorted(perm[v] for v in e)) in target for e in h1.edges):
             return True
     return False
+
+
+def complete(m: int, n: int, less: tuple = ()) -> UniformHypergraph:
+    """The complete m-uniform hypergraph on n vertices less the edges listed."""
+    return new_hypergraph(m, n, [e for e in combinations(range(n), m) if e not in less])
+
+
+PETERSEN = new_hypergraph(
+    2, 10,
+    [(i, (i + 1) % 5) for i in range(5)]  # outer 5-cycle
+    + [(i, i + 5) for i in range(5)]  # spokes
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],  # inner pentagram
+)
+
+# 2-connected hosts and the orders of their automorphism groups
+SYMMETRIC_HOSTS: dict[str, tuple[UniformHypergraph, int]] = {
+    "k4": (complete(2, 4), 24),
+    "k5": (complete(2, 5), 120),
+    "k5-e": (complete(2, 5, ((0, 1),)), 12),
+    "k6-e": (complete(2, 6, ((0, 1),)), 48),
+    "k5-3": (complete(3, 5), 120),
+    "loose-3-cycle": (new_hypergraph(3, 6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)]), 6),
+    "petersen": (PETERSEN, 120),
+    "asymmetric": (new_hypergraph(2, 6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3),
+                                         (2, 5), (4, 5)]), 1),
+}
+
+# the highest order the orbit-reduction tests enumerate each host to
+ORBIT_ORDERS = {"k4": 8, "k5": 8, "k5-e": 8, "k6-e": 7, "k5-3": 7, "loose-3-cycle": 9,
+                "petersen": 8, "asymmetric": 8}
+
+
+def relabelings(
+    h: UniformHypergraph, count: int, seed: int = 0
+) -> list[tuple[UniformHypergraph, list[int]]]:
+    """``count`` random relabelings of h, each with its permutation: the
+    new id of vertex v is ``perm[v]``."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        perm = list(range(h.n))
+        rng.shuffle(perm)
+        out.append((permute_vertices(h, perm), perm))
+    return out
+
+
+def brute_force_automorphisms(h: UniformHypergraph) -> list[tuple[int, ...]]:
+    """Every automorphism of h, as the tuple of the images of 0..n-1,
+    found by extending a vertex map one vertex at a time and checking
+    each edge once its vertices are all mapped."""
+    edges = set(h.edges)
+    closing: list[list[tuple[int, ...]]] = [[] for _ in range(h.n)]
+    for e in h.edges:
+        closing[max(e)].append(e)
+    image: list[int] = []
+    found = []
+
+    def extend(v: int) -> None:
+        if v == h.n:
+            found.append(tuple(image))
+            return
+        for w in range(h.n):
+            if w in image:
+                continue
+            image.append(w)
+            if all(tuple(sorted(image[u] for u in e)) in edges for e in closing[v]):
+                extend(v + 1)
+            image.pop()
+
+    extend(0)
+    return found
+
+
+def group_order(generators: list[tuple[int, ...]], n: int) -> int:
+    """The order of the permutation group on 0..n-1 that the generators
+    generate, by closing the identity under them."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        x = todo.pop()
+        for g in generators:
+            y = tuple(g[v] for v in x)
+            if y not in group:
+                group.add(y)
+                todo.append(y)
+    return len(group)

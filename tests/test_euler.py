@@ -32,6 +32,9 @@ from hypertrace import (
     tuple_multiplicity,
 )
 from hypertrace.euler import _bareiss_determinant, contribution_parts
+from hypertrace.hypergraph import _labeling
+
+from conftest import ORBIT_ORDERS, SYMMETRIC_HOSTS, brute_force_automorphisms, complete
 
 TRIANGLE = new_hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
 
@@ -352,6 +355,59 @@ class TestReversalPairs:
     def test_pairing_is_keyword_only(self):
         with pytest.raises(TypeError):
             enumerate_rootings(TRIANGLE, 4, None, True)
+
+
+def root_vector(h, mat):
+    return tuple(mat.root_counts.get(v, 0) for v in h.vertices)
+
+
+class TestAutomorphismOrbits:
+    """With automorphisms the enumerator yields the rootings whose
+    root-count vector is the least of its orbit, in the order of the
+    full enumeration."""
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_HOSTS))
+    def test_yields_the_rootings_at_least_vectors_of_their_orbits(self, name):
+        h, _ = SYMMETRIC_HOSTS[name]
+        group = brute_force_automorphisms(h)
+        least = {}
+
+        def is_least(r):
+            if r not in least:
+                least[r] = r == min(tuple(r[a[v]] for v in h.vertices) for a in group)
+            return least[r]
+
+        generators = _labeling(h)[1]
+        for d in range(1, ORBIT_ORDERS[name] + 1):
+            for pairs, pin in ((False, None), (True, None), (True, (0, 2))):
+                full = list(enumerate_rootings(h, d, pin, reversal_pairs=pairs))
+                reduced = list(enumerate_rootings(
+                    h, d, pin, reversal_pairs=pairs, automorphisms=generators))
+                want = [mat for mat in full if is_least(root_vector(h, mat))]
+                assert [m.counts for m in reduced] == [m.counts for m in want]
+                assert [(m.k_vector, m.root_counts) for m in reduced] == [
+                    (m.k_vector, m.root_counts) for m in want]
+
+    def test_without_automorphisms_the_sequence_is_unchanged(self):
+        k5 = complete(2, 5)
+        identity = [tuple(k5.vertices)]
+        for d in range(1, 7):
+            full = [m.counts for m in enumerate_rootings(k5, d)]
+            for automorphisms in ((), identity):
+                assert [m.counts for m in enumerate_rootings(
+                    k5, d, automorphisms=automorphisms)] == full
+        # the counts of K5 to d=8 before the keyword existed
+        assert sum(1 for d in range(1, 9) for _ in enumerate_rootings(k5, d)) == 6394
+        assert sum(1 for d in range(1, 9)
+                   for _ in enumerate_rootings(k5, d, reversal_pairs=True)) == 3587
+
+    def test_rejects_maps_that_are_not_automorphisms(self):
+        path = hyperpath(2, 2)  # edges (0, 1) and (1, 2)
+        assert list(enumerate_rootings(path, 4, automorphisms=[(2, 1, 0)]))
+        for bad in ((1, 0, 2), (0, 0, 1), (0, 1), (0, 1, 2, 3), (2.0, 1, 0),
+                    (2, True, 0), ("2", "1", "0"), 5, None):
+            with pytest.raises(ValidationError):
+                list(enumerate_rootings(path, 4, automorphisms=[bad]))
 
 
 class TestArborescences:

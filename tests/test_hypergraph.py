@@ -36,9 +36,17 @@ from hypertrace import (
     permute_vertices,
     power,
 )
-from hypertrace.hypergraph import blocks
+from hypertrace.hypergraph import _labeling, blocks
 
-from conftest import brute_force_isomorphic, connected_graph_classes
+from conftest import (
+    SYMMETRIC_HOSTS,
+    brute_force_automorphisms,
+    brute_force_isomorphic,
+    complete,
+    connected_graph_classes,
+    group_order,
+    relabelings,
+)
 
 
 class TestValidation:
@@ -325,6 +333,79 @@ class TestCanonicalForm:
         classes = connected_graph_classes(5)
         forms = {canonical_form(h) for h in classes}
         assert len(forms) == len(classes) == 31
+
+
+# Hosts with large groups and partners of the same size that are not
+# isomorphic to them, on at most 6 vertices so that brute force is cheap.
+SYMMETRIC_POOL = tuple(h for h, _ in SYMMETRIC_HOSTS.values() if h.n <= 6) + (
+    complete(2, 5, ((0, 1), (2, 3))),
+    complete(2, 5, ((0, 1), (1, 2))),
+    complete(2, 6, ((0, 1), (2, 3))),
+    complete(2, 6, ((0, 1), (1, 2))),
+    complete(3, 5, ((0, 1, 2), (0, 1, 3))),
+    complete(3, 5, ((0, 1, 2), (0, 3, 4))),
+)
+
+# The forms of the labeling search without automorphism pruning, which
+# visited every leaf; the pruned search must keep them byte for byte.
+LITERAL_FORMS = {
+    "k5": b"2|5|0,1;0,2;0,3;0,4;1,2;1,3;1,4;2,3;2,4;3,4",
+    "k5-3": b"3|5|0,1,2;0,1,3;0,1,4;0,2,3;0,2,4;0,3,4;1,2,3;1,2,4;1,3,4;2,3,4",
+    "petersen": b"2|10|0,1;0,2;0,3;1,4;1,5;2,6;2,7;3,8;3,9;4,6;4,8;5,7;5,9;6,9;7,8",
+    "loose-3-cycle": b"3|6|0,3,4;1,3,5;2,4,5",
+    "asymmetric": b"2|6|0,1;0,3;1,5;2,4;2,5;3,4;3,5;4,5",
+}
+
+
+class TestAutomorphisms:
+    """The labeling search records an automorphism whenever two leaves
+    give the same form, and skips the children that the ones found so
+    far map onto an explored sibling."""
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_HOSTS))
+    def test_generators_generate_the_whole_group(self, name):
+        h, order = SYMMETRIC_HOSTS[name]
+        for g in [h] + [copy for copy, _ in relabelings(h, 3)]:
+            _, generators = _labeling(g)
+            edges = set(g.edges)
+            for a in generators:
+                assert sorted(a) == list(g.vertices)
+                assert {tuple(sorted(a[v] for v in e)) for e in g.edges} == edges
+            assert group_order(generators, g.n) == len(brute_force_automorphisms(g)) == order
+
+    def test_closure_matches_brute_force_on_small_graphs(self):
+        for h in connected_graph_classes(5):
+            if h.edge_count and not is_hypertree(h):
+                _, generators = _labeling(h)
+                assert group_order(generators, h.n) == len(brute_force_automorphisms(h))
+
+    def test_a_hypertree_follows_one_path_and_finds_no_generator(self):
+        for h in (hyperstar(3, 4), hyperpath(2, 5), hyperpath(4, 1)):
+            assert _labeling(h)[1] == []
+
+    @pytest.mark.parametrize("name", sorted(LITERAL_FORMS))
+    def test_literal_forms(self, name):
+        h, _ = SYMMETRIC_HOSTS[name]
+        for g in [h] + [copy for copy, _ in relabelings(h, 2)]:
+            assert canonical_form(g) == LITERAL_FORMS[name]
+
+    def test_literal_forms_of_relabeled_k7_and_k8(self):
+        k7 = permute_vertices(complete(2, 7), [3, 6, 0, 5, 1, 4, 2])
+        k8 = permute_vertices(complete(2, 8), [5, 2, 7, 0, 3, 6, 1, 4])
+        assert canonical_form(k7) == (
+            b"2|7|0,1;0,2;0,3;0,4;0,5;0,6;1,2;1,3;1,4;1,5;1,6;2,3;2,4;2,5;2,6;"
+            b"3,4;3,5;3,6;4,5;4,6;5,6")
+        assert canonical_form(k8) == (
+            b"2|8|0,1;0,2;0,3;0,4;0,5;0,6;0,7;1,2;1,3;1,4;1,5;1,6;1,7;2,3;2,4;"
+            b"2,5;2,6;2,7;3,4;3,5;3,6;3,7;4,5;4,6;4,7;5,6;5,7;6,7")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_pruned_form_agrees_with_brute_force_on_symmetric_pairs(self, data):
+        h1 = data.draw(st.sampled_from(SYMMETRIC_POOL))
+        h2 = data.draw(st.sampled_from(SYMMETRIC_POOL))
+        h2 = permute_vertices(h2, data.draw(st.permutations(range(h2.n))))
+        assert are_isomorphic(h1, h2) == brute_force_isomorphic(h1, h2)
 
 
 class TestHypertreeEnumeration:

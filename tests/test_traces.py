@@ -5,6 +5,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -38,9 +39,16 @@ from hypertrace import (
 import hypertrace.traces as traces_module
 from hypertrace.estrada import fraction_str
 from hypertrace.euler import contribution, contribution_parts, enumerate_rootings
-from hypertrace.hypergraph import blocks
+from hypertrace.hypergraph import _labeling, blocks
 
-from conftest import connected_graph_classes
+from conftest import (
+    ORBIT_ORDERS,
+    SYMMETRIC_HOSTS,
+    complete,
+    connected_graph_classes,
+    group_order,
+    relabelings,
+)
 
 TRIANGLE = new_hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
 
@@ -585,9 +593,9 @@ def counted_enumeration():
     calls = []
     enumerate_table = traces_module._enumerate_table
 
-    def counted(h, d, pinned=None):
+    def counted(h, d, *args, **kwargs):
         calls.append((h, d))
-        return enumerate_table(h, d, pinned)
+        return enumerate_table(h, d, *args, **kwargs)
 
     traces_module._enumerate_table = counted
     try:
@@ -807,3 +815,62 @@ class TestPairedTables:
             for pinned in (None, (0, 1), (2, 2)):
                 assert traces_module._enumerate_table(h, d, pinned) == (
                     unpaired_table(h, d, pinned))
+
+
+class TestOrbitTables:
+    """A block's table is enumerated at one root-count vector per orbit
+    of its automorphism group and copied onto the rest of the orbit."""
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_HOSTS))
+    def test_reduced_tables_equal_the_unreduced_sums(self, name):
+        h, _ = SYMMETRIC_HOSTS[name]
+        copies = relabelings(h, 2)
+        for d in range(1, ORBIT_ORDERS[name] + 1):
+            want = unpaired_table(h, d, None)
+            assert traces_module._enumerate_table(h, d, automorphisms=_labeling(h)[1]) == want
+            for g, perm in copies:
+                moved = {}
+                for key, part in want.items():
+                    image = [0] * h.n
+                    for v, r in enumerate(key):
+                        image[perm[v]] = r
+                    moved[tuple(image)] = part
+                got = traces_module._enumerate_table(g, d, automorphisms=_labeling(g)[1])
+                assert got == moved
+
+    @pytest.mark.parametrize("name", ["k5", "k5-3", "petersen", "asymmetric"])
+    def test_pinned_tables_and_values_are_unchanged(self, name):
+        h, _ = SYMMETRIC_HOSTS[name]
+        for d in range(1, 7):
+            for pinned in ((0, 1), (1, 2)):
+                table = traces_module._enumerate_table(h, d, pinned)
+                assert table == unpaired_table(h, d, pinned)
+                assert trace_local(h, d, query(pinned=pinned)) == Fraction(
+                    sum(table.values()), factorial(d))
+
+    def test_the_store_keeps_each_blocks_generators(self):
+        k5, _ = SYMMETRIC_HOSTS["k5"]
+        asym, _ = SYMMETRIC_HOSTS["asymmetric"]
+        h = coalesce(coalesce(k5, 0, asym, 0), 1, hyperpath(2, 1), 0)
+        trace(h, 6)
+        store = h.memo[traces_module._STORE]
+        generators = {block: store[block] for block in store
+                      if not isinstance(block, tuple)}
+        assert sorted(group_order(gens, block.n) for block, gens in generators.items()) == [
+            1, 1, 120]
+        assert all(gens == [] for block, gens in generators.items() if block.n != 5)
+        assert trace(h, 6) == trace_m2_oracle(h, 6)
+
+    def test_orbits_cut_the_rootings_enumerated(self, monkeypatch):
+        yielded = []
+
+        def counting(*args, **kwargs):
+            for mat in enumerate_rootings(*args, **kwargs):
+                yielded.append(mat)
+                yield mat
+
+        monkeypatch.setattr(traces_module, "enumerate_rootings", counting)
+        k5 = complete(2, 5)
+        assert trace(k5, 8) == trace_m2_oracle(k5, 8)
+        monkeypatch.undo()
+        assert 10 * len(yielded) < sum(1 for _ in enumerate_rootings(k5, 8, reversal_pairs=True))
