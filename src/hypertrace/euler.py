@@ -20,10 +20,13 @@ rooting balanced and connected, so it skips both checks and hands over
 the two derived fields, computed once per k-vector.
 
 Enumeration over all rootings of total multiplicity ``d`` works in two
-stages.  The first assigns edge multiplicities ``k_e`` summing to
-``d``; balance already fixes ``r(v) = (sum of incident k_e) / m``, so
-any vertex whose incident sum is not divisible by ``m`` prunes the
-branch as soon as its last candidate edge is decided.  The second
+stages.  The first assigns edge multiplicities ``k_e`` summing to ``d``,
+in lexicographic order; balance fixes ``r(v) = (sum of incident k_e) /
+m``.  It takes a target per vertex, ``-1`` for free: each ``k_e`` is
+capped by the room left at the targeted vertices of ``e`` and forced at
+the edge that is the last of one, and at the last edge of a free vertex
+it steps through the one residue mod m that makes the vertex's incident
+sum divisible.  A pin is a target at one vertex.  The second
 distributes each selected ``k_e`` over the vertices of ``e`` against
 the remaining root budgets.  It keeps the incident sums in one load
 array and takes each edge's ``k_e`` out of it on entry, so the array
@@ -49,13 +52,32 @@ An automorphism g of the host maps every rooting to a rooting: row
 ``e`` moves to the edge ``g(e)``, its entries to the images of their
 vertices.  The image has the root counts ``r`` moved to ``g.r``, a
 relabeled digraph and the same entries c, so it weighs the same.  With
-``automorphisms``, generators of a group of automorphisms, the support
-test and stage two run only for the k-vectors whose root-count vector
-is the lexicographically least of its orbit under the group, and a
+``automorphisms``, generators of a group G of automorphisms, the
+support test and stage two run only for the k-vectors whose root-count
+vector is the lexicographically least of its orbit under G, and a
 caller summing by root counts copies each sum onto the rest of the
-orbit.  Each orbit is closed under the generators once per call, when
-the first vector in it comes up, and remembered for the rest.  The
-filter reads only root counts, so it composes with ``reversal_pairs``.
+orbit.  Each orbit is closed under the generators once, when the first
+vector in it comes up, and remembered for the rest of the call and for
+that copy.  The filter reads only root counts, so it composes with
+``reversal_pairs``.
+
+On a host with more edges than vertices, the compositions of d over
+the edges outnumber those over the vertices at every d >= 2.  There
+stage one is not run free and filtered; the candidate root-count
+vectors are listed first, vertex by vertex, and stage one runs
+targeted at each one that is the least of its orbit.  Besides summing
+to d, with ``r(v) <= d // m`` (the load at v is at most the sum of all
+k) and 0 on a vertex of no edge, every least vector with rootings
+meets two bounds:
+
+* ``sum of r(u) over the neighbours u of v >= (m - 1) * r(v)``: each
+  ``k_e`` at v adds ``k_e`` to each of the m - 1 other vertices of e;
+* ``r(j) <= r(u)`` for u in the basic orbit of j, the orbit of j under
+  the elements of G fixing 0..j-1 (Schreier-Sims, Sims 1970): such a g
+  sending j to u gives ``g.r`` equal to r before j and ``r(u)`` at j.
+
+The targeted searches yield distinct k-vectors, each in lexicographic
+order, so sorted together they give the sequence of the free route.
 
 Counting on the resulting digraph is exact integer arithmetic: spanning
 arborescences come from a principal minor of the out-degree Laplacian
@@ -69,7 +91,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import Budget, default_budget
@@ -271,9 +294,8 @@ def enumerate_rootings(
         if not h.degree(pinned[0]) or pinned[1] > d:
             return  # stage one never checks a vertex on no edge
     generators = _check_automorphisms(h, automorphisms)
-    least: dict[tuple[int, ...], bool] = {}  # root-count vector -> least of its orbit
 
-    m = h.m
+    m, n = h.m, h.n
     edges = h.edges
     zero = (0,) * m
     rows = [zero] * h.edge_count
@@ -311,16 +333,27 @@ def enumerate_rootings(
         for v in edge:
             load[v] += k
 
+    target = [-1] * n  # every vertex free but a pinned one
+    if pinned:
+        target[pinned[0]] = pinned[1]
+    if not generators:
+        multiplicities = _balanced_multiplicities(edges, n, m, d, target)
+    else:
+        orbits = automorphisms if isinstance(automorphisms, _Orbits) else _Orbits(generators)
+        if h.edge_count > n:
+            # list the least root-count vectors, then search at each
+            targets = [r for r in _root_vectors(h, d, pinned, _base_orbits(n, tuple(generators)))
+                       if orbits.is_least(r)]
+            multiplicities = sorted(
+                [x for r in targets for x in _balanced_multiplicities(edges, n, m, d, r)],
+                key=itemgetter(0))
+        else:
+            multiplicities = (
+                (k_vector, load)
+                for k_vector, load in _balanced_multiplicities(edges, n, m, d, target)
+                if orbits.is_least(tuple(s // m for s in load)))
     pair = reversal_pairs and m == 2
-    for k_vector, load in _balanced_multiplicities(edges, h.n, m, d, pinned):
-        if generators:
-            r = tuple(s // m for s in load)
-            if r not in least:
-                orbit = _orbit(r, generators)
-                least.update(dict.fromkeys(orbit, False))
-                least[min(orbit)] = True
-            if not least[r]:
-                continue
+    for k_vector, load in multiplicities:
         chosen = [(edges[i], k, i) for i, k in enumerate(k_vector) if k]
         support = [e for e, _, _ in chosen]
         if not connected({v for e in support for v in e}, support):
@@ -369,48 +402,212 @@ def _orbit(r: tuple[int, ...], generators: list[tuple[int, ...]]) -> set[tuple[i
     return orbit
 
 
+class _Orbits:
+    """Generators of a group of automorphisms, iterated as such, and the
+    orbits of root-count vectors under the group closed so far, each
+    closed once: ``least`` tells of every vector met whether it is the
+    least of its orbit, and ``of`` maps each least vector met to its
+    orbit.  A caller that passes one to :func:`enumerate_rootings` reads
+    the orbits of the vectors yielded from it afterwards."""
+
+    def __init__(self, generators: Iterable[tuple[int, ...]]) -> None:
+        self.generators = list(generators)
+        self.least: dict[tuple[int, ...], bool] = {}
+        self.of: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self.generators)
+
+    def is_least(self, r: tuple[int, ...]) -> bool:
+        if r not in self.least:
+            orbit = _orbit(r, self.generators)
+            self.least.update(dict.fromkeys(orbit, False))
+            first = min(orbit)
+            self.least[first] = True
+            self.of[first] = orbit
+        return self.least[r]
+
+
+def _inverse(p: tuple[int, ...]) -> list[int]:
+    back = [0] * len(p)
+    for v, w in enumerate(p):
+        back[w] = v
+    return back
+
+
+@lru_cache(maxsize=64)
+def _base_orbits(n: int, generators: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The basic orbits of the group the permutations of 0..n-1
+    generate for the base 0, 1, ..., n-1: entry j is the orbit of j
+    under the elements that fix 0..j-1.  Schreier-Sims (Sims 1970)
+    builds a strong generating set without listing the group: level j
+    keeps its generators and coset representatives ``cosets[j][u]``,
+    each sending j to u, and every Schreier generator of level j must
+    sift through the levels after it.  One that does not is added to
+    the levels up to the one it stopped at, and the check resumes
+    there; the levels after it are complete."""
+    strong: list[list[tuple[int, ...]]] = [[] for _ in range(n)]  # the generators fixing 0..j-1
+    for g in generators:
+        for j in range(n):
+            strong[j].append(g)
+            if g[j] != j:
+                break
+    cosets: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
+
+    def close(j: int) -> None:
+        reps = cosets[j] = {j: tuple(range(n))}
+        todo = [j]
+        while todo:
+            x = todo.pop()
+            for s in strong[j]:
+                y = s[x]
+                if y not in reps:
+                    reps[y] = tuple(map(s.__getitem__, reps[x]))  # reps[x], then s
+                    todo.append(y)
+
+    def sift(g: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
+        # g fixes 0..j-1; each level's representative of g[i] taken out
+        # makes it fix i too, up to a level where g[i] has none (n: g
+        # is in the group)
+        for i in range(j, n):
+            if g[i] != i:
+                rep = cosets[i].get(g[i])
+                if rep is None:
+                    return i, g
+                g = tuple(map(_inverse(rep).__getitem__, g))
+        return n, g
+
+    def escape(j: int) -> tuple[int, tuple[int, ...]] | None:
+        reps = cosets[j]
+        for x, rep in reps.items():
+            for s in strong[j]:
+                back = _inverse(reps[s[x]])
+                # j -> x -> s(x) -> j
+                i, g = sift(tuple(back[s[u]] for u in rep), j + 1)
+                if i < n:
+                    return i, g
+        return None
+
+    for j in range(n):
+        close(j)
+    j = n - 1
+    while j >= 0:
+        found = escape(j)
+        if found is None:
+            j -= 1
+            continue
+        i, g = found
+        for level in range(j + 1, i + 1):
+            strong[level].append(g)
+            close(level)
+        j = i
+    return tuple(tuple(sorted(reps)) for reps in cosets)
+
+
+def _root_vectors(
+    h: UniformHypergraph, d: int, pinned: tuple[int, int] | None,
+    base_orbits: tuple[tuple[int, ...], ...],
+) -> Iterator[tuple[int, ...]]:
+    """In lexicographic order, root-count vectors r over 0..n-1 meeting
+    the bounds every least vector of an orbit with rootings of order d
+    meets (the module docstring): r sums to d, r(v) <= d // m and 0 on
+    a vertex of no edge, r = t at a pinned vertex, the neighbours of v
+    hold at least (m - 1) * r(v) roots, and r(j) <= r(u) for u in the
+    basic orbit of j."""
+    n, m = h.n, h.m
+    lows = [0] * n
+    highs = [d // m if degree else 0 for degree in h.degrees]
+    if pinned:
+        v, t = pinned
+        if t > highs[v]:
+            return
+        lows[v] = highs[v] = t
+    # room[v]: the most roots the vertices after v can hold
+    room = [0] * n
+    for v in range(n - 1, 0, -1):
+        room[v - 1] = room[v] + highs[v]
+    above = [[j for j in range(u) if u in base_orbits[j]] for u in range(n)]
+    neighbours = [sorted({u for i in h.incidence[v] for u in h.edges[i]} - {v}) for v in range(n)]
+    checks: list[list[int]] = [[] for _ in range(n)]  # vertices whose neighbours are all set at v
+    for v in range(n):
+        checks[max([v, *neighbours[v]])].append(v)
+    r = [0] * n
+
+    def assign(v: int, remaining: int) -> Iterator[tuple[int, ...]]:
+        low = max(lows[v], remaining - room[v], *map(r.__getitem__, above[v]))
+        for x in range(low, min(highs[v], remaining) + 1):
+            r[v] = x
+            for w in checks[v]:
+                if sum(map(r.__getitem__, neighbours[w])) < (m - 1) * r[w]:
+                    break
+            else:
+                if v == n - 1:
+                    yield tuple(r)
+                else:
+                    yield from assign(v + 1, remaining - x)
+        r[v] = 0
+
+    yield from assign(0, d)
+
+
 def _balanced_multiplicities(
-    edges: tuple[Edge, ...], n: int, m: int, d: int, pinned: tuple[int, int] | None,
+    edges: tuple[Edge, ...], n: int, m: int, d: int, target: Sequence[int],
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """Stage one: every multiplicity vector over ``edges`` summing to d
-    whose incident sums are divisible by m, and m * t at a vertex pinned
-    to t roots.  Each vertex is checked once its last edge is decided;
-    the vector is yielded with a copy of its incident sums."""
+    """Stage one: every multiplicity vector over ``edges`` summing to d,
+    in lexicographic order, whose incident sum is m * target[v] at a
+    vertex v with a target and divisible by m at a free vertex (target
+    -1).  An edge's multiplicity k is capped by the room left at its
+    targeted vertices and forced at the last edge of one; at the last
+    edge of a free vertex it steps through the one residue mod m that
+    makes the vertex's incident sum divisible.  The vector is yielded
+    with a copy of its incident sums."""
     count = len(edges)
     if count == 0:
         return
-    pin_vertex, pin_sum = (pinned[0], m * pinned[1]) if pinned else (-1, -1)
-    last_at = {v: pos for pos, e in enumerate(edges) for v in e}
-    finalize: list[list[int]] = [[] for _ in range(count)]
-    for v, pos in last_at.items():
-        finalize[pos].append(v)
+    want = [m * t for t in target]
+    closes: list[list[int]] = [[] for _ in range(count)]  # targeted vertices each edge is last at
+    checks: list[list[int]] = [[] for _ in range(count)]  # free vertices each edge is last at
+    for v, pos in {v: pos for pos, e in enumerate(edges) for v in e}.items():
+        (closes if target[v] >= 0 else checks)[pos].append(v)
+    capped = [[v for v in e if target[v] >= 0] for e in edges]
+    end = count - 1
     load = [0] * n
     kvec = [0] * count
 
-    def feasible(pos: int) -> bool:
-        if pin_vertex >= 0 and load[pin_vertex] > pin_sum:
-            return False
-        for v in finalize[pos]:
-            s = load[v]
-            if s % m:
-                return False
-            if v == pin_vertex and s != pin_sum:
-                return False
-        return True
-
     def assign(pos: int, remaining: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-        for k in (remaining,) if pos == count - 1 else range(remaining + 1):
-            kvec[pos] = k
+        hi = remaining
+        for v in capped[pos]:
+            if want[v] - load[v] < hi:
+                hi = want[v] - load[v]
+        lo, step = 0, 1
+        if pos == end or closes[pos]:
+            # forced: the rest at the last edge, else the room left at
+            # the targeted vertices this edge closes
+            lo = remaining if pos == end else hi
+            if lo > hi:
+                return
+            for v in closes[pos]:
+                if want[v] - load[v] != lo:
+                    return
+        if checks[pos]:
+            first = load[checks[pos][0]]
+            for v in checks[pos]:
+                if (load[v] - first) % m:
+                    return
+            lo += (-first - lo) % m
+            step = m
+        edge = edges[pos]
+        for k in range(lo, hi + 1, step):
             if k:
-                for v in edges[pos]:
+                kvec[pos] = k
+                for v in edge:
                     load[v] += k
-            if feasible(pos):
-                if pos == count - 1:
-                    yield tuple(kvec), list(load)
-                else:
-                    yield from assign(pos + 1, remaining - k)
+            if pos == end:
+                yield tuple(kvec), list(load)
+            else:
+                yield from assign(pos + 1, remaining - k)
             if k:
-                for v in edges[pos]:
+                for v in edge:
                     load[v] -= k
         kvec[pos] = 0
 

@@ -120,7 +120,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .config import Budget, default_budget
 from .errors import InfeasibleQuery, LimitExceeded, NotAGraph, ValidationError
-from .euler import _check_order, _check_pin, _orbit, contribution_parts, enumerate_rootings
+from .euler import _Orbits, _check_order, _check_pin, contribution_parts, enumerate_rootings
 from .hypergraph import UniformHypergraph, _check_vertex, _labeling, blocks, new_hypergraph
 
 
@@ -230,16 +230,21 @@ def _enumerate_table(
     built once per k-vector.  On m = 2 the enumerator yields one rooting
     of each reversal pair, and a rooting that is not its own reversal
     counts twice: the pair shares its key and its weight.  Given
-    generators of a group of automorphisms of h (with no pin), the
-    enumerator yields only the rootings whose key is the least of its
-    orbit, and each such entry is copied onto the rest of the orbit:
-    the automorphisms map the rootings of one key onto those of the
-    other, weight for weight."""
+    generators of a group of automorphisms of h, the enumerator yields
+    only the rootings whose key is the least of its orbit, and each
+    such entry is copied onto the rest of the orbit, closed once by the
+    enumerator: the automorphisms map the rootings of one key onto
+    those of the other, weight for weight.  A pin and generators
+    together are rejected, as the least vector of an orbit seldom
+    carries the pin."""
+    if pinned is not None and automorphisms:
+        raise ValidationError("a rooting table takes a pin or automorphisms, not both")
     table: dict[tuple[int, ...], int] = {}
     k_vector, key = None, ()
     vertices, zeros = range(h.n), (0,) * h.n
     paired = h.m == 2
-    for mat in enumerate_rootings(h, d, pinned, reversal_pairs=True, automorphisms=automorphisms):
+    orbits = _Orbits(automorphisms) if automorphisms else ()
+    for mat in enumerate_rootings(h, d, pinned, reversal_pairs=True, automorphisms=orbits):
         if mat.k_vector is not k_vector:
             k_vector = mat.k_vector
             key = tuple(map(mat.root_counts.get, vertices, zeros))
@@ -247,8 +252,8 @@ def _enumerate_table(
         if paired and any(a != b for a, b in mat.counts):
             part *= 2
         table[key] = table.get(key, 0) + part
-    for key, part in list(table.items()) if automorphisms else ():
-        table.update(dict.fromkeys(_orbit(key, automorphisms), part))
+    for key, part in list(table.items()) if orbits else ():
+        table.update(dict.fromkeys(orbits.of[key], part))
     return table
 
 

@@ -31,10 +31,21 @@ from hypertrace import (
     query,
     tuple_multiplicity,
 )
-from hypertrace.euler import _bareiss_determinant, contribution_parts
-from hypertrace.hypergraph import _labeling
+from hypertrace.euler import (
+    _balanced_multiplicities,
+    _bareiss_determinant,
+    _base_orbits,
+    contribution_parts,
+)
+from hypertrace.hypergraph import _labeling, blocks
 
-from conftest import ORBIT_ORDERS, SYMMETRIC_HOSTS, brute_force_automorphisms, complete
+from conftest import (
+    ORBIT_ORDERS,
+    SYMMETRIC_HOSTS,
+    brute_force_automorphisms,
+    complete,
+    relabelings,
+)
 
 TRIANGLE = new_hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
 
@@ -361,6 +372,20 @@ def root_vector(h, mat):
     return tuple(mat.root_counts.get(v, 0) for v in h.vertices)
 
 
+def least_vectors(h):
+    """A memoized test of whether a vector over h's vertices is the
+    least of its orbit under the whole automorphism group of h."""
+    group = brute_force_automorphisms(h)
+    least = {}
+
+    def is_least(r):
+        if r not in least:
+            least[r] = r == min(tuple(r[a[v]] for v in h.vertices) for a in group)
+        return least[r]
+
+    return is_least
+
+
 class TestAutomorphismOrbits:
     """With automorphisms the enumerator yields the rootings whose
     root-count vector is the least of its orbit, in the order of the
@@ -369,14 +394,7 @@ class TestAutomorphismOrbits:
     @pytest.mark.parametrize("name", sorted(SYMMETRIC_HOSTS))
     def test_yields_the_rootings_at_least_vectors_of_their_orbits(self, name):
         h, _ = SYMMETRIC_HOSTS[name]
-        group = brute_force_automorphisms(h)
-        least = {}
-
-        def is_least(r):
-            if r not in least:
-                least[r] = r == min(tuple(r[a[v]] for v in h.vertices) for a in group)
-            return least[r]
-
+        is_least = least_vectors(h)
         generators = _labeling(h)[1]
         for d in range(1, ORBIT_ORDERS[name] + 1):
             for pairs, pin in ((False, None), (True, None), (True, (0, 2))):
@@ -408,6 +426,103 @@ class TestAutomorphismOrbits:
                     (2, True, 0), ("2", "1", "0"), 5, None):
             with pytest.raises(ValidationError):
                 list(enumerate_rootings(path, 4, automorphisms=[bad]))
+
+
+class TestStabilizerChain:
+    """Schreier-Sims gives the basic orbits of the base 0..n-1 without
+    listing the group."""
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_HOSTS))
+    def test_basic_orbits_match_the_brute_force_group(self, name):
+        h, order = SYMMETRIC_HOSTS[name]
+        for g in [h] + [copy for copy, _ in relabelings(h, 2)]:
+            group = brute_force_automorphisms(g)
+            orbits = _base_orbits(g.n, tuple(_labeling(g)[1]))
+            assert math.prod(map(len, orbits)) == len(group) == order
+            for j, orbit in enumerate(orbits):
+                fixing = [a for a in group if a[:j] == tuple(range(j))]
+                assert set(orbit) == {a[j] for a in fixing}
+
+    def test_complete_graphs_without_listing_the_group(self):
+        for n in (7, 8):
+            orbits = _base_orbits(n, tuple(_labeling(complete(2, n))[1]))
+            assert [len(o) for o in orbits] == list(range(n, 0, -1))
+
+
+class TestTargetedStageOne:
+    """Stage one at a target vector yields the free search's k-vectors
+    with those loads, in the same order."""
+
+    @pytest.mark.parametrize("name", ["k4", "k5-e", "k5-3", "loose-3-cycle", "asymmetric"])
+    def test_full_targets_select_the_free_search(self, name):
+        h, _ = SYMMETRIC_HOSTS[name]
+        m, n = h.m, h.n
+        for d in range(1, 7):
+            free = list(_balanced_multiplicities(h.edges, n, m, d, [-1] * n))
+            by_roots = {}
+            for k_vector, load in free:
+                by_roots.setdefault(tuple(s // m for s in load), []).append(k_vector)
+            # every balanced vector, and some with no k-vector at all
+            targets = set(by_roots) | {(d,) + (0,) * (n - 1), (0,) * (n - 1) + (d,)}
+            for r in targets:
+                got = list(_balanced_multiplicities(h.edges, n, m, d, r))
+                assert [k for k, _ in got] == by_roots.get(r, [])
+                assert all(load == [m * t for t in r] for _, load in got)
+
+    @pytest.mark.parametrize("name", ["k4", "k5-3", "loose-3-cycle", "asymmetric"])
+    def test_one_target_is_the_pin(self, name):
+        h, _ = SYMMETRIC_HOSTS[name]
+        m, n = h.m, h.n
+        for d in range(1, 7):
+            free = list(_balanced_multiplicities(h.edges, n, m, d, [-1] * n))
+            for v, t in product(range(n), range(1, d + 1)):
+                target = [-1] * n
+                target[v] = t
+                got = list(_balanced_multiplicities(h.edges, n, m, d, target))
+                assert got == [(k, load) for k, load in free if load[v] == m * t]
+
+
+@st.composite
+def dense_hosts(draw):
+    """A relabeled 2-connected host with more edges than vertices: a
+    cycle (m = 2) or the triples of consecutive vertices around a cycle
+    (m = 3), plus extra edges."""
+    m = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(m + 2, 6))
+    ring = [tuple(sorted((i + j) % n for j in range(m))) for i in range(n)]
+    rest = [e for e in combinations(range(n), m) if e not in ring]
+    extra = draw(st.lists(st.sampled_from(rest), min_size=1, max_size=min(4, len(rest)),
+                          unique=True))
+    perm = draw(st.permutations(range(n)))
+    return new_hypergraph(m, n, [[perm[v] for v in e] for e in ring + extra])
+
+
+class TestTargetedRoute:
+    @settings(max_examples=50, deadline=None)
+    @given(h=dense_hosts(), data=st.data())
+    def test_reduced_sequence_is_the_full_one_at_least_vectors(self, h, data):
+        assert h.edge_count > h.n and len(blocks(h)) == 1
+        is_least = least_vectors(h)
+        generators = _labeling(h)[1]
+        d = data.draw(st.integers(1, 6 if h.m == 2 else 5))
+        pin = (data.draw(st.integers(0, h.n - 1)), data.draw(st.integers(1, 3)))
+        for pairs, pinned in ((False, None), (True, None), (False, pin), (True, pin)):
+            full = list(enumerate_rootings(h, d, pinned, reversal_pairs=pairs))
+            reduced = list(enumerate_rootings(
+                h, d, pinned, reversal_pairs=pairs, automorphisms=generators))
+            want = [mat for mat in full if is_least(root_vector(h, mat))]
+            assert [(m.counts, m.k_vector, m.root_counts) for m in reduced] == [
+                (m.counts, m.k_vector, m.root_counts) for m in want]
+
+    def test_a_vertex_on_no_edge_is_never_rooted(self):
+        h = new_hypergraph(2, 6, combinations(range(5), 2))
+        is_least = least_vectors(h)
+        generators = _labeling(h)[1]
+        for d in range(1, 7):
+            full = [m.counts for m in enumerate_rootings(h, d)
+                    if is_least(root_vector(h, m))]
+            assert [m.counts for m in enumerate_rootings(
+                h, d, automorphisms=generators)] == full
 
 
 class TestArborescences:

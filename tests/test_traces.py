@@ -36,6 +36,7 @@ from hypertrace import (
     trace_table,
 )
 
+import hypertrace.euler as euler_module
 import hypertrace.traces as traces_module
 from hypertrace.estrada import fraction_str
 from hypertrace.euler import contribution, contribution_parts, enumerate_rootings
@@ -847,6 +848,28 @@ class TestOrbitTables:
                 assert table == unpaired_table(h, d, pinned)
                 assert trace_local(h, d, query(pinned=pinned)) == Fraction(
                     sum(table.values()), factorial(d))
+
+    def test_each_orbit_is_closed_once_per_table(self, monkeypatch):
+        k5, _ = SYMMETRIC_HOSTS["k5"]
+        closed = []
+        orbit = euler_module._orbit
+
+        def counted(r, generators):
+            closed.append(frozenset(orbit(r, generators)))
+            return closed[-1]
+
+        monkeypatch.setattr(euler_module, "_orbit", counted)
+        monkeypatch.setattr(traces_module, "_orbit", counted, raising=False)
+        table = traces_module._enumerate_table(k5, 8, automorphisms=_labeling(k5)[1])
+        assert table == unpaired_table(k5, 8, None)
+        assert closed and len(closed) == len(set(closed))
+
+    def test_a_pin_with_automorphisms_is_rejected(self):
+        k4, _ = SYMMETRIC_HOSTS["k4"]
+        generators = _labeling(k4)[1]
+        with pytest.raises(ValidationError):
+            traces_module._enumerate_table(k4, 6, (0, 2), generators)
+        assert sum(traces_module._enumerate_table(k4, 6, (0, 2)).values()) == 233280
 
     def test_the_store_keeps_each_blocks_generators(self):
         k5, _ = SYMMETRIC_HOSTS["k5"]
