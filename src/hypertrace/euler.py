@@ -26,14 +26,14 @@ m``.  It takes a target per vertex, ``-1`` for free: each ``k_e`` is
 capped by the room left at the targeted vertices of ``e`` and forced at
 the edge that is the last of one, and at the last edge of a free vertex
 it steps through the one residue mod m that makes the vertex's incident
-sum divisible.  A pin is a target at one vertex.  The second
-distributes each selected ``k_e`` over the vertices of ``e`` against
-the remaining root budgets.  It keeps the incident sums in one load
-array and takes each edge's ``k_e`` out of it on entry, so the array
-then holds exactly what the later edges can still root at each vertex;
-that gives exact lower and upper bounds and no dead ends.  The root
-budgets before stage two are the root counts of every rooting of that
-k-vector.
+sum divisible.  It runs with every vertex free, or with a whole
+root-count vector as its targets (below).  The second distributes
+each selected ``k_e`` over the vertices of ``e`` against the remaining
+root budgets.  It keeps the incident sums in one load array and takes
+each edge's ``k_e`` out of it on entry, so the array then holds exactly
+what the later edges can still root at each vertex; that gives exact
+lower and upper bounds and no dead ends.  The root budgets before stage
+two are the root counts of every rooting of that k-vector.
 
 On a 2-uniform host each rooting F has a reversal: every row swapped,
 its digraph with every arc reversed.  Balance gives ``r(v) = deg_k(v)/2
@@ -253,31 +253,15 @@ def _check_order(d: object, least: int = 0) -> None:
     _check_int("trace order", d, least)
 
 
-def _check_pin(pinned: object) -> tuple[int, int]:
-    """A (vertex, t) pin as a tuple of two ``int``s (``bool`` excluded)
-    with t > 0."""
-    if not isinstance(pinned, Sequence) or len(pinned) != 2 or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in pinned
-    ):
-        raise ValidationError(f"pinned {pinned!r} is not a (vertex, count) pair of integers")
-    if pinned[1] < 1:
-        raise ValidationError(f"pinned root count must be positive, got {pinned[1]}")
-    return tuple(pinned)
-
-
 def enumerate_rootings(
     h: UniformHypergraph,
     d: int,
-    pinned: tuple[int, int] | None = None,
     *,
     reversal_pairs: bool = False,
     automorphisms: Iterable[Sequence[int]] = (),
 ) -> Iterator[RootCountMatrix]:
-    """Yield every Euler rooting of total multiplicity d, optionally
-    only those that root the vertex v of a pinned pair (v, t) exactly
-    t > 0 times.
+    """Yield every Euler rooting of total multiplicity d.
 
-    A pin no rooting meets, t above d or v on no edge, yields nothing.
     With ``reversal_pairs`` on a 2-uniform host, only one rooting of
     each pair {F, reversal of F} is yielded (see the module docstring),
     in the order of the full enumeration; on m >= 3 it changes nothing.
@@ -289,10 +273,6 @@ def enumerate_rootings(
     A permutation that is not an automorphism of h is rejected.
     """
     _check_order(d, 1)
-    if pinned is not None:
-        pinned = _check_pin(pinned)
-        if not h.degree(pinned[0]) or pinned[1] > d:
-            return  # stage one never checks a vertex on no edge
     generators = _check_automorphisms(h, automorphisms)
 
     m, n = h.m, h.n
@@ -333,16 +313,14 @@ def enumerate_rootings(
         for v in edge:
             load[v] += k
 
-    target = [-1] * n  # every vertex free but a pinned one
-    if pinned:
-        target[pinned[0]] = pinned[1]
+    free = [-1] * n
     if not generators:
-        multiplicities = _balanced_multiplicities(edges, n, m, d, target)
+        multiplicities = _balanced_multiplicities(edges, n, m, d, free)
     else:
         orbits = automorphisms if isinstance(automorphisms, _Orbits) else _Orbits(generators)
         if h.edge_count > n:
             # list the least root-count vectors, then search at each
-            targets = [r for r in _root_vectors(h, d, pinned, _base_orbits(n, tuple(generators)))
+            targets = [r for r in _root_vectors(h, d, _base_orbits(n, tuple(generators)))
                        if orbits.is_least(r)]
             multiplicities = sorted(
                 [x for r in targets for x in _balanced_multiplicities(edges, n, m, d, r)],
@@ -350,7 +328,7 @@ def enumerate_rootings(
         else:
             multiplicities = (
                 (k_vector, load)
-                for k_vector, load in _balanced_multiplicities(edges, n, m, d, target)
+                for k_vector, load in _balanced_multiplicities(edges, n, m, d, free)
                 if orbits.is_least(tuple(s // m for s in load)))
     pair = reversal_pairs and m == 2
     for k_vector, load in multiplicities:
@@ -505,23 +483,15 @@ def _base_orbits(n: int, generators: tuple[tuple[int, ...], ...]) -> tuple[tuple
 
 
 def _root_vectors(
-    h: UniformHypergraph, d: int, pinned: tuple[int, int] | None,
-    base_orbits: tuple[tuple[int, ...], ...],
+    h: UniformHypergraph, d: int, base_orbits: tuple[tuple[int, ...], ...]
 ) -> Iterator[tuple[int, ...]]:
     """In lexicographic order, root-count vectors r over 0..n-1 meeting
     the bounds every least vector of an orbit with rootings of order d
     meets (the module docstring): r sums to d, r(v) <= d // m and 0 on
-    a vertex of no edge, r = t at a pinned vertex, the neighbours of v
-    hold at least (m - 1) * r(v) roots, and r(j) <= r(u) for u in the
-    basic orbit of j."""
+    a vertex of no edge, the neighbours of v hold at least (m - 1) *
+    r(v) roots, and r(j) <= r(u) for u in the basic orbit of j."""
     n, m = h.n, h.m
-    lows = [0] * n
     highs = [d // m if degree else 0 for degree in h.degrees]
-    if pinned:
-        v, t = pinned
-        if t > highs[v]:
-            return
-        lows[v] = highs[v] = t
     # room[v]: the most roots the vertices after v can hold
     room = [0] * n
     for v in range(n - 1, 0, -1):
@@ -534,7 +504,7 @@ def _root_vectors(
     r = [0] * n
 
     def assign(v: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        low = max(lows[v], remaining - room[v], *map(r.__getitem__, above[v]))
+        low = max(0, remaining - room[v], *map(r.__getitem__, above[v]))
         for x in range(low, min(highs[v], remaining) + 1):
             r[v] = x
             for w in checks[v]:

@@ -32,7 +32,7 @@ Requiring R sums (-1)^|S| times that value with F | S forbidden over
 the subsets S of R.  Root counts sum to d, so at most 2^min(|R|, d)
 sub-hosts are read; each is kept in ``h.memo`` under the edges it
 keeps, shares h's block tables and runs on the forest below if it has
-cut vertices.  A pinned trace enumerates the rootings meeting the pin.
+cut vertices.  A pinned value at v is an entry of the profile at v.
 
 A rooting table holds the order-d rootings of a block
 (``hypergraph.blocks``), summed by their root counts at every vertex of
@@ -43,9 +43,10 @@ root counts and its weight (``euler``'s docstring).  A host keeps one
 store of them in ``h.memo``, read by all of its forests and sub-hosts.
 Plain traces and ``composition``'s profiles factor over the host's
 block-cut forest, the paper's cut-vertex theorem, kept in ``h.memo``
-per anchor (``None`` for plain traces).  The plain trace of a host with
-one block is that block's table at its order alone, as the forest
-would fill every lower order first.
+per anchor (``None`` for plain traces).  The plain or pinned trace of
+a host with one block is that block's table at its order alone, as the
+forest would fill every lower order first.  So the store is the one
+place where rootings are enumerated.
 
 * Balance roots every vertex of a selected edge, and the two sides of
   a cut vertex are each balanced, since every other vertex of a side
@@ -116,11 +117,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .config import Budget, default_budget
 from .errors import InfeasibleQuery, LimitExceeded, NotAGraph, ValidationError
-from .euler import _Orbits, _check_order, _check_pin, contribution_parts, enumerate_rootings
+from .euler import _Orbits, _check_order, contribution_parts, enumerate_rootings
 from .hypergraph import UniformHypergraph, _check_vertex, _labeling, blocks, new_hypergraph
 
 
@@ -165,16 +166,17 @@ class LocalTraceQuery:
     def constrains_positively(self) -> bool:
         return bool(self.required) or self.pinned is not None
 
-    def matches(self, root_counts: Mapping[int, int]) -> bool:
-        if any(root_counts.get(v, 0) == 0 for v in self.required):
-            return False
-        if any(root_counts.get(v, 0) for v in self.forbidden):
-            return False
-        if self.pinned is not None:
-            vertex, t = self.pinned
-            if root_counts.get(vertex, 0) != t:
-                return False
-        return True
+
+def _check_pin(pinned: object) -> tuple[int, int]:
+    """A (vertex, t) pin as a tuple of two ``int``s (``bool`` excluded)
+    with t > 0."""
+    if not isinstance(pinned, Sequence) or len(pinned) != 2 or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in pinned
+    ):
+        raise ValidationError(f"pinned {pinned!r} is not a (vertex, count) pair of integers")
+    if pinned[1] < 1:
+        raise ValidationError(f"pinned root count must be positive, got {pinned[1]}")
+    return tuple(pinned)
 
 
 def query(
@@ -219,32 +221,24 @@ def _order_zero_local(h: UniformHypergraph) -> Fraction:
 
 
 def _enumerate_table(
-    h: UniformHypergraph,
-    d: int,
-    pinned: tuple[int, int] | None = None,
-    automorphisms: Sequence[tuple[int, ...]] = (),
+    h: UniformHypergraph, d: int, automorphisms: Sequence[tuple[int, ...]] = ()
 ) -> dict[tuple[int, ...], int]:
-    """The order-d rooting table of h, of the rootings that meet the pin
-    if one is given, keyed by the root counts at every vertex of h.
-    Rootings of one k-vector share their root counts, so each key is
-    built once per k-vector.  On m = 2 the enumerator yields one rooting
-    of each reversal pair, and a rooting that is not its own reversal
-    counts twice: the pair shares its key and its weight.  Given
-    generators of a group of automorphisms of h, the enumerator yields
-    only the rootings whose key is the least of its orbit, and each
-    such entry is copied onto the rest of the orbit, closed once by the
-    enumerator: the automorphisms map the rootings of one key onto
-    those of the other, weight for weight.  A pin and generators
-    together are rejected, as the least vector of an orbit seldom
-    carries the pin."""
-    if pinned is not None and automorphisms:
-        raise ValidationError("a rooting table takes a pin or automorphisms, not both")
+    """The order-d rooting table of h, keyed by the root counts at every
+    vertex of h.  Rootings of one k-vector share their root counts, so
+    each key is built once per k-vector.  On m = 2 the enumerator yields
+    one rooting of each reversal pair, and a rooting that is not its own
+    reversal counts twice: the pair shares its key and its weight.
+    Given generators of a group of automorphisms of h, the enumerator
+    yields only the rootings whose key is the least of its orbit, and
+    each such entry is copied onto the rest of the orbit, closed once by
+    the enumerator: the automorphisms map the rootings of one key onto
+    those of the other, weight for weight."""
     table: dict[tuple[int, ...], int] = {}
     k_vector, key = None, ()
     vertices, zeros = range(h.n), (0,) * h.n
     paired = h.m == 2
     orbits = _Orbits(automorphisms) if automorphisms else ()
-    for mat in enumerate_rootings(h, d, pinned, reversal_pairs=True, automorphisms=orbits):
+    for mat in enumerate_rootings(h, d, reversal_pairs=True, automorphisms=orbits):
         if mat.k_vector is not k_vector:
             k_vector = mat.k_vector
             key = tuple(map(mat.root_counts.get, vertices, zeros))
@@ -277,6 +271,15 @@ def _profile(h: UniformHypergraph, anchor: int, d_max: int) -> dict[tuple[int, i
     c_a = forest.anchor.joined[-1]
     return {(d, t): forest.scaled(d, c_a[t][d] * _phi(h.m, t))
             for d in range(1, d_max + 1) for t in sorted(c_a) if t and d in c_a[t]}
+
+
+def _pinned(h: UniformHypergraph, d: int, v: int, t: int) -> Fraction:
+    """Tr_{d;t} of h at v for d >= 1 from h's forest rooted at v: as in
+    ``_plain``, one block is read at order d alone, else the profile."""
+    forest = _forest(h, v, 0)
+    if len(forest.blocks) == 1:
+        return forest.scaled(d, forest.table(forest.blocks[0], d).get((t,), 0) * _phi(h.m, t))
+    return _profile(h, v, d).get((d, t), Fraction(0))
 
 
 _STORE = "block tables"  # the h.memo key of the store shared by h's forests
@@ -609,10 +612,7 @@ def _local(h: UniformHypergraph, d: int, q: LocalTraceQuery) -> Fraction:
         if g is None:
             g = h.memo[kept] = new_hypergraph(h.m, h.n, kept)
             _share_blocks((h, g))
-        if q.pinned is None:
-            total += sign * _plain(g, d, d)[d]
-        else:
-            total += sign * Fraction(sum(_enumerate_table(g, d, q.pinned).values()), factorial(d))
+        total += sign * (_pinned(g, d, *q.pinned) if q.pinned else _plain(g, d, d)[d])
     return total
 
 

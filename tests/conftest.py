@@ -12,6 +12,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from hypertrace import (
+    LocalTraceQuery,
     UniformHypergraph,
     canonical_form,
     is_connected,
@@ -86,6 +87,14 @@ SYMMETRIC_HOSTS: dict[str, tuple[UniformHypergraph, int]] = {
 # the highest order the orbit-reduction tests enumerate each host to
 ORBIT_ORDERS = {"k4": 8, "k5": 8, "k5-e": 8, "k6-e": 7, "k5-3": 7, "loose-3-cycle": 9,
                 "petersen": 8, "asymmetric": 8}
+
+
+def matches(q: LocalTraceQuery, root_counts: dict[int, int]) -> bool:
+    """Whether a rooting with these root counts meets the query: every
+    required vertex rooted, no forbidden one, and the pin's count."""
+    return (all(root_counts.get(v, 0) for v in q.required)
+            and not any(root_counts.get(v, 0) for v in q.forbidden)
+            and (q.pinned is None or root_counts.get(q.pinned[0], 0) == q.pinned[1]))
 
 
 def relabelings(

@@ -28,7 +28,6 @@ from hypertrace import (
     hyperpath,
     hyperstar,
     new_hypergraph,
-    query,
     tuple_multiplicity,
 )
 from hypertrace.euler import (
@@ -172,18 +171,12 @@ class TestEnumeration:
         with pytest.raises(ValidationError):
             list(enumerate_rootings(hyperpath(3, 1), 0))
 
-    def test_rejects_orders_and_pins_that_are_not_integers(self):
-        # True enumerated order 1, (True, 1) pinned vertex 1 and (1, 2.0)
-        # two roots; 2.5, "3", (1.0, 2) and a bare 5 died with TypeError
+    def test_rejects_orders_that_are_not_integers(self):
+        # True enumerated order 1; 2.5 and "3" died with TypeError
         k4 = new_hypergraph(2, 4, combinations(range(4), 2))
         for d in (True, 2.5, "3", -1):
             with pytest.raises(ValidationError):
                 list(enumerate_rootings(k4, d))
-        for pinned in ((True, 1), (1, 2.0), (1.0, 2), (1, True), 5, (1,), (1, 2, 3), "12"):
-            with pytest.raises(ValidationError):
-                list(enumerate_rootings(k4, 4, pinned))
-        assert len(list(enumerate_rootings(k4, 4, [1, 2]))) == len(
-            list(enumerate_rootings(k4, 4, (1, 2)))) > 0
 
     def test_two_edge_path_order_six(self):
         mats = {m.counts for m in enumerate_rootings(hyperpath(3, 2), 6)}
@@ -212,82 +205,31 @@ class TestEnumeration:
         # d=3: the two orientations of the full triangle
         assert len(list(enumerate_rootings(TRIANGLE, 3))) == 2
 
-    def test_pinned_vertex_filters(self):
-        # triangle host at d=4: six rootings total, exactly two of which
-        # root vertex 0 once (host edge order (0,1), (0,2), (1,2))
-        assert len(list(enumerate_rootings(TRIANGLE, 4))) == 6
-        mats = list(enumerate_rootings(TRIANGLE, 4, (0, 1)))
-        assert {m.counts for m in mats} == {
-            ((1, 1), (0, 0), (1, 1)),
-            ((0, 0), (1, 1), (1, 1)),
-        }
-        # on a path host the cut-vertex count is forced, so pinning the
-        # forced value keeps every rooting
-        h = hyperpath(3, 2)
-        assert len(list(enumerate_rootings(h, 6, (2, 2)))) == 3
-
-    def test_unsatisfiable_pin_yields_nothing(self):
-        # a vertex on no edge is never rooted, and none is rooted more
-        # often than the order
-        h = new_hypergraph(3, 4, [(0, 1, 2)])
-        assert len(list(enumerate_rootings(h, 3))) == 1
-        assert list(enumerate_rootings(h, 3, (3, 1))) == []
-        assert list(enumerate_rootings(h, 3, (0, 5))) == []
-        assert list(enumerate_rootings(h, 3, (0, 4))) == []
-
-    def test_query_vertex_range_checked(self):
-        with pytest.raises(VertexOutOfRange):
-            list(enumerate_rootings(hyperpath(3, 1), 3, (9, 1)))
-        with pytest.raises(VertexOutOfRange):
-            list(enumerate_rootings(hyperpath(3, 1), 3, (9, 5)))
-        for t in (0, -1):
-            with pytest.raises(ValidationError):
-                list(enumerate_rootings(hyperpath(3, 1), 3, (0, t)))
-
     @pytest.mark.parametrize("name", sorted(CENSUS_HOSTS))
     def test_enumeration_matches_brute_force_census(self, name):
         # completeness and uniqueness: every valid rooting appears once
         h = CENSUS_HOSTS[name]
-        pins = [None, (0, 1), (1, 2), (0, 3)]
         found = 0
         for d in range(1, 7):
             census = brute_force_census(h, d)
             # each weight is an integer over d!, which the trace sums rely on
             for mat in census:
                 assert (contribution(mat, h.n) * math.factorial(d)).denominator == 1
-            for pin in pins:
-                mats = list(enumerate_rootings(h, d, pin))
-                listed = [mat.counts for mat in mats]
-                assert len(listed) == len(set(listed))
-                assert set(listed) == {
-                    mat.counts for mat in census
-                    if pin is None or query(pinned=pin).matches(mat.root_counts)
-                }
-                # the enumerator hands over derived fields without
-                # validating; they must equal what the validator derives
-                first_of_kvec = {}
-                for mat in mats:
-                    checked = RootCountMatrix(host=h, counts=mat.counts)
-                    assert mat.k_vector == checked.k_vector
-                    assert mat.root_counts == checked.root_counts
-                    first = first_of_kvec.setdefault(mat.k_vector, mat)
-                    assert first is mat or first.root_counts is not mat.root_counts
+            mats = list(enumerate_rootings(h, d))
+            listed = [mat.counts for mat in mats]
+            assert len(listed) == len(set(listed))
+            assert set(listed) == {mat.counts for mat in census}
+            # the enumerator hands over derived fields without
+            # validating; they must equal what the validator derives
+            first_of_kvec = {}
+            for mat in mats:
+                checked = RootCountMatrix(host=h, counts=mat.counts)
+                assert mat.k_vector == checked.k_vector
+                assert mat.root_counts == checked.root_counts
+                first = first_of_kvec.setdefault(mat.k_vector, mat)
+                assert first is mat or first.root_counts is not mat.root_counts
             found += len(census)
         assert found
-
-    @settings(max_examples=30, deadline=None)
-    @given(d=st.integers(min_value=1, max_value=6), data=st.data())
-    def test_queries_select_exactly_the_matching_rootings(self, d, data):
-        h = data.draw(st.sampled_from([hyperpath(3, 2), TRIANGLE, hyperstar(3, 2)]))
-        pin = (data.draw(st.integers(0, h.n - 1)), data.draw(st.integers(1, d + 1)))
-        q = query(pinned=pin)
-        unfiltered = {m.counts for m in enumerate_rootings(h, d)}
-        filtered = {m.counts for m in enumerate_rootings(h, d, pin)}
-        expected = {
-            m.counts for m in enumerate_rootings(h, d) if q.matches(m.root_counts)
-        }
-        assert filtered == expected
-        assert filtered <= unfiltered
 
 
 PAIRED_HOSTS = {
@@ -296,7 +238,6 @@ PAIRED_HOSTS = {
     "k4": new_hypergraph(2, 4, combinations(range(4), 2)),
     "k5-e": new_hypergraph(2, 5, [e for e in combinations(range(5), 2) if e != (0, 1)]),
 }
-PAIR_PINS = [None, (0, 1), (1, 2), (2, 3)]
 
 
 def reversed_counts(counts):
@@ -308,46 +249,43 @@ class TestReversalPairs:
     def test_the_reversal_of_a_rooting_is_a_rooting_of_equal_weight(self, name):
         h = PAIRED_HOSTS[name]
         for d in range(1, 9):
-            for pin in PAIR_PINS:
-                mats = list(enumerate_rootings(h, d, pin))
-                listed = {mat.counts for mat in mats}
-                for mat in mats:
-                    # the validating constructor raises on a non-rooting
-                    rev = RootCountMatrix(host=h, counts=reversed_counts(mat.counts))
-                    assert rev.counts in listed
-                    assert rev.k_vector == mat.k_vector
-                    assert rev.root_counts == mat.root_counts
-                    for ambient in (h.n, h.n + 2):
-                        assert contribution_parts(rev, ambient) == contribution_parts(
-                            mat, ambient)
-                    g, g_rev = build_digraph(mat), build_digraph(rev)
-                    assert g_rev.arcs == {(w, u): c for (u, w), c in g.arcs.items()}
-                    assert (euler_circuits_best(g_rev).arborescences
-                            == euler_circuits_best(g).arborescences)
+            mats = list(enumerate_rootings(h, d))
+            listed = {mat.counts for mat in mats}
+            for mat in mats:
+                # the validating constructor raises on a non-rooting
+                rev = RootCountMatrix(host=h, counts=reversed_counts(mat.counts))
+                assert rev.counts in listed
+                assert rev.k_vector == mat.k_vector
+                assert rev.root_counts == mat.root_counts
+                for ambient in (h.n, h.n + 2):
+                    assert contribution_parts(rev, ambient) == contribution_parts(mat, ambient)
+                g, g_rev = build_digraph(mat), build_digraph(rev)
+                assert g_rev.arcs == {(w, u): c for (u, w), c in g.arcs.items()}
+                assert (euler_circuits_best(g_rev).arborescences
+                        == euler_circuits_best(g).arborescences)
 
     @pytest.mark.parametrize("name", sorted(PAIRED_HOSTS))
     def test_pairing_yields_one_rooting_of_each_reversal_pair(self, name):
         h = PAIRED_HOSTS[name]
         for d in range(1, 9):
-            for pin in PAIR_PINS:
-                full = [mat.counts for mat in enumerate_rootings(h, d, pin)]
-                mats = list(enumerate_rootings(h, d, pin, reversal_pairs=True))
-                paired = [mat.counts for mat in mats]
-                kept = set(paired)
-                reversals = {reversed_counts(c) for c in paired}
-                assert len(kept) == len(paired)
-                assert kept | reversals == set(full)
-                assert kept & reversals == {c for c in paired if reversed_counts(c) == c}
-                # in the order of the full enumeration, each with more
-                # roots first in its first row of unequal entries
-                assert [c for c in full if c in kept] == paired
-                for c in paired:
-                    unequal = [row for row in c if row[0] != row[1]]
-                    assert not unequal or unequal[0][0] > unequal[0][1]
-                for mat in mats:
-                    checked = RootCountMatrix(host=h, counts=mat.counts)
-                    assert mat.k_vector == checked.k_vector
-                    assert mat.root_counts == checked.root_counts
+            full = [mat.counts for mat in enumerate_rootings(h, d)]
+            mats = list(enumerate_rootings(h, d, reversal_pairs=True))
+            paired = [mat.counts for mat in mats]
+            kept = set(paired)
+            reversals = {reversed_counts(c) for c in paired}
+            assert len(kept) == len(paired)
+            assert kept | reversals == set(full)
+            assert kept & reversals == {c for c in paired if reversed_counts(c) == c}
+            # in the order of the full enumeration, each with more roots
+            # first in its first row of unequal entries
+            assert [c for c in full if c in kept] == paired
+            for c in paired:
+                unequal = [row for row in c if row[0] != row[1]]
+                assert not unequal or unequal[0][0] > unequal[0][1]
+            for mat in mats:
+                checked = RootCountMatrix(host=h, counts=mat.counts)
+                assert mat.k_vector == checked.k_vector
+                assert mat.root_counts == checked.root_counts
 
     def test_pairing_changes_nothing_on_three_uniform_hosts(self):
         hosts = [
@@ -356,16 +294,15 @@ class TestReversalPairs:
         ]
         for h, d_max in hosts:
             for d in range(1, d_max + 1):
-                for pin in (None, (0, 1), (1, 2)):
-                    full = list(enumerate_rootings(h, d, pin))
-                    paired = list(enumerate_rootings(h, d, pin, reversal_pairs=True))
-                    assert [m.counts for m in paired] == [m.counts for m in full]
-                    assert [(m.k_vector, m.root_counts) for m in paired] == [
-                        (m.k_vector, m.root_counts) for m in full]
+                full = list(enumerate_rootings(h, d))
+                paired = list(enumerate_rootings(h, d, reversal_pairs=True))
+                assert [m.counts for m in paired] == [m.counts for m in full]
+                assert [(m.k_vector, m.root_counts) for m in paired] == [
+                    (m.k_vector, m.root_counts) for m in full]
 
     def test_pairing_is_keyword_only(self):
         with pytest.raises(TypeError):
-            enumerate_rootings(TRIANGLE, 4, None, True)
+            enumerate_rootings(TRIANGLE, 4, True)
 
 
 def root_vector(h, mat):
@@ -397,10 +334,10 @@ class TestAutomorphismOrbits:
         is_least = least_vectors(h)
         generators = _labeling(h)[1]
         for d in range(1, ORBIT_ORDERS[name] + 1):
-            for pairs, pin in ((False, None), (True, None), (True, (0, 2))):
-                full = list(enumerate_rootings(h, d, pin, reversal_pairs=pairs))
+            for pairs in (False, True):
+                full = list(enumerate_rootings(h, d, reversal_pairs=pairs))
                 reduced = list(enumerate_rootings(
-                    h, d, pin, reversal_pairs=pairs, automorphisms=generators))
+                    h, d, reversal_pairs=pairs, automorphisms=generators))
                 want = [mat for mat in full if is_least(root_vector(h, mat))]
                 assert [m.counts for m in reduced] == [m.counts for m in want]
                 assert [(m.k_vector, m.root_counts) for m in reduced] == [
@@ -505,11 +442,10 @@ class TestTargetedRoute:
         is_least = least_vectors(h)
         generators = _labeling(h)[1]
         d = data.draw(st.integers(1, 6 if h.m == 2 else 5))
-        pin = (data.draw(st.integers(0, h.n - 1)), data.draw(st.integers(1, 3)))
-        for pairs, pinned in ((False, None), (True, None), (False, pin), (True, pin)):
-            full = list(enumerate_rootings(h, d, pinned, reversal_pairs=pairs))
+        for pairs in (False, True):
+            full = list(enumerate_rootings(h, d, reversal_pairs=pairs))
             reduced = list(enumerate_rootings(
-                h, d, pinned, reversal_pairs=pairs, automorphisms=generators))
+                h, d, reversal_pairs=pairs, automorphisms=generators))
             want = [mat for mat in full if is_least(root_vector(h, mat))]
             assert [(m.counts, m.k_vector, m.root_counts) for m in reduced] == [
                 (m.counts, m.k_vector, m.root_counts) for m in want]

@@ -5,7 +5,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +47,7 @@ from conftest import (
     complete,
     connected_graph_classes,
     group_order,
+    matches,
     relabelings,
 )
 
@@ -225,6 +225,9 @@ class TestLocalTrace:
         for q in (query(pinned=(0, 5)), query(pinned=(0, 4)), query(pinned=(0, 2))):
             assert trace_local(h, 3, q) == 0
             assert trace_table(h, 3, (q,)).get(3, q) == 0
+        # nor is a vertex on no edge ever rooted
+        g, q = new_hypergraph(3, 4, [(0, 1, 2)]), query(pinned=(3, 1))
+        assert trace_local(g, 3, q) == trace_table(g, 3, (q,)).get(3, q) == 0
 
     def test_query_validation(self):
         with pytest.raises(ValidationError):
@@ -237,7 +240,9 @@ class TestLocalTrace:
         for bad in (
             dict(required=["a"]), dict(forbidden=[1.0]), dict(required=[True]),
             dict(pinned=(0, 1.5)), dict(pinned=("0", 1)), dict(pinned=(False, 1)),
-            dict(pinned=(0, 1, 2)), dict(pinned=5), dict(required=5), dict(forbidden=1),
+            dict(pinned=(True, 1)), dict(pinned=(1, True)), dict(pinned=(1.0, 2)),
+            dict(pinned=(0, 1, 2)), dict(pinned=(1,)), dict(pinned=5), dict(pinned="12"),
+            dict(pinned=(0, -1)), dict(required=5), dict(forbidden=1),
         ):
             with pytest.raises(ValidationError):
                 query(**bad)
@@ -252,7 +257,8 @@ class TestLocalTrace:
                 trace_table(k4, 3, [bad])
         # query vertices are checked against the host at every order
         h = hyperpath(3, 2)
-        for q in (query(forbidden=[99]), query(required=[5]), query(pinned=(-1, 1))):
+        for q in (query(forbidden=[99]), query(required=[5]), query(pinned=(-1, 1)),
+                  query(pinned=(9, 1)), query(pinned=(9, 5))):
             for d in (0, 3):
                 with pytest.raises(VertexOutOfRange):
                     trace_local(h, d, q)
@@ -459,17 +465,12 @@ class TestWarmMemo:
                         for mat in enumerate_rootings(h, d)]
         return cache[d]
 
-    @staticmethod
-    def keeps(q, roots):
-        return (all(roots.get(v, 0) for v in q.required)
-                and not any(roots.get(v, 0) for v in q.forbidden)
-                and (q.pinned is None or roots.get(q.pinned[0], 0) == q.pinned[1]))
-
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_interleaved_calls_match_fresh_hosts_and_enumeration(self, data):
         # localized values are signed sums over sub-hosts kept with h, on
-        # the forest wherever deleting edges leaves cut vertices
+        # the forest wherever deleting edges leaves cut vertices; a pin
+        # with a forbidden cut vertex reads a forest of several components
         if data.draw(st.booleans()):
             h = draw_glued(data)
         else:
@@ -483,17 +484,19 @@ class TestWarmMemo:
         u, v = data.draw(vertex), data.draw(vertex)
         kinds = ("required", "forbidden", "pinned")
         if h.n > 1:
-            kinds += ("two required", "required and forbidden", "required and pinned")
+            kinds += ("two required", "required and forbidden", "required and pinned",
+                      "forbidden and pinned")
         cache = {}
 
         def oracle(d, q):
             rootings = self.weighed_rootings(h, d, cache)
-            return sum((w for roots, w in rootings if self.keeps(q, roots)), Fraction(0))
+            return sum((w for roots, w in rootings if matches(q, roots)), Fraction(0))
 
         def draw_query(d):
             kind = data.draw(st.sampled_from(kinds))
             a, b = data.draw(st.permutations(range(h.n)))[:2] if h.n > 1 else (0, 0)
-            pin = (data.draw(st.sampled_from((a, b))), data.draw(st.integers(1, d + 1)))
+            t = data.draw(st.integers(1, d + 1))
+            pin = (data.draw(st.sampled_from((a, b))), t)
             return {
                 "required": lambda: query(required=[a]),
                 "forbidden": lambda: query(forbidden=[a]),
@@ -501,6 +504,7 @@ class TestWarmMemo:
                 "two required": lambda: query(required=[a, b]),
                 "required and forbidden": lambda: query(required=[a], forbidden=[b]),
                 "required and pinned": lambda: query(required=[a], pinned=pin),
+                "forbidden and pinned": lambda: query(forbidden=[b], pinned=(a, t)),
             }[kind]()
 
         for _ in range(data.draw(st.integers(min_value=3, max_value=7))):
@@ -536,15 +540,15 @@ class TestWarmMemo:
 
     def test_one_store_one_forest_per_anchor_and_one_sub_host_per_edge_set(self):
         # h keeps one store of block tables, one forest per anchor (None
-        # for plain values) and no table keyed by an order; a localized
-        # value keeps one sub-host per set of edges it keeps, h less the
-        # edges meeting the vertices it forbids on h's n vertices, and a
-        # pinned one keeps nothing else
+        # for plain values, the pinned vertex for pinned ones) and no
+        # table keyed by an order; a localized value keeps one sub-host
+        # per set of edges it keeps, h less the edges meeting the
+        # vertices it forbids on h's n vertices
         h = new_hypergraph(3, 7, LOOSE_3_CYCLE.edges)  # vertex 6 is isolated
         trace_table(h, 4, (query(required=[0]), query(pinned=(1, 1))))
         local_trace_profile(h, 2, 4)
         forest = traces_module._BlockForest
-        own = {traces_module._STORE, (forest, None), (forest, 2)}
+        own = {traces_module._STORE, (forest, None), (forest, 1), (forest, 2)}
 
         def less(*vs):
             return tuple(e for e in h.edges if set(vs).isdisjoint(e))
@@ -583,7 +587,7 @@ class TestWarmMemo:
         # demanding exactly d roots is not pruned
         q = query(required=range(3))
         want = sum((contribution(mat, h.n) for mat in enumerate_rootings(h, 3)
-                    if q.matches(mat.root_counts)), Fraction(0))
+                    if matches(q, mat.root_counts)), Fraction(0))
         assert trace_local(h, 3, q) == want != 0
 
 
@@ -708,7 +712,7 @@ def enumerated_profile(h, anchor, d_max):
         for t in range(1, d + 1):
             q = query(pinned=(anchor, t))
             value = sum((contribution(mat, h.n) for mat in enumerate_rootings(h, d)
-                         if q.matches(mat.root_counts)), Fraction(0))
+                         if matches(q, mat.root_counts)), Fraction(0))
             if value:
                 entries[d, t] = value
     return entries
@@ -790,11 +794,45 @@ class TestAnchoredForest:
             **enumerated_profile(h, anchor, 8), (0, 0): 1}
 
 
-def unpaired_table(h, d, pinned):
+class TestPinnedReads:
+    """A pinned value is read from the store of block tables: on a host
+    of one block from its table at the order asked, else from the
+    forest rooted at the pinned vertex."""
+
+    @pytest.mark.parametrize("name", ["asymmetric", "k5", "k5-3", "petersen", "k4-k4-k4"])
+    def test_pinned_values_equal_the_filtered_enumeration(self, name):
+        if name == "k4-k4-k4":
+            h = coalesce(coalesce(K4, 3, K4, 0), 6, K4, 0)
+        else:
+            h, _ = SYMMETRIC_HOSTS[name]
+        for d in range(1, 8):
+            g = new_hypergraph(h.m, h.n, h.edges)
+            weighed = [(mat.root_counts, contribution(mat, h.n))
+                       for mat in enumerate_rootings(h, d)]
+            for v in h.vertices:
+                for t in range(1, d + 2):
+                    # forbidding a cut vertex of K4.K4.K4 splits the host
+                    for q in (query(pinned=(v, t)),
+                              query(forbidden=[(v + 3) % h.n], pinned=(v, t))):
+                        want = sum((w for roots, w in weighed if matches(q, roots)),
+                                   Fraction(0))
+                        assert trace_local(g, d, q) == want
+
+    def test_a_pin_after_a_trace_enumerates_nothing(self):
+        k5, q = complete(2, 5), query(pinned=(0, 2))
+        with counted_enumeration() as calls:
+            assert trace(k5, 8) == trace_m2_oracle(k5, 8)
+            got = trace_local(k5, 8, q)
+        assert [d for _, d in calls] == [8]
+        assert got == sum((contribution(mat, k5.n) for mat in enumerate_rootings(k5, 8)
+                           if matches(q, mat.root_counts)), Fraction(0))
+
+
+def unpaired_table(h, d):
     """The rooting table summed over every rooting, each weighed once,
     keyed by the root counts at every vertex."""
     table = {}
-    for mat in enumerate_rootings(h, d, pinned):
+    for mat in enumerate_rootings(h, d):
         key = tuple(mat.root_counts.get(v, 0) for v in h.vertices)
         table[key] = table.get(key, 0) + contribution_parts(mat, h.n)
     return table
@@ -813,9 +851,7 @@ class TestPairedTables:
     ], ids=["triangle", "c4-chord", "k4", "k5-e", "loose-3-cycle"])
     def test_tables_equal_the_unpaired_sums(self, h, d_max):
         for d in range(1, d_max + 1):
-            for pinned in (None, (0, 1), (2, 2)):
-                assert traces_module._enumerate_table(h, d, pinned) == (
-                    unpaired_table(h, d, pinned))
+            assert traces_module._enumerate_table(h, d) == unpaired_table(h, d)
 
 
 class TestOrbitTables:
@@ -827,7 +863,7 @@ class TestOrbitTables:
         h, _ = SYMMETRIC_HOSTS[name]
         copies = relabelings(h, 2)
         for d in range(1, ORBIT_ORDERS[name] + 1):
-            want = unpaired_table(h, d, None)
+            want = unpaired_table(h, d)
             assert traces_module._enumerate_table(h, d, automorphisms=_labeling(h)[1]) == want
             for g, perm in copies:
                 moved = {}
@@ -838,16 +874,6 @@ class TestOrbitTables:
                     moved[tuple(image)] = part
                 got = traces_module._enumerate_table(g, d, automorphisms=_labeling(g)[1])
                 assert got == moved
-
-    @pytest.mark.parametrize("name", ["k5", "k5-3", "petersen", "asymmetric"])
-    def test_pinned_tables_and_values_are_unchanged(self, name):
-        h, _ = SYMMETRIC_HOSTS[name]
-        for d in range(1, 7):
-            for pinned in ((0, 1), (1, 2)):
-                table = traces_module._enumerate_table(h, d, pinned)
-                assert table == unpaired_table(h, d, pinned)
-                assert trace_local(h, d, query(pinned=pinned)) == Fraction(
-                    sum(table.values()), factorial(d))
 
     def test_each_orbit_is_closed_once_per_table(self, monkeypatch):
         k5, _ = SYMMETRIC_HOSTS["k5"]
@@ -861,15 +887,8 @@ class TestOrbitTables:
         monkeypatch.setattr(euler_module, "_orbit", counted)
         monkeypatch.setattr(traces_module, "_orbit", counted, raising=False)
         table = traces_module._enumerate_table(k5, 8, automorphisms=_labeling(k5)[1])
-        assert table == unpaired_table(k5, 8, None)
+        assert table == unpaired_table(k5, 8)
         assert closed and len(closed) == len(set(closed))
-
-    def test_a_pin_with_automorphisms_is_rejected(self):
-        k4, _ = SYMMETRIC_HOSTS["k4"]
-        generators = _labeling(k4)[1]
-        with pytest.raises(ValidationError):
-            traces_module._enumerate_table(k4, 6, (0, 2), generators)
-        assert sum(traces_module._enumerate_table(k4, 6, (0, 2)).values()) == 233280
 
     def test_the_store_keeps_each_blocks_generators(self):
         k5, _ = SYMMETRIC_HOSTS["k5"]
