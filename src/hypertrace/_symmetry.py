@@ -1,0 +1,286 @@
+"""Automorphism groups of a host, for the enumerator to reduce by.
+
+An automorphism is a permutation of 0..n-1, given as the tuple of the
+images of the vertices in order, that maps every edge of the host onto
+an edge.  A group of them is given by generators and never listed.
+
+* ``_Orbits`` closes the orbit of a root-count vector one generator
+  step at a time, once per vector met, and tells whether it is the
+  lexicographically least of its orbit.
+* ``_base_orbits`` gives the basic orbits of the group for the base
+  0, 1, ..., n-1 from a Schreier-Sims run (Sims 1970).  The same run
+  gives a pool of group elements, its strong generators and coset
+  representatives, kept by ``_Group`` with each element's action on
+  the host's edges.
+* ``_root_vectors`` lists the candidate least root-count vectors of an
+  order.  Besides summing to d, with ``r(v) <= d // m`` (the load at v
+  is at most the sum of all k) and 0 on a vertex of no edge, every
+  least vector with rootings meets two bounds:
+
+  - ``sum of r(u) over the neighbours u of v >= (m - 1) * r(v)``: each
+    ``k_e`` at v adds ``k_e`` to each of the m - 1 other vertices of e;
+  - ``r(j) <= r(u)`` for u in the basic orbit of j, the orbit of j
+    under the elements fixing 0..j-1: such a g sending j to u gives
+    ``g.r`` equal to r before j and ``r(u)`` at j.
+
+* ``_Orbits.least_k_vectors`` keeps, of the k-vectors with the root
+  counts r, the least of each orbit under the pool elements that fix
+  r, and records each one's orbit size (``euler``'s docstring).
+"""
+
+from __future__ import annotations
+
+from functools import cached_property, lru_cache
+from operator import mul
+from typing import Iterable, Iterator, Sequence
+
+from .errors import ValidationError
+from .hypergraph import UniformHypergraph
+
+
+def _check_automorphisms(
+    h: UniformHypergraph, automorphisms: Iterable[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """The automorphisms as tuples, the identity left out; anything
+    that is not a permutation of 0..n-1 mapping every edge of h onto an
+    edge of h raises :class:`ValidationError`."""
+    generators = []
+    edges = set(h.edges)
+    for g in automorphisms:
+        try:
+            g = tuple(g)
+        except TypeError:
+            raise ValidationError(f"{g!r} is not a vertex permutation") from None
+        if (not all(type(x) is int for x in g) or sorted(g) != list(h.vertices)
+                or any(tuple(sorted(g[v] for v in e)) not in edges for e in h.edges)):
+            raise ValidationError(f"{g!r} is not an automorphism of the host")
+        if g != tuple(h.vertices):
+            generators.append(g)
+    return generators
+
+
+def _orbit(r: tuple[int, ...], generators: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The orbit of a vector over the vertices under the group that the
+    vertex permutations generate, closed one generator step at a time."""
+    orbit = {r}
+    todo = [r]
+    while todo:
+        x = todo.pop()
+        for g in generators:
+            y = tuple(map(x.__getitem__, g))
+            if y not in orbit:
+                orbit.add(y)
+                todo.append(y)
+    return orbit
+
+
+class _Group(list):
+    """Generators of a group of automorphisms of a host, as a list, and
+    the ``pool`` of group elements that Schreier-Sims finds from them,
+    each with its action on the host's edges (``edge_map[i]`` is the
+    index of the image of edge i), computed on first use and kept with
+    the list."""
+
+    def __init__(self, h: UniformHypergraph, generators: Iterable[tuple[int, ...]]) -> None:
+        super().__init__(generators)
+        self.n, self.edges = h.n, h.edges
+
+    @cached_property
+    def pool(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        index = {e: i for i, e in enumerate(self.edges)}
+        return [(g, tuple(index[tuple(sorted(map(g.__getitem__, e)))] for e in self.edges))
+                for g in _chain(self.n, tuple(self))[1]]
+
+
+class _Orbits:
+    """Generators of a group of automorphisms, iterated as such, and the
+    orbits of root-count vectors under the group closed so far, each
+    closed once: ``least`` tells of every vector met whether it is the
+    least of its orbit, and ``of`` maps each least vector met to its
+    orbit.  ``sizes`` maps each k-vector kept by ``least_k_vectors``,
+    which needs the generators as a :class:`_Group`, to the size of its
+    orbit where that is above 1.  A caller that passes one to
+    ``euler.enumerate_rootings`` reads the orbits and sizes of what it
+    yielded afterwards."""
+
+    def __init__(self, group: list[tuple[int, ...]]) -> None:
+        self.group = group
+        self.least: dict[tuple[int, ...], bool] = {}
+        self.of: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+        self.sizes: dict[tuple[int, ...], int] = {}
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self.group)
+
+    def is_least(self, r: tuple[int, ...]) -> bool:
+        if r not in self.least:
+            orbit = _orbit(r, self.group)
+            self.least.update(dict.fromkeys(orbit, False))
+            first = min(orbit)
+            self.least[first] = True
+            self.of[first] = orbit
+        return self.least[r]
+
+    def least_k_vectors(self, found: list, r: tuple[int, ...], d: int) -> list:
+        """Of the (k-vector, load) pairs ``found`` at the root counts r
+        of order d, every one with those root counts in lexicographic
+        order, the least of each orbit under the pool elements fixing
+        r.  A k-vector is coded as the integer ``sum k_e * (d+1)^(E-1-e)``,
+        so integer order is lexicographic order and no image is built as
+        a tuple."""
+        if len(found) < 2:
+            return found
+        fixing = [edge_map for g, edge_map in self.group.pool
+                  if all(r[w] == x for w, x in zip(g, r))]
+        if not fixing:
+            return found
+        count = len(self.group.edges)
+        place = [(d + 1) ** (count - 1 - e) for e in range(count)]
+        moves = [[place[i] for i in edge_map] for edge_map in fixing]
+        codes = [sum(map(mul, k, place)) for k, _ in found]
+        by_code = {code: k for code, (k, _) in zip(codes, found)}
+        seen: set[int] = set()
+        kept = []
+        for code, item in zip(codes, found):
+            if code in seen:
+                continue
+            orbit = {code}
+            todo = [item[0]]
+            while todo:
+                x = todo.pop()
+                for move in moves:
+                    y = sum(map(mul, x, move))
+                    if y not in orbit:
+                        orbit.add(y)
+                        todo.append(by_code[y])
+            seen |= orbit
+            kept.append(item)
+            if len(orbit) > 1:
+                self.sizes[item[0]] = len(orbit)
+        return kept
+
+
+def _inverse(p: tuple[int, ...]) -> list[int]:
+    back = [0] * len(p)
+    for v, w in enumerate(p):
+        back[w] = v
+    return back
+
+
+def _base_orbits(n: int, generators: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The basic orbits of the group the permutations of 0..n-1
+    generate for the base 0, 1, ..., n-1: entry j is the orbit of j
+    under the elements that fix 0..j-1."""
+    return _chain(n, generators)[0]
+
+
+@lru_cache(maxsize=64)
+def _chain(
+    n: int, generators: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The basic orbits of the group the permutations of 0..n-1
+    generate for the base 0, 1, ..., n-1, and the pool: every strong
+    generator and coset representative but the identity, each once.
+    Schreier-Sims (Sims 1970) builds a strong generating set without
+    listing the group: level j keeps its generators and coset
+    representatives ``cosets[j][u]``, each sending j to u, and every
+    Schreier generator of level j must sift through the levels after
+    it.  One that does not is added to the levels up to the one it
+    stopped at, and the check resumes there; the levels after it are
+    complete."""
+    strong: list[list[tuple[int, ...]]] = [[] for _ in range(n)]  # the generators fixing 0..j-1
+    for g in generators:
+        for j in range(n):
+            strong[j].append(g)
+            if g[j] != j:
+                break
+    cosets: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
+
+    def close(j: int) -> None:
+        reps = cosets[j] = {j: tuple(range(n))}
+        todo = [j]
+        while todo:
+            x = todo.pop()
+            for s in strong[j]:
+                y = s[x]
+                if y not in reps:
+                    reps[y] = tuple(map(s.__getitem__, reps[x]))  # reps[x], then s
+                    todo.append(y)
+
+    def sift(g: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
+        # g fixes 0..j-1; each level's representative of g[i] taken out
+        # makes it fix i too, up to a level where g[i] has none (n: g
+        # is in the group)
+        for i in range(j, n):
+            if g[i] != i:
+                rep = cosets[i].get(g[i])
+                if rep is None:
+                    return i, g
+                g = tuple(map(_inverse(rep).__getitem__, g))
+        return n, g
+
+    def escape(j: int) -> tuple[int, tuple[int, ...]] | None:
+        reps = cosets[j]
+        for x, rep in reps.items():
+            for s in strong[j]:
+                back = _inverse(reps[s[x]])
+                # j -> x -> s(x) -> j
+                i, g = sift(tuple(back[s[u]] for u in rep), j + 1)
+                if i < n:
+                    return i, g
+        return None
+
+    for j in range(n):
+        close(j)
+    j = n - 1
+    while j >= 0:
+        found = escape(j)
+        if found is None:
+            j -= 1
+            continue
+        i, g = found
+        for level in range(j + 1, i + 1):
+            strong[level].append(g)
+            close(level)
+        j = i
+    pool = dict.fromkeys(g for level in strong + [list(c.values()) for c in cosets] for g in level)
+    pool.pop(tuple(range(n)), None)
+    return tuple(tuple(sorted(reps)) for reps in cosets), tuple(pool)
+
+
+def _root_vectors(
+    h: UniformHypergraph, d: int, base_orbits: tuple[tuple[int, ...], ...]
+) -> Iterator[tuple[int, ...]]:
+    """In lexicographic order, root-count vectors r over 0..n-1 meeting
+    the bounds every least vector of an orbit with rootings of order d
+    meets (the module docstring): r sums to d, r(v) <= d // m and 0 on
+    a vertex of no edge, the neighbours of v hold at least (m - 1) *
+    r(v) roots, and r(j) <= r(u) for u in the basic orbit of j."""
+    n, m = h.n, h.m
+    highs = [d // m if degree else 0 for degree in h.degrees]
+    # room[v]: the most roots the vertices after v can hold
+    room = [0] * n
+    for v in range(n - 1, 0, -1):
+        room[v - 1] = room[v] + highs[v]
+    above = [[j for j in range(u) if u in base_orbits[j]] for u in range(n)]
+    neighbours = [sorted({u for i in h.incidence[v] for u in h.edges[i]} - {v}) for v in range(n)]
+    checks: list[list[int]] = [[] for _ in range(n)]  # vertices whose neighbours are all set at v
+    for v in range(n):
+        checks[max([v, *neighbours[v]])].append(v)
+    r = [0] * n
+
+    def assign(v: int, remaining: int) -> Iterator[tuple[int, ...]]:
+        low = max(0, remaining - room[v], *map(r.__getitem__, above[v]))
+        for x in range(low, min(highs[v], remaining) + 1):
+            r[v] = x
+            for w in checks[v]:
+                if sum(map(r.__getitem__, neighbours[w])) < (m - 1) * r[w]:
+                    break
+            else:
+                if v == n - 1:
+                    yield tuple(r)
+                else:
+                    yield from assign(v + 1, remaining - x)
+        r[v] = 0
+
+    yield from assign(0, d)

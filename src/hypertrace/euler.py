@@ -64,20 +64,27 @@ that copy.  The filter reads only root counts, so it composes with
 On a host with more edges than vertices, the compositions of d over
 the edges outnumber those over the vertices at every d >= 2.  There
 stage one is not run free and filtered; the candidate root-count
-vectors are listed first, vertex by vertex, and stage one runs
-targeted at each one that is the least of its orbit.  Besides summing
-to d, with ``r(v) <= d // m`` (the load at v is at most the sum of all
-k) and 0 on a vertex of no edge, every least vector with rootings
-meets two bounds:
-
-* ``sum of r(u) over the neighbours u of v >= (m - 1) * r(v)``: each
-  ``k_e`` at v adds ``k_e`` to each of the m - 1 other vertices of e;
-* ``r(j) <= r(u)`` for u in the basic orbit of j, the orbit of j under
-  the elements of G fixing 0..j-1 (Schreier-Sims, Sims 1970): such a g
-  sending j to u gives ``g.r`` equal to r before j and ``r(u)`` at j.
-
-The targeted searches yield distinct k-vectors, each in lexicographic
+vectors are listed first, vertex by vertex, under bounds every least
+vector with rootings meets (``_symmetry``'s docstring), and stage one
+runs targeted at each one that is the least of its orbit.  The
+targeted searches yield distinct k-vectors, each in lexicographic
 order, so sorted together they give the sequence of the free route.
+
+The elements of G that fix a least vector r, its stabilizer, permute
+the k-vectors with root counts r: g maps the rootings of k onto those
+of ``g.k``, with root counts ``g.r = r``, an isomorphic support and
+equal weights.  So the rootings of every k-vector of one orbit under
+any subgroup H of the stabilizer weigh the same in sum (on m = 2 the
+sum over one rooting per reversal pair, a pair counted twice, is that
+full sum), and a table keyed by root counts stays exact if it weighs
+the rootings of one k-vector per orbit of H times the orbit's size,
+whichever subgroup H is: a smaller H only leaves more k-vectors.
+Given an ``_symmetry._Orbits`` memo, H is generated by the elements of
+a pool kept per group (its strong generators and coset
+representatives) that fix r; only the least k-vector of each orbit of
+H goes on to the support test and stage two, and the memo records its
+orbit size.  A call given plain generators reduces by root counts
+alone.
 
 Counting on the resulting digraph is exact integer arithmetic: spanning
 arborescences come from a principal minor of the out-degree Laplacian
@@ -91,10 +98,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._symmetry import _base_orbits, _check_automorphisms, _Orbits, _root_vectors
 from .config import Budget, default_budget
 from .errors import (
     EmptyGraph,
@@ -270,7 +278,11 @@ def enumerate_rootings(
     rootings whose root counts, as a vector over 0..n-1, are the
     lexicographically least of their orbit under the group they
     generate are yielded, again in the order of the full enumeration.
-    A permutation that is not an automorphism of h is rejected.
+    A permutation that is not an automorphism of h is rejected.  Given
+    an ``_symmetry._Orbits`` memo on a host with more edges than
+    vertices, only the least k-vector of each orbit under the pool
+    elements fixing its root counts is yielded, and the memo's
+    ``sizes`` holds the orbit sizes (the module docstring).
     """
     _check_order(d, 1)
     generators = _check_automorphisms(h, automorphisms)
@@ -317,14 +329,17 @@ def enumerate_rootings(
     if not generators:
         multiplicities = _balanced_multiplicities(edges, n, m, d, free)
     else:
-        orbits = automorphisms if isinstance(automorphisms, _Orbits) else _Orbits(generators)
+        memo = isinstance(automorphisms, _Orbits)
+        orbits = automorphisms if memo else _Orbits(generators)
         if h.edge_count > n:
-            # list the least root-count vectors, then search at each
-            targets = [r for r in _root_vectors(h, d, _base_orbits(n, tuple(generators)))
-                       if orbits.is_least(r)]
-            multiplicities = sorted(
-                [x for r in targets for x in _balanced_multiplicities(edges, n, m, d, r)],
-                key=itemgetter(0))
+            # list the least root-count vectors, then search at each; with
+            # a memo, keep the least k-vector of each orbit of those found
+            multiplicities = []
+            for r in _root_vectors(h, d, _base_orbits(n, tuple(generators))):
+                if orbits.is_least(r):
+                    found = list(_balanced_multiplicities(edges, n, m, d, r))
+                    multiplicities += orbits.least_k_vectors(found, r, d) if memo else found
+            multiplicities.sort(key=itemgetter(0))
         else:
             multiplicities = (
                 (k_vector, load)
@@ -342,182 +357,6 @@ def enumerate_rootings(
         # a single edge's row is forced and, on m = 2, its own reversal
         yield from distribute(0, pair) if last else [complete()]
         rows[chosen[last][2]] = zero
-
-
-def _check_automorphisms(
-    h: UniformHypergraph, automorphisms: Iterable[Sequence[int]]
-) -> list[tuple[int, ...]]:
-    """The automorphisms as tuples, the identity left out; anything
-    that is not a permutation of 0..n-1 mapping every edge of h onto an
-    edge of h raises :class:`ValidationError`."""
-    generators = []
-    for g in automorphisms:
-        try:
-            g = tuple(g)
-        except TypeError:
-            raise ValidationError(f"{g!r} is not a vertex permutation") from None
-        edges = set(h.edges)
-        if (not all(type(x) is int for x in g) or sorted(g) != list(h.vertices)
-                or any(tuple(sorted(g[v] for v in e)) not in edges for e in h.edges)):
-            raise ValidationError(f"{g!r} is not an automorphism of the host")
-        if g != tuple(h.vertices):
-            generators.append(g)
-    return generators
-
-
-def _orbit(r: tuple[int, ...], generators: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """The orbit of a vector over the vertices under the group that the
-    vertex permutations generate, closed one generator step at a time."""
-    orbit = {r}
-    todo = [r]
-    while todo:
-        x = todo.pop()
-        for g in generators:
-            y = tuple(map(x.__getitem__, g))
-            if y not in orbit:
-                orbit.add(y)
-                todo.append(y)
-    return orbit
-
-
-class _Orbits:
-    """Generators of a group of automorphisms, iterated as such, and the
-    orbits of root-count vectors under the group closed so far, each
-    closed once: ``least`` tells of every vector met whether it is the
-    least of its orbit, and ``of`` maps each least vector met to its
-    orbit.  A caller that passes one to :func:`enumerate_rootings` reads
-    the orbits of the vectors yielded from it afterwards."""
-
-    def __init__(self, generators: Iterable[tuple[int, ...]]) -> None:
-        self.generators = list(generators)
-        self.least: dict[tuple[int, ...], bool] = {}
-        self.of: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.generators)
-
-    def is_least(self, r: tuple[int, ...]) -> bool:
-        if r not in self.least:
-            orbit = _orbit(r, self.generators)
-            self.least.update(dict.fromkeys(orbit, False))
-            first = min(orbit)
-            self.least[first] = True
-            self.of[first] = orbit
-        return self.least[r]
-
-
-def _inverse(p: tuple[int, ...]) -> list[int]:
-    back = [0] * len(p)
-    for v, w in enumerate(p):
-        back[w] = v
-    return back
-
-
-@lru_cache(maxsize=64)
-def _base_orbits(n: int, generators: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """The basic orbits of the group the permutations of 0..n-1
-    generate for the base 0, 1, ..., n-1: entry j is the orbit of j
-    under the elements that fix 0..j-1.  Schreier-Sims (Sims 1970)
-    builds a strong generating set without listing the group: level j
-    keeps its generators and coset representatives ``cosets[j][u]``,
-    each sending j to u, and every Schreier generator of level j must
-    sift through the levels after it.  One that does not is added to
-    the levels up to the one it stopped at, and the check resumes
-    there; the levels after it are complete."""
-    strong: list[list[tuple[int, ...]]] = [[] for _ in range(n)]  # the generators fixing 0..j-1
-    for g in generators:
-        for j in range(n):
-            strong[j].append(g)
-            if g[j] != j:
-                break
-    cosets: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
-
-    def close(j: int) -> None:
-        reps = cosets[j] = {j: tuple(range(n))}
-        todo = [j]
-        while todo:
-            x = todo.pop()
-            for s in strong[j]:
-                y = s[x]
-                if y not in reps:
-                    reps[y] = tuple(map(s.__getitem__, reps[x]))  # reps[x], then s
-                    todo.append(y)
-
-    def sift(g: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
-        # g fixes 0..j-1; each level's representative of g[i] taken out
-        # makes it fix i too, up to a level where g[i] has none (n: g
-        # is in the group)
-        for i in range(j, n):
-            if g[i] != i:
-                rep = cosets[i].get(g[i])
-                if rep is None:
-                    return i, g
-                g = tuple(map(_inverse(rep).__getitem__, g))
-        return n, g
-
-    def escape(j: int) -> tuple[int, tuple[int, ...]] | None:
-        reps = cosets[j]
-        for x, rep in reps.items():
-            for s in strong[j]:
-                back = _inverse(reps[s[x]])
-                # j -> x -> s(x) -> j
-                i, g = sift(tuple(back[s[u]] for u in rep), j + 1)
-                if i < n:
-                    return i, g
-        return None
-
-    for j in range(n):
-        close(j)
-    j = n - 1
-    while j >= 0:
-        found = escape(j)
-        if found is None:
-            j -= 1
-            continue
-        i, g = found
-        for level in range(j + 1, i + 1):
-            strong[level].append(g)
-            close(level)
-        j = i
-    return tuple(tuple(sorted(reps)) for reps in cosets)
-
-
-def _root_vectors(
-    h: UniformHypergraph, d: int, base_orbits: tuple[tuple[int, ...], ...]
-) -> Iterator[tuple[int, ...]]:
-    """In lexicographic order, root-count vectors r over 0..n-1 meeting
-    the bounds every least vector of an orbit with rootings of order d
-    meets (the module docstring): r sums to d, r(v) <= d // m and 0 on
-    a vertex of no edge, the neighbours of v hold at least (m - 1) *
-    r(v) roots, and r(j) <= r(u) for u in the basic orbit of j."""
-    n, m = h.n, h.m
-    highs = [d // m if degree else 0 for degree in h.degrees]
-    # room[v]: the most roots the vertices after v can hold
-    room = [0] * n
-    for v in range(n - 1, 0, -1):
-        room[v - 1] = room[v] + highs[v]
-    above = [[j for j in range(u) if u in base_orbits[j]] for u in range(n)]
-    neighbours = [sorted({u for i in h.incidence[v] for u in h.edges[i]} - {v}) for v in range(n)]
-    checks: list[list[int]] = [[] for _ in range(n)]  # vertices whose neighbours are all set at v
-    for v in range(n):
-        checks[max([v, *neighbours[v]])].append(v)
-    r = [0] * n
-
-    def assign(v: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        low = max(0, remaining - room[v], *map(r.__getitem__, above[v]))
-        for x in range(low, min(highs[v], remaining) + 1):
-            r[v] = x
-            for w in checks[v]:
-                if sum(map(r.__getitem__, neighbours[w])) < (m - 1) * r[w]:
-                    break
-            else:
-                if v == n - 1:
-                    yield tuple(r)
-                else:
-                    yield from assign(v + 1, remaining - x)
-        r[v] = 0
-
-    yield from assign(0, d)
 
 
 def _balanced_multiplicities(

@@ -45,7 +45,8 @@ Plain traces and ``composition``'s profiles factor over the host's
 block-cut forest, the paper's cut-vertex theorem, kept in ``h.memo``
 per anchor (``None`` for plain traces).  The plain or pinned trace of
 a host with one block is that block's table at its order alone, as the
-forest would fill every lower order first.  So the store is the one
+forest would fill every lower order first, projected once per order
+and kept with the forest.  So the store is the one
 place where rootings are enumerated.
 
 * Balance roots every vertex of a selected edge, and the two sides of
@@ -119,9 +120,10 @@ from functools import cache
 from math import comb, factorial, gcd, prod
 from typing import Iterable, Sequence
 
+from ._symmetry import _Group, _Orbits
 from .config import Budget, default_budget
 from .errors import InfeasibleQuery, LimitExceeded, NotAGraph, ValidationError
-from .euler import _Orbits, _check_order, contribution_parts, enumerate_rootings
+from .euler import _check_order, contribution_parts, enumerate_rootings
 from .hypergraph import UniformHypergraph, _check_vertex, _labeling, blocks, new_hypergraph
 
 
@@ -232,17 +234,22 @@ def _enumerate_table(
     yields only the rootings whose key is the least of its orbit, and
     each such entry is copied onto the rest of the orbit, closed once by
     the enumerator: the automorphisms map the rootings of one key onto
-    those of the other, weight for weight."""
+    those of the other, weight for weight.  Where the enumerator keeps
+    one k-vector of an orbit under automorphisms fixing the key, its
+    rootings count once per k-vector of the orbit."""
     table: dict[tuple[int, ...], int] = {}
-    k_vector, key = None, ()
+    k_vector, key, size = None, (), 1
     vertices, zeros = range(h.n), (0,) * h.n
     paired = h.m == 2
+    if automorphisms and not isinstance(automorphisms, _Group):
+        automorphisms = _Group(h, automorphisms)
     orbits = _Orbits(automorphisms) if automorphisms else ()
     for mat in enumerate_rootings(h, d, reversal_pairs=True, automorphisms=orbits):
         if mat.k_vector is not k_vector:
             k_vector = mat.k_vector
             key = tuple(map(mat.root_counts.get, vertices, zeros))
-        part = contribution_parts(mat, h.n)
+            size = orbits.sizes.get(k_vector, 1) if orbits else 1
+        part = contribution_parts(mat, h.n) * size
         if paired and any(a != b for a, b in mat.counts):
             part *= 2
         table[key] = table.get(key, 0) + part
@@ -257,7 +264,7 @@ def _plain(h: UniformHypergraph, d_min: int, d_max: int) -> dict[int, Fraction]:
     order alone (the forest would fill every lower order first)."""
     forest = _forest(h, None, 0)
     if len(forest.blocks) == 1:
-        return {d: forest.scaled(d, forest.table(forest.blocks[0], d).get((), 0))
+        return {d: forest.scaled(d, forest.alone(d).get((), 0))
                 for d in range(d_min, d_max + 1)}
     forest = _forest(h, None, d_max)
     return {d: forest.scaled(d, forest.totals[d]) for d in range(d_min, d_max + 1)}
@@ -278,7 +285,7 @@ def _pinned(h: UniformHypergraph, d: int, v: int, t: int) -> Fraction:
     ``_plain``, one block is read at order d alone, else the profile."""
     forest = _forest(h, v, 0)
     if len(forest.blocks) == 1:
-        return forest.scaled(d, forest.table(forest.blocks[0], d).get((t,), 0) * _phi(h.m, t))
+        return forest.scaled(d, forest.alone(d).get((t,), 0) * _phi(h.m, t))
     return _profile(h, v, d).get((d, t), Fraction(0))
 
 
@@ -390,7 +397,7 @@ class _Block:
 
 
 # a relabeled block and an order -> its rooting table at that order, and
-# a relabeled block -> generators of its automorphism group
+# a relabeled block -> generators of its automorphism group, with their pool
 BlockTables = dict[
     tuple[UniformHypergraph, int] | UniformHypergraph,
     dict[tuple[int, ...], int] | list[tuple[int, ...]],
@@ -452,6 +459,7 @@ class _BlockForest:
         self.anchor = _Cut([sums[c] for c in at.get(anchor, [])])  # nothing above it
         self.step = 0  # the gcd of the orders with rootings so far
         self.totals: list[int] = [0]  # the total at every mass reached
+        self.single: dict[int, dict[tuple[int, ...], int]] = {}  # see alone
 
     def extend(self, d_max: int) -> None:
         """Extend the forest to order d_max."""
@@ -466,6 +474,13 @@ class _BlockForest:
         """The trace at order k of a total or top term c at mass k."""
         return Fraction(k * (self.m - 1) ** self.n * c, (self.m - 1) ** k * factorial(k))
 
+    def alone(self, d: int) -> dict[tuple[int, ...], int]:
+        """The table of a forest of one block at order d, read at that
+        order alone and projected once per order."""
+        if d not in self.single:
+            self.single[d] = self.table(self.blocks[0], d)
+        return self.single[d]
+
     def table(self, block: _Block, d: int) -> dict[tuple[int, ...], int]:
         """``W_B[d; t]`` per root counts t at the block's keyed vertices:
         the sum over its order-d rootings of ``tau * d!/prod c! * prod
@@ -478,8 +493,8 @@ class _BlockForest:
             generators = self.store.get(block.host)
             if generators is None:
                 # a single edge's one key per order is fixed by every automorphism
-                generators = self.store[block.host] = (
-                    _labeling(block.host)[1] if block.host.edge_count > 1 else [])
+                generators = self.store[block.host] = _Group(
+                    block.host, _labeling(block.host)[1] if block.host.edge_count > 1 else [])
             # stored only once complete: a fill cut short leaves the store valid
             rootings = self.store[key] = _enumerate_table(block.host, d, automorphisms=generators)
         sums: dict[tuple[int, ...], int] = {}

@@ -11,6 +11,8 @@ import random
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from hypothesis import strategies as st
+
 from hypertrace import (
     LocalTraceQuery,
     UniformHypergraph,
@@ -138,9 +140,9 @@ def brute_force_automorphisms(h: UniformHypergraph) -> list[tuple[int, ...]]:
     return found
 
 
-def group_order(generators: list[tuple[int, ...]], n: int) -> int:
-    """The order of the permutation group on 0..n-1 that the generators
-    generate, by closing the identity under them."""
+def closure(generators: list[tuple[int, ...]], n: int) -> set[tuple[int, ...]]:
+    """Every element of the permutation group on 0..n-1 that the
+    generators generate, by closing the identity under them."""
     group = {tuple(range(n))}
     todo = list(group)
     while todo:
@@ -150,4 +152,25 @@ def group_order(generators: list[tuple[int, ...]], n: int) -> int:
             if y not in group:
                 group.add(y)
                 todo.append(y)
-    return len(group)
+    return group
+
+
+def group_order(generators: list[tuple[int, ...]], n: int) -> int:
+    """The order of the permutation group on 0..n-1 that the generators
+    generate."""
+    return len(closure(generators, n))
+
+
+@st.composite
+def dense_hosts(draw):
+    """A relabeled 2-connected host with more edges than vertices: a
+    cycle (m = 2) or the triples of consecutive vertices around a cycle
+    (m = 3), plus extra edges."""
+    m = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(m + 2, 6))
+    ring = [tuple(sorted((i + j) % n for j in range(m))) for i in range(n)]
+    rest = [e for e in combinations(range(n), m) if e not in ring]
+    extra = draw(st.lists(st.sampled_from(rest), min_size=1, max_size=min(4, len(rest)),
+                          unique=True))
+    perm = draw(st.permutations(range(n)))
+    return new_hypergraph(m, n, [[perm[v] for v in e] for e in ring + extra])

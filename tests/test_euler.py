@@ -30,12 +30,8 @@ from hypertrace import (
     new_hypergraph,
     tuple_multiplicity,
 )
-from hypertrace.euler import (
-    _balanced_multiplicities,
-    _bareiss_determinant,
-    _base_orbits,
-    contribution_parts,
-)
+from hypertrace._symmetry import _base_orbits
+from hypertrace.euler import _balanced_multiplicities, _bareiss_determinant, contribution_parts
 from hypertrace.hypergraph import _labeling, blocks
 
 from conftest import (
@@ -43,6 +39,7 @@ from conftest import (
     SYMMETRIC_HOSTS,
     brute_force_automorphisms,
     complete,
+    dense_hosts,
     relabelings,
 )
 
@@ -417,21 +414,6 @@ class TestTargetedStageOne:
                 target[v] = t
                 got = list(_balanced_multiplicities(h.edges, n, m, d, target))
                 assert got == [(k, load) for k, load in free if load[v] == m * t]
-
-
-@st.composite
-def dense_hosts(draw):
-    """A relabeled 2-connected host with more edges than vertices: a
-    cycle (m = 2) or the triples of consecutive vertices around a cycle
-    (m = 3), plus extra edges."""
-    m = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(m + 2, 6))
-    ring = [tuple(sorted((i + j) % n for j in range(m))) for i in range(n)]
-    rest = [e for e in combinations(range(n), m) if e not in ring]
-    extra = draw(st.lists(st.sampled_from(rest), min_size=1, max_size=min(4, len(rest)),
-                          unique=True))
-    perm = draw(st.permutations(range(n)))
-    return new_hypergraph(m, n, [[perm[v] for v in e] for e in ring + extra])
 
 
 class TestTargetedRoute:

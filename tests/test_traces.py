@@ -35,7 +35,7 @@ from hypertrace import (
     trace_table,
 )
 
-import hypertrace.euler as euler_module
+import hypertrace._symmetry as symmetry_module
 import hypertrace.traces as traces_module
 from hypertrace.estrada import fraction_str
 from hypertrace.euler import contribution, contribution_parts, enumerate_rootings
@@ -44,8 +44,11 @@ from hypertrace.hypergraph import _labeling, blocks
 from conftest import (
     ORBIT_ORDERS,
     SYMMETRIC_HOSTS,
+    brute_force_automorphisms,
+    closure,
     complete,
     connected_graph_classes,
+    dense_hosts,
     group_order,
     matches,
     relabelings,
@@ -827,6 +830,30 @@ class TestPinnedReads:
         assert got == sum((contribution(mat, k5.n) for mat in enumerate_rootings(k5, 8)
                            if matches(q, mat.root_counts)), Fraction(0))
 
+    def test_a_one_block_host_projects_each_order_once_per_pinned_vertex(self, monkeypatch):
+        k5 = complete(2, 5)
+        queries = [query(pinned=(v, t)) for v in range(5) for t in (1, 2, 3)]
+        projected = []
+        table = traces_module._BlockForest.table
+
+        def counted(forest, block, d):
+            projected.append((id(forest), d))
+            return table(forest, block, d)
+
+        monkeypatch.setattr(traces_module._BlockForest, "table", counted)
+        got = trace_table(k5, 9, queries)
+        monkeypatch.undo()
+        # each forest, plain or rooted at a pinned vertex, projects each
+        # order once: 9 orders for the plain values and 5 * 9 for the pins
+        assert len(projected) == len(set(projected)) == 9 + 45
+        weighed = {d: [(mat.root_counts, contribution(mat, k5.n))
+                       for mat in enumerate_rootings(k5, d)] for d in range(1, 10)}
+        for q in queries:
+            assert got.get(0, q) == 0
+            for d in range(1, 10):
+                assert got.get(d, q) == sum(
+                    (w for roots, w in weighed[d] if matches(q, roots)), Fraction(0))
+
 
 def unpaired_table(h, d):
     """The rooting table summed over every rooting, each weighed once,
@@ -878,13 +905,13 @@ class TestOrbitTables:
     def test_each_orbit_is_closed_once_per_table(self, monkeypatch):
         k5, _ = SYMMETRIC_HOSTS["k5"]
         closed = []
-        orbit = euler_module._orbit
+        orbit = symmetry_module._orbit
 
         def counted(r, generators):
             closed.append(frozenset(orbit(r, generators)))
             return closed[-1]
 
-        monkeypatch.setattr(euler_module, "_orbit", counted)
+        monkeypatch.setattr(symmetry_module, "_orbit", counted)
         monkeypatch.setattr(traces_module, "_orbit", counted, raising=False)
         table = traces_module._enumerate_table(k5, 8, automorphisms=_labeling(k5)[1])
         assert table == unpaired_table(k5, 8)
@@ -916,3 +943,85 @@ class TestOrbitTables:
         assert trace(k5, 8) == trace_m2_oracle(k5, 8)
         monkeypatch.undo()
         assert 10 * len(yielded) < sum(1 for _ in enumerate_rootings(k5, 8, reversal_pairs=True))
+
+
+class TestStabilizerOrbits:
+    """At a least root-count vector r of a dense block the enumerator
+    keeps the least k-vector of each orbit under the pool elements that
+    fix r, and the table counts its rootings once per k-vector of that
+    orbit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=dense_hosts(), data=st.data())
+    def test_tables_with_generators_equal_the_unpaired_sums(self, h, data):
+        assert h.edge_count > h.n and len(blocks(h)) == 1
+        d = data.draw(st.integers(1, 6 if h.m == 2 else 5))
+        got = traces_module._enumerate_table(h, d, automorphisms=_labeling(h)[1])
+        assert got == unpaired_table(h, d)
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_HOSTS))
+    def test_the_pool_holds_automorphisms_generating_the_group(self, name):
+        h, order = SYMMETRIC_HOSTS[name]
+        pool = symmetry_module._Group(h, _labeling(h)[1]).pool
+        for g, edge_map in pool:
+            images = [tuple(sorted(g[v] for v in e)) for e in h.edges]
+            assert sorted(g) == list(h.vertices) and sorted(images) == sorted(h.edges)
+            assert [h.edges[i] for i in edge_map] == images
+        assert len({g for g, _ in pool}) == len(pool)
+        assert len(closure([g for g, _ in pool], h.n)) == order
+
+    @pytest.mark.parametrize("name", sorted(n for n, (h, _) in SYMMETRIC_HOSTS.items()
+                                            if h.edge_count > h.n))
+    def test_each_orbit_size_is_the_orbit_under_the_fixing_elements(self, name):
+        h, _ = SYMMETRIC_HOSTS[name]
+        group = symmetry_module._Group(h, _labeling(h)[1])
+        everything = brute_force_automorphisms(h)
+        index = {e: i for i, e in enumerate(h.edges)}
+
+        def image(k, a):
+            moved = [0] * h.edge_count
+            for e, x in zip(h.edges, k):
+                moved[index[tuple(sorted(a[v] for v in e))]] = x
+            return tuple(moved)
+
+        for d in range(1, ORBIT_ORDERS[name] + 1):
+            orbits = symmetry_module._Orbits(group)
+            for k in {mat.k_vector for mat in enumerate_rootings(h, d, automorphisms=orbits)}:
+                load = [0] * h.n
+                for e, x in zip(h.edges, k):
+                    for v in e:
+                        load[v] += x
+                r = [x // h.m for x in load]
+
+                def fixes(a):
+                    return all(r[a[v]] == r[v] for v in h.vertices)
+
+                fixing = [g for g, _ in group.pool if fixes(g)]
+                orbit = {image(k, a) for a in closure(fixing, h.n)}
+                assert k == min(orbit) and orbits.sizes.get(k, 1) == len(orbit)
+                if name in ("k5", "k5-e", "k6-e", "k5-3"):
+                    # the fixing elements give the orbits of the whole stabilizer
+                    assert orbit == {image(k, a) for a in everything if fixes(a)}
+
+    @pytest.mark.parametrize("h, d, weighed, before", [
+        (complete(2, 5), 8, 43, 139),
+        (complete(3, 5), 9, 621, 4192),
+        (complete(2, 7), 6, 13, 89),
+    ])
+    def test_rootings_weighed(self, monkeypatch, h, d, weighed, before):
+        yielded = []
+
+        def counting(*args, **kwargs):
+            for mat in enumerate_rootings(*args, **kwargs):
+                yielded.append(mat)
+                yield mat
+
+        generators = _labeling(h)[1]
+        monkeypatch.setattr(traces_module, "enumerate_rootings", counting)
+        table = traces_module._enumerate_table(h, d, automorphisms=generators)
+        monkeypatch.undo()
+        assert len(yielded) == weighed
+        # plain generator tuples keep the sequence reduced by root counts alone
+        assert sum(1 for _ in enumerate_rootings(
+            h, d, reversal_pairs=True, automorphisms=generators)) == before
+        assert table == traces_module._enumerate_table(h, d)
