@@ -7,11 +7,10 @@ an edge.  A group of them is given by generators and never listed.
 * ``_Orbits`` closes the orbit of a root-count vector one generator
   step at a time, once per vector met, and tells whether it is the
   lexicographically least of its orbit.
-* ``_base_orbits`` gives the basic orbits of the group for the base
-  0, 1, ..., n-1 from a Schreier-Sims run (Sims 1970).  The same run
-  gives a pool of group elements, its strong generators and coset
-  representatives, kept by ``_Group`` with each element's action on
-  the host's edges.
+* ``_Group`` runs Schreier-Sims (Sims 1970) once, for the basic
+  orbits of the group for the base 0, 1, ..., n-1 and a pool of group
+  elements, its strong generators and coset representatives, each kept
+  with its action on the host's edges.
 * ``_root_vectors`` lists the candidate least root-count vectors of an
   order.  Besides summing to d, with ``r(v) <= d // m`` (the load at v
   is at most the sum of all k) and 0 on a vertex of no edge, every
@@ -30,33 +29,11 @@ an edge.  A group of them is given by generators and never listed.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .errors import ValidationError
 from .hypergraph import UniformHypergraph
-
-
-def _check_automorphisms(
-    h: UniformHypergraph, automorphisms: Iterable[Sequence[int]]
-) -> list[tuple[int, ...]]:
-    """The automorphisms as tuples, the identity left out; anything
-    that is not a permutation of 0..n-1 mapping every edge of h onto an
-    edge of h raises :class:`ValidationError`."""
-    generators = []
-    edges = set(h.edges)
-    for g in automorphisms:
-        try:
-            g = tuple(g)
-        except TypeError:
-            raise ValidationError(f"{g!r} is not a vertex permutation") from None
-        if (not all(type(x) is int for x in g) or sorted(g) != list(h.vertices)
-                or any(tuple(sorted(g[v] for v in e)) not in edges for e in h.edges)):
-            raise ValidationError(f"{g!r} is not an automorphism of the host")
-        if g != tuple(h.vertices):
-            generators.append(g)
-    return generators
 
 
 def _orbit(r: tuple[int, ...], generators: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
@@ -76,41 +53,45 @@ def _orbit(r: tuple[int, ...], generators: list[tuple[int, ...]]) -> set[tuple[i
 
 class _Group(list):
     """Generators of a group of automorphisms of a host, as a list, and
-    the ``pool`` of group elements that Schreier-Sims finds from them,
-    each with its action on the host's edges (``edge_map[i]`` is the
-    index of the image of edge i), computed on first use and kept with
-    the list."""
+    what one Schreier-Sims run finds from them, computed on first use
+    and kept with the list: the ``base_orbits`` (entry j is the orbit of
+    j under the elements fixing 0..j-1) and the ``pool`` of group
+    elements, each with its action on the host's edges (``edge_map[i]``
+    is the index of the image of edge i)."""
 
     def __init__(self, h: UniformHypergraph, generators: Iterable[tuple[int, ...]]) -> None:
         super().__init__(generators)
         self.n, self.edges = h.n, h.edges
 
     @cached_property
+    def chain(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        return _chain(self.n, tuple(self))
+
+    @cached_property
+    def base_orbits(self) -> tuple[tuple[int, ...], ...]:
+        return self.chain[0]
+
+    @cached_property
     def pool(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         index = {e: i for i, e in enumerate(self.edges)}
         return [(g, tuple(index[tuple(sorted(map(g.__getitem__, e)))] for e in self.edges))
-                for g in _chain(self.n, tuple(self))[1]]
+                for g in self.chain[1]]
 
 
 class _Orbits:
-    """Generators of a group of automorphisms, iterated as such, and the
-    orbits of root-count vectors under the group closed so far, each
-    closed once: ``least`` tells of every vector met whether it is the
-    least of its orbit, and ``of`` maps each least vector met to its
-    orbit.  ``sizes`` maps each k-vector kept by ``least_k_vectors``,
-    which needs the generators as a :class:`_Group`, to the size of its
-    orbit where that is above 1.  A caller that passes one to
-    ``euler.enumerate_rootings`` reads the orbits and sizes of what it
-    yielded afterwards."""
+    """The orbits of root-count vectors under a :class:`_Group`, closed
+    so far, each closed once: ``least`` tells of every vector met
+    whether it is the least of its orbit, and ``of`` maps each least
+    vector met to its orbit.  ``sizes`` maps each k-vector kept by
+    ``least_k_vectors`` to the size of its orbit where that is above 1.
+    A caller that passes one to ``euler.enumerate_rootings`` reads the
+    orbits and sizes of what it yielded afterwards."""
 
-    def __init__(self, group: list[tuple[int, ...]]) -> None:
+    def __init__(self, group: _Group) -> None:
         self.group = group
         self.least: dict[tuple[int, ...], bool] = {}
         self.of: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
         self.sizes: dict[tuple[int, ...], int] = {}
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.group)
 
     def is_least(self, r: tuple[int, ...]) -> bool:
         if r not in self.least:
@@ -167,14 +148,6 @@ def _inverse(p: tuple[int, ...]) -> list[int]:
     return back
 
 
-def _base_orbits(n: int, generators: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """The basic orbits of the group the permutations of 0..n-1
-    generate for the base 0, 1, ..., n-1: entry j is the orbit of j
-    under the elements that fix 0..j-1."""
-    return _chain(n, generators)[0]
-
-
-@lru_cache(maxsize=64)
 def _chain(
     n: int, generators: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:

@@ -225,12 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.budget is not None:
-            if args.budget < 1:
-                raise ValidationError(f"budget must be positive, got {args.budget}")
-            budget = Budget(cost_limit=args.budget)
-        else:
-            budget = default_budget()
+        budget = default_budget() if args.budget is None else Budget(cost_limit=args.budget)
         status = _COMMANDS[args.command](args, budget)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return status

@@ -10,9 +10,9 @@ cost limit for command-line runs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_int
 
 ENV_BUDGET = "HYPERTRACE_BUDGET"
 
@@ -24,12 +24,17 @@ class Budget:
     cost_limit bounds ``edge_count * d`` for a single trace evaluation,
     arc_limit bounds the exhaustive Euler-circuit oracle, and the two
     remaining fields bound hypertree enumeration and canonical labeling.
+    Every field must be an ``int`` (not a ``bool``) of at least 1.
     """
 
     cost_limit: int = 128
     arc_limit: int = 16
     tree_edge_limit: int = 6
     canon_vertex_limit: int = 26
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            _check_int(f"budget {f.name}", getattr(self, f.name), 1)
 
 
 def default_budget() -> Budget:
@@ -38,9 +43,6 @@ def default_budget() -> Budget:
     if raw is None:
         return Budget()
     try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"{ENV_BUDGET} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValidationError(f"{ENV_BUDGET} must be positive, got {value}")
-    return Budget(cost_limit=value)
+        return Budget(cost_limit=int(raw))
+    except ValueError:  # ValidationError included
+        raise ValidationError(f"{ENV_BUDGET} must be a positive integer, got {raw!r}") from None

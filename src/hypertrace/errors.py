@@ -3,7 +3,8 @@
 ``ValidationError`` and its subclasses signal bad or inconsistent input;
 ``LimitExceeded`` signals that a configured resource budget would be
 blown.  The command line maps the former to exit code 1 and the latter
-to exit code 2.
+to exit code 2.  ``_check_int`` is the integer check that modules and
+``Budget`` share.
 """
 
 
@@ -57,3 +58,10 @@ class MissingProfileEntry(ValidationError):
 
 class LimitExceeded(HypertraceError):
     """A configured enumeration or size budget would be exceeded."""
+
+
+def _check_int(name: str, value: object, least: int) -> None:
+    """Reject a value that is not an ``int`` (``bool`` included) or is
+    below ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")

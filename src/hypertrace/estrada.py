@@ -124,12 +124,13 @@ def _bracket_series(
 def _tolerance(tol: object) -> Fraction:
     """tol as an exact, non-negative ``Fraction``; anything that does
     not convert to one (NaN, an infinity, a ``bool``, a non-number) is
-    rejected.  A string is read as a decimal or a ratio."""
+    rejected.  A string is read as a decimal or a ratio; a zero
+    denominator is rejected."""
     if isinstance(tol, bool):
         raise ValidationError(f"tolerance {tol!r} is not a number")
     try:
         value = Fraction(tol)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise ValidationError(f"tolerance {tol!r} is not a finite number") from None
     if value < 0:
         raise ValidationError(f"tolerance must be non-negative, got {tol}")

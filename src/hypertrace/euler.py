@@ -19,6 +19,10 @@ enumerator below yields trusted matrices instead: it builds every
 rooting balanced and connected, so it skips both checks and hands over
 the two derived fields, computed once per k-vector.
 
+Called without an ``_symmetry._Orbits`` memo, the enumerator yields
+every rooting, and is the oracle for the reduced mode below, the one
+that block tables read.
+
 Enumeration over all rootings of total multiplicity ``d`` works in two
 stages.  The first assigns edge multiplicities ``k_e`` summing to ``d``,
 in lexicographic order; balance fixes ``r(v) = (sum of incident k_e) /
@@ -41,8 +45,8 @@ its digraph with every arc reversed.  Balance gives ``r(v) = deg_k(v)/2
 with the same root counts, support and ``prod c!``.  In an Eulerian
 digraph out-degrees equal in-degrees, so the reversed digraph's
 Laplacian is the transpose of the original's and their principal minors
-agree: the two weigh the same.  With ``reversal_pairs`` stage two yields
-one rooting of each pair, the one whose first row with unequal entries
+agree: the two weigh the same.  Given a memo, stage two yields one
+rooting of each pair, the one whose first row with unequal entries
 has more roots at the edge's first vertex, and a rooting that is its
 own reversal (every row equal) once.  While the rows so far are equal,
 the current row's first entry starts at ``ceil(k/2)``, and a forced last
@@ -51,24 +55,24 @@ row that breaks the tie the wrong way is dropped.
 An automorphism g of the host maps every rooting to a rooting: row
 ``e`` moves to the edge ``g(e)``, its entries to the images of their
 vertices.  The image has the root counts ``r`` moved to ``g.r``, a
-relabeled digraph and the same entries c, so it weighs the same.  With
-``automorphisms``, generators of a group G of automorphisms, the
-support test and stage two run only for the k-vectors whose root-count
-vector is the lexicographically least of its orbit under G, and a
-caller summing by root counts copies each sum onto the rest of the
-orbit.  Each orbit is closed under the generators once, when the first
-vector in it comes up, and remembered for the rest of the call and for
-that copy.  The filter reads only root counts, so it composes with
-``reversal_pairs``.
+relabeled digraph and the same entries c, so it weighs the same.  The
+memo holds a group G of automorphisms, given by generators (maybe
+none); the support test and stage two run only for the k-vectors whose
+root-count vector is the lexicographically least of its orbit under G,
+and a caller summing by root counts copies each sum onto the rest of
+the orbit.  Each orbit is closed under the generators once, when the
+first vector in it comes up, and remembered in the memo for the rest
+of the call and for that copy.
 
 On a host with more edges than vertices, the compositions of d over
-the edges outnumber those over the vertices at every d >= 2.  There
-stage one is not run free and filtered; the candidate root-count
-vectors are listed first, vertex by vertex, under bounds every least
-vector with rootings meets (``_symmetry``'s docstring), and stage one
-runs targeted at each one that is the least of its orbit.  The
-targeted searches yield distinct k-vectors, each in lexicographic
-order, so sorted together they give the sequence of the free route.
+the edges outnumber those over the vertices at every d >= 2.  There,
+given generators, stage one is not run free and filtered; the
+candidate root-count vectors are listed first, vertex by vertex, under
+bounds every least vector with rootings meets (``_symmetry``'s
+docstring), and stage one runs targeted at each one that is the least
+of its orbit.  The targeted searches yield distinct k-vectors, each in
+lexicographic order, so sorted together they give the sequence of the
+free route.
 
 The elements of G that fix a least vector r, its stabilizer, permute
 the k-vectors with root counts r: g maps the rootings of k onto those
@@ -79,12 +83,10 @@ sum over one rooting per reversal pair, a pair counted twice, is that
 full sum), and a table keyed by root counts stays exact if it weighs
 the rootings of one k-vector per orbit of H times the orbit's size,
 whichever subgroup H is: a smaller H only leaves more k-vectors.
-Given an ``_symmetry._Orbits`` memo, H is generated by the elements of
-a pool kept per group (its strong generators and coset
-representatives) that fix r; only the least k-vector of each orbit of
-H goes on to the support test and stage two, and the memo records its
-orbit size.  A call given plain generators reduces by root counts
-alone.
+On the targeted route H is generated by the elements of a pool kept
+per group (its strong generators and coset representatives) that fix
+r; only the least k-vector of each orbit of H goes on to the support
+test and stage two, and the memo records its orbit size.
 
 Counting on the resulting digraph is exact integer arithmetic: spanning
 arborescences come from a principal minor of the out-degree Laplacian
@@ -100,9 +102,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from ._symmetry import _base_orbits, _check_automorphisms, _Orbits, _root_vectors
+from ._symmetry import _Orbits, _root_vectors
 from .config import Budget, default_budget
 from .errors import (
     EmptyGraph,
@@ -110,8 +112,9 @@ from .errors import (
     NotEulerian,
     ValidationError,
     VertexOutOfRange,
+    _check_int,
 )
-from .hypergraph import Edge, UniformHypergraph, _check_int, connected
+from .hypergraph import Edge, UniformHypergraph, connected
 
 
 @dataclass(frozen=True)
@@ -262,30 +265,20 @@ def _check_order(d: object, least: int = 0) -> None:
 
 
 def enumerate_rootings(
-    h: UniformHypergraph,
-    d: int,
-    *,
-    reversal_pairs: bool = False,
-    automorphisms: Iterable[Sequence[int]] = (),
+    h: UniformHypergraph, d: int, *, orbits: _Orbits | None = None
 ) -> Iterator[RootCountMatrix]:
     """Yield every Euler rooting of total multiplicity d.
 
-    With ``reversal_pairs`` on a 2-uniform host, only one rooting of
-    each pair {F, reversal of F} is yielded (see the module docstring),
-    in the order of the full enumeration; on m >= 3 it changes nothing.
-    With ``automorphisms``, permutations of 0..n-1 (the images of the
-    vertices in order) that each map h's edges onto its edges, only the
-    rootings whose root counts, as a vector over 0..n-1, are the
-    lexicographically least of their orbit under the group they
-    generate are yielded, again in the order of the full enumeration.
-    A permutation that is not an automorphism of h is rejected.  Given
-    an ``_symmetry._Orbits`` memo on a host with more edges than
-    vertices, only the least k-vector of each orbit under the pool
-    elements fixing its root counts is yielded, and the memo's
-    ``sizes`` holds the orbit sizes (the module docstring).
+    Given ``orbits``, a memo over a group of automorphisms of h, yield
+    in the order of the full enumeration only (the module docstring):
+    on a 2-uniform host one rooting of each pair {F, reversal of F};
+    the rootings whose root counts, as a vector over 0..n-1, are the
+    lexicographically least of their orbit under the group; and on the
+    targeted route the least k-vector of each orbit under the pool
+    elements fixing its root counts, with its orbit size in the memo's
+    ``sizes``.
     """
     _check_order(d, 1)
-    generators = _check_automorphisms(h, automorphisms)
 
     m, n = h.m, h.n
     edges = h.edges
@@ -326,26 +319,23 @@ def enumerate_rootings(
             load[v] += k
 
     free = [-1] * n
-    if not generators:
+    if orbits is None or not orbits.group:
         multiplicities = _balanced_multiplicities(edges, n, m, d, free)
+    elif h.edge_count > n:
+        # list the least root-count vectors, search at each and keep the
+        # least k-vector of each orbit of those found
+        multiplicities = []
+        for r in _root_vectors(h, d, orbits.group.base_orbits):
+            if orbits.is_least(r):
+                found = list(_balanced_multiplicities(edges, n, m, d, r))
+                multiplicities += orbits.least_k_vectors(found, r, d)
+        multiplicities.sort(key=itemgetter(0))
     else:
-        memo = isinstance(automorphisms, _Orbits)
-        orbits = automorphisms if memo else _Orbits(generators)
-        if h.edge_count > n:
-            # list the least root-count vectors, then search at each; with
-            # a memo, keep the least k-vector of each orbit of those found
-            multiplicities = []
-            for r in _root_vectors(h, d, _base_orbits(n, tuple(generators))):
-                if orbits.is_least(r):
-                    found = list(_balanced_multiplicities(edges, n, m, d, r))
-                    multiplicities += orbits.least_k_vectors(found, r, d) if memo else found
-            multiplicities.sort(key=itemgetter(0))
-        else:
-            multiplicities = (
-                (k_vector, load)
-                for k_vector, load in _balanced_multiplicities(edges, n, m, d, free)
-                if orbits.is_least(tuple(s // m for s in load)))
-    pair = reversal_pairs and m == 2
+        multiplicities = (
+            (k_vector, load)
+            for k_vector, load in _balanced_multiplicities(edges, n, m, d, free)
+            if orbits.is_least(tuple(s // m for s in load)))
+    pair = orbits is not None and m == 2
     for k_vector, load in multiplicities:
         chosen = [(edges[i], k, i) for i, k in enumerate(k_vector) if k]
         support = [e for e, _, _ in chosen]

@@ -36,6 +36,7 @@ from .errors import (
     TrivialOperand,
     ValidationError,
     VertexOutOfRange,
+    _check_int,
 )
 
 VertexId = int
@@ -138,13 +139,6 @@ def hyperstar(m: int, z: int) -> UniformHypergraph:
 def _check_generator_args(m: int, z: int) -> None:
     _check_int("uniformity m", m, 2)
     _check_int("edge count z", z, 1)
-
-
-def _check_int(name: str, value: object, least: int) -> None:
-    """Reject a value that is not an ``int`` (``bool`` included) or is
-    below ``least``."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_vertex(h: UniformHypergraph, v: object, name: str = "vertex") -> None:

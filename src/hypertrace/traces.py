@@ -222,39 +222,36 @@ def _order_zero_local(h: UniformHypergraph) -> Fraction:
     return Fraction((h.m - 1) ** (h.n - 1))
 
 
-def _enumerate_table(
-    h: UniformHypergraph, d: int, automorphisms: Sequence[tuple[int, ...]] = ()
-) -> dict[tuple[int, ...], int]:
+def _enumerate_table(h: UniformHypergraph, d: int, group: _Group) -> dict[tuple[int, ...], int]:
     """The order-d rooting table of h, keyed by the root counts at every
-    vertex of h.  Rootings of one k-vector share their root counts, so
-    each key is built once per k-vector.  On m = 2 the enumerator yields
-    one rooting of each reversal pair, and a rooting that is not its own
-    reversal counts twice: the pair shares its key and its weight.
-    Given generators of a group of automorphisms of h, the enumerator
-    yields only the rootings whose key is the least of its orbit, and
-    each such entry is copied onto the rest of the orbit, closed once by
-    the enumerator: the automorphisms map the rootings of one key onto
-    those of the other, weight for weight.  Where the enumerator keeps
-    one k-vector of an orbit under automorphisms fixing the key, its
-    rootings count once per k-vector of the orbit."""
+    vertex of h, read from the enumerator reduced by ``group``, a group
+    of automorphisms of h.  Rootings of one k-vector share their root
+    counts, so each key is built once per k-vector.  On m = 2 the
+    enumerator yields one rooting of each reversal pair, and a rooting
+    that is not its own reversal counts twice: the pair shares its key
+    and its weight.  The enumerator yields only the rootings whose key
+    is the least of its orbit, and each such entry is copied onto the
+    rest of the orbit, closed once by the enumerator: the automorphisms
+    map the rootings of one key onto those of the other, weight for
+    weight.  Where the enumerator keeps one k-vector of an orbit under
+    automorphisms fixing the key, its rootings count once per k-vector
+    of the orbit."""
     table: dict[tuple[int, ...], int] = {}
     k_vector, key, size = None, (), 1
     vertices, zeros = range(h.n), (0,) * h.n
     paired = h.m == 2
-    if automorphisms and not isinstance(automorphisms, _Group):
-        automorphisms = _Group(h, automorphisms)
-    orbits = _Orbits(automorphisms) if automorphisms else ()
-    for mat in enumerate_rootings(h, d, reversal_pairs=True, automorphisms=orbits):
+    orbits = _Orbits(group)
+    for mat in enumerate_rootings(h, d, orbits=orbits):
         if mat.k_vector is not k_vector:
             k_vector = mat.k_vector
             key = tuple(map(mat.root_counts.get, vertices, zeros))
-            size = orbits.sizes.get(k_vector, 1) if orbits else 1
+            size = orbits.sizes.get(k_vector, 1)
         part = contribution_parts(mat, h.n) * size
         if paired and any(a != b for a, b in mat.counts):
             part *= 2
         table[key] = table.get(key, 0) + part
-    for key, part in list(table.items()) if orbits else ():
-        table.update(dict.fromkeys(orbits.of[key], part))
+    for key, part in list(table.items()):
+        table.update(dict.fromkeys(orbits.of.get(key, ()), part))
     return table
 
 
@@ -496,7 +493,7 @@ class _BlockForest:
                 generators = self.store[block.host] = _Group(
                     block.host, _labeling(block.host)[1] if block.host.edge_count > 1 else [])
             # stored only once complete: a fill cut short leaves the store valid
-            rootings = self.store[key] = _enumerate_table(block.host, d, automorphisms=generators)
+            rootings = self.store[key] = _enumerate_table(block.host, d, generators)
         sums: dict[tuple[int, ...], int] = {}
         for counts, num in rootings.items():
             ts = tuple(counts[i] for i in block.keyed)

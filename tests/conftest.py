@@ -21,6 +21,7 @@ from hypertrace import (
     new_hypergraph,
     permute_vertices,
 )
+from hypertrace.euler import contribution_parts, enumerate_rootings
 
 
 @lru_cache(maxsize=None)
@@ -89,6 +90,16 @@ SYMMETRIC_HOSTS: dict[str, tuple[UniformHypergraph, int]] = {
 # the highest order the orbit-reduction tests enumerate each host to
 ORBIT_ORDERS = {"k4": 8, "k5": 8, "k5-e": 8, "k6-e": 7, "k5-3": 7, "loose-3-cycle": 9,
                 "petersen": 8, "asymmetric": 8}
+
+
+def unpaired_table(h: UniformHypergraph, d: int) -> dict[tuple[int, ...], int]:
+    """The rooting table summed over every rooting, each weighed once,
+    keyed by the root counts at every vertex."""
+    table: dict[tuple[int, ...], int] = {}
+    for mat in enumerate_rootings(h, d):
+        key = tuple(mat.root_counts.get(v, 0) for v in h.vertices)
+        table[key] = table.get(key, 0) + contribution_parts(mat, h.n)
+    return table
 
 
 def matches(q: LocalTraceQuery, root_counts: dict[int, int]) -> bool:

@@ -93,8 +93,10 @@ class TestTrace:
         assert "budget" in capsys.readouterr().err
 
     def test_bad_budget_exits_one(self, path_file, capsys):
-        assert main(["--budget", "0", "trace", "--input", path_file,
-                     "--d", "3"]) == 1
+        for budget in ("0", "-5"):
+            assert main(["--budget", budget, "trace", "--input", path_file,
+                         "--d", "3"]) == 1
+            assert capsys.readouterr().err.startswith("error:")
 
     def test_closed_stdout_exits_141_quietly(self, path_file, tmp_path, capsys,
                                              monkeypatch):
@@ -136,8 +138,9 @@ class TestEstrada:
         assert num > 0 and den > 0
 
     def test_unparseable_tolerance_exits_one(self, path_file, capsys):
-        assert main(["estrada", "--input", path_file, "--tol", "huh"]) == 1
-        assert main(["estrada", "--input", path_file, "--tol", "inf"]) == 1
+        for tol in ("huh", "inf", "1/0", "0/0"):
+            assert main(["estrada", "--input", path_file, "--tol", tol]) == 1
+            assert capsys.readouterr().err.startswith("error:")
 
     def test_negative_tolerance_exits_one(self, path_file, capsys):
         assert main(["estrada", "--input", path_file, "--tol=-1e-3"]) == 1
@@ -232,8 +235,10 @@ class TestEnvBudget:
         capsys.readouterr()
 
     def test_invalid_env_value_exits_one(self, path_file, capsys, monkeypatch):
-        monkeypatch.setenv("HYPERTRACE_BUDGET", "lots")
-        assert main(["trace", "--input", path_file, "--d", "3"]) == 1
+        for value in ("lots", "0", "-5", "2.5"):
+            monkeypatch.setenv("HYPERTRACE_BUDGET", value)
+            assert main(["trace", "--input", path_file, "--d", "3"]) == 1
+            assert "HYPERTRACE_BUDGET" in capsys.readouterr().err
 
     def test_explicit_flag_wins_over_env(self, path_file, capsys, monkeypatch):
         monkeypatch.setenv("HYPERTRACE_BUDGET", "1")

@@ -114,7 +114,8 @@ class TestBrackets:
 
     def test_negative_tolerance_rejected(self):
         # so is a tolerance that is not a finite number
-        for tol in (Fraction(-1, 10), float("nan"), float("inf"), float("-inf"), "huh", None):
+        for tol in (Fraction(-1, 10), float("nan"), float("inf"), float("-inf"), "huh", None,
+                    "1/0", "0/0"):
             with pytest.raises(ValidationError):
                 estrada_index(hyperpath(2, 1), tol)
             with pytest.raises(ValidationError):

@@ -30,7 +30,8 @@ from hypertrace import (
     new_hypergraph,
     tuple_multiplicity,
 )
-from hypertrace._symmetry import _base_orbits
+import hypertrace.traces as traces_module
+from hypertrace._symmetry import _Group, _Orbits
 from hypertrace.euler import _balanced_multiplicities, _bareiss_determinant, contribution_parts
 from hypertrace.hypergraph import _labeling, blocks
 
@@ -41,6 +42,7 @@ from conftest import (
     complete,
     dense_hosts,
     relabelings,
+    unpaired_table,
 )
 
 TRIANGLE = new_hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
@@ -241,6 +243,13 @@ def reversed_counts(counts):
     return tuple(row[::-1] for row in counts)
 
 
+def reduced(h, d, generators=()):
+    """The enumerator's reduced sequence under the group the generators
+    generate, with the memo it filled."""
+    orbits = _Orbits(_Group(h, generators))
+    return list(enumerate_rootings(h, d, orbits=orbits)), orbits
+
+
 class TestReversalPairs:
     @pytest.mark.parametrize("name", sorted(PAIRED_HOSTS))
     def test_the_reversal_of_a_rooting_is_a_rooting_of_equal_weight(self, name):
@@ -266,7 +275,7 @@ class TestReversalPairs:
         h = PAIRED_HOSTS[name]
         for d in range(1, 9):
             full = [mat.counts for mat in enumerate_rootings(h, d)]
-            mats = list(enumerate_rootings(h, d, reversal_pairs=True))
+            mats, _ = reduced(h, d)
             paired = [mat.counts for mat in mats]
             kept = set(paired)
             reversals = {reversed_counts(c) for c in paired}
@@ -292,14 +301,14 @@ class TestReversalPairs:
         for h, d_max in hosts:
             for d in range(1, d_max + 1):
                 full = list(enumerate_rootings(h, d))
-                paired = list(enumerate_rootings(h, d, reversal_pairs=True))
+                paired, _ = reduced(h, d)
                 assert [m.counts for m in paired] == [m.counts for m in full]
                 assert [(m.k_vector, m.root_counts) for m in paired] == [
                     (m.k_vector, m.root_counts) for m in full]
 
     def test_pairing_is_keyword_only(self):
         with pytest.raises(TypeError):
-            enumerate_rootings(TRIANGLE, 4, True)
+            enumerate_rootings(TRIANGLE, 4, _Orbits(_Group(TRIANGLE, [])))
 
 
 def root_vector(h, mat):
@@ -320,6 +329,21 @@ def least_vectors(h):
     return is_least
 
 
+def check_reduced(h, d, generators, is_least):
+    """The reduced sequence is the paired one at the k-vectors it keeps,
+    every one at a root-count vector least under the whole group, and
+    with the memo's orbits and sizes it gives the unreduced table."""
+    got, orbits = reduced(h, d, generators)
+    kept = {mat.k_vector for mat in got}
+    paired, _ = reduced(h, d)
+    assert [m.counts for m in got] == [m.counts for m in paired if m.k_vector in kept]
+    assert [(m.k_vector, m.root_counts) for m in got] == [
+        (m.k_vector, m.root_counts) for m in paired if m.k_vector in kept]
+    assert all(is_least(root_vector(h, mat)) for mat in got)
+    assert traces_module._enumerate_table(h, d, orbits.group) == unpaired_table(h, d)
+    return got, paired
+
+
 class TestAutomorphismOrbits:
     """With automorphisms the enumerator yields the rootings whose
     root-count vector is the least of its orbit, in the order of the
@@ -331,35 +355,21 @@ class TestAutomorphismOrbits:
         is_least = least_vectors(h)
         generators = _labeling(h)[1]
         for d in range(1, ORBIT_ORDERS[name] + 1):
-            for pairs in (False, True):
-                full = list(enumerate_rootings(h, d, reversal_pairs=pairs))
-                reduced = list(enumerate_rootings(
-                    h, d, reversal_pairs=pairs, automorphisms=generators))
-                want = [mat for mat in full if is_least(root_vector(h, mat))]
-                assert [m.counts for m in reduced] == [m.counts for m in want]
-                assert [(m.k_vector, m.root_counts) for m in reduced] == [
-                    (m.k_vector, m.root_counts) for m in want]
+            got, paired = check_reduced(h, d, generators, is_least)
+            if h.edge_count <= h.n:  # the free route keeps every k-vector
+                assert [m.counts for m in got] == [
+                    m.counts for m in paired if is_least(root_vector(h, m))]
 
     def test_without_automorphisms_the_sequence_is_unchanged(self):
         k5 = complete(2, 5)
         identity = [tuple(k5.vertices)]
         for d in range(1, 7):
-            full = [m.counts for m in enumerate_rootings(k5, d)]
-            for automorphisms in ((), identity):
-                assert [m.counts for m in enumerate_rootings(
-                    k5, d, automorphisms=automorphisms)] == full
+            paired = [m.counts for m in reduced(k5, d)[0]]
+            # the identity alone takes the targeted route
+            assert [m.counts for m in reduced(k5, d, identity)[0]] == paired
         # the counts of K5 to d=8 before the keyword existed
         assert sum(1 for d in range(1, 9) for _ in enumerate_rootings(k5, d)) == 6394
-        assert sum(1 for d in range(1, 9)
-                   for _ in enumerate_rootings(k5, d, reversal_pairs=True)) == 3587
-
-    def test_rejects_maps_that_are_not_automorphisms(self):
-        path = hyperpath(2, 2)  # edges (0, 1) and (1, 2)
-        assert list(enumerate_rootings(path, 4, automorphisms=[(2, 1, 0)]))
-        for bad in ((1, 0, 2), (0, 0, 1), (0, 1), (0, 1, 2, 3), (2.0, 1, 0),
-                    (2, True, 0), ("2", "1", "0"), 5, None):
-            with pytest.raises(ValidationError):
-                list(enumerate_rootings(path, 4, automorphisms=[bad]))
+        assert sum(len(reduced(k5, d)[0]) for d in range(1, 9)) == 3587
 
 
 class TestStabilizerChain:
@@ -371,7 +381,7 @@ class TestStabilizerChain:
         h, order = SYMMETRIC_HOSTS[name]
         for g in [h] + [copy for copy, _ in relabelings(h, 2)]:
             group = brute_force_automorphisms(g)
-            orbits = _base_orbits(g.n, tuple(_labeling(g)[1]))
+            orbits = _Group(g, _labeling(g)[1]).base_orbits
             assert math.prod(map(len, orbits)) == len(group) == order
             for j, orbit in enumerate(orbits):
                 fixing = [a for a in group if a[:j] == tuple(range(j))]
@@ -379,13 +389,36 @@ class TestStabilizerChain:
 
     def test_complete_graphs_without_listing_the_group(self):
         for n in (7, 8):
-            orbits = _base_orbits(n, tuple(_labeling(complete(2, n))[1]))
+            h = complete(2, n)
+            orbits = _Group(h, _labeling(h)[1]).base_orbits
             assert [len(o) for o in orbits] == list(range(n, 0, -1))
+
+
+def balanced_compositions(h, d):
+    """Every k-vector over h's edges summing to d whose load at each
+    vertex is divisible by m, with its loads, in lexicographic order:
+    every composition of d over the edges tried."""
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for k in range(total + 1):
+            for rest in compositions(total - k, parts - 1):
+                yield (k, *rest)
+
+    found = []
+    for k_vector in compositions(d, h.edge_count):
+        load = [sum(k for k, e in zip(k_vector, h.edges) if v in e) for v in h.vertices]
+        if all(s % h.m == 0 for s in load):
+            found.append((k_vector, load))
+    return found
 
 
 class TestTargetedStageOne:
     """Stage one at a target vector yields the free search's k-vectors
-    with those loads, in the same order."""
+    with those loads, in the same order, and the free search yields
+    every balanced composition."""
 
     @pytest.mark.parametrize("name", ["k4", "k5-e", "k5-3", "loose-3-cycle", "asymmetric"])
     def test_full_targets_select_the_free_search(self, name):
@@ -393,6 +426,7 @@ class TestTargetedStageOne:
         m, n = h.m, h.n
         for d in range(1, 7):
             free = list(_balanced_multiplicities(h.edges, n, m, d, [-1] * n))
+            assert free == balanced_compositions(h, d)
             by_roots = {}
             for k_vector, load in free:
                 by_roots.setdefault(tuple(s // m for s in load), []).append(k_vector)
@@ -409,6 +443,7 @@ class TestTargetedStageOne:
         m, n = h.m, h.n
         for d in range(1, 7):
             free = list(_balanced_multiplicities(h.edges, n, m, d, [-1] * n))
+            assert free == balanced_compositions(h, d)
             for v, t in product(range(n), range(1, d + 1)):
                 target = [-1] * n
                 target[v] = t
@@ -421,26 +456,15 @@ class TestTargetedRoute:
     @given(h=dense_hosts(), data=st.data())
     def test_reduced_sequence_is_the_full_one_at_least_vectors(self, h, data):
         assert h.edge_count > h.n and len(blocks(h)) == 1
-        is_least = least_vectors(h)
-        generators = _labeling(h)[1]
         d = data.draw(st.integers(1, 6 if h.m == 2 else 5))
-        for pairs in (False, True):
-            full = list(enumerate_rootings(h, d, reversal_pairs=pairs))
-            reduced = list(enumerate_rootings(
-                h, d, reversal_pairs=pairs, automorphisms=generators))
-            want = [mat for mat in full if is_least(root_vector(h, mat))]
-            assert [(m.counts, m.k_vector, m.root_counts) for m in reduced] == [
-                (m.counts, m.k_vector, m.root_counts) for m in want]
+        check_reduced(h, d, _labeling(h)[1], least_vectors(h))
 
     def test_a_vertex_on_no_edge_is_never_rooted(self):
         h = new_hypergraph(2, 6, combinations(range(5), 2))
         is_least = least_vectors(h)
-        generators = _labeling(h)[1]
         for d in range(1, 7):
-            full = [m.counts for m in enumerate_rootings(h, d)
-                    if is_least(root_vector(h, m))]
-            assert [m.counts for m in enumerate_rootings(
-                h, d, automorphisms=generators)] == full
+            got, _ = check_reduced(h, d, _labeling(h)[1], is_least)
+            assert all(5 not in mat.root_counts for mat in got)
 
 
 class TestArborescences:

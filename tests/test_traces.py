@@ -38,7 +38,8 @@ from hypertrace import (
 import hypertrace._symmetry as symmetry_module
 import hypertrace.traces as traces_module
 from hypertrace.estrada import fraction_str
-from hypertrace.euler import contribution, contribution_parts, enumerate_rootings
+from hypertrace._symmetry import _Group, _Orbits
+from hypertrace.euler import contribution, enumerate_rootings
 from hypertrace.hypergraph import _labeling, blocks
 
 from conftest import (
@@ -52,6 +53,7 @@ from conftest import (
     group_order,
     matches,
     relabelings,
+    unpaired_table,
 )
 
 TRIANGLE = new_hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
@@ -105,6 +107,16 @@ class TestPlainTrace:
         # the block route keeps the whole-host cost check: 6 edges * 33 > 128
         with pytest.raises(LimitExceeded):
             trace(hyperstar(3, 6), 33)
+
+    def test_budget_fields_are_positive_integers(self):
+        # "x" died with TypeError inside trace; -5 and 2.5 were accepted
+        with pytest.raises(ValidationError):
+            trace(hyperpath(3, 2), 2, Budget(cost_limit="x"))
+        for field in ("cost_limit", "arc_limit", "tree_edge_limit", "canon_vertex_limit"):
+            for bad in (0, -5, 2.5, "x", True, None):
+                with pytest.raises(ValidationError):
+                    Budget(**{field: bad})
+            assert getattr(Budget(**{field: 1}), field) == 1
 
     def test_values_are_exact_rationals(self):
         # Tr_d is a power sum of the roots of a monic integer polynomial
@@ -855,16 +867,6 @@ class TestPinnedReads:
                     (w for roots, w in weighed[d] if matches(q, roots)), Fraction(0))
 
 
-def unpaired_table(h, d):
-    """The rooting table summed over every rooting, each weighed once,
-    keyed by the root counts at every vertex."""
-    table = {}
-    for mat in enumerate_rootings(h, d):
-        key = tuple(mat.root_counts.get(v, 0) for v in h.vertices)
-        table[key] = table.get(key, 0) + contribution_parts(mat, h.n)
-    return table
-
-
 class TestPairedTables:
     """On m = 2 a rooting table reads one rooting of each reversal pair
     and counts a rooting that is not its own reversal twice."""
@@ -878,7 +880,7 @@ class TestPairedTables:
     ], ids=["triangle", "c4-chord", "k4", "k5-e", "loose-3-cycle"])
     def test_tables_equal_the_unpaired_sums(self, h, d_max):
         for d in range(1, d_max + 1):
-            assert traces_module._enumerate_table(h, d) == unpaired_table(h, d)
+            assert traces_module._enumerate_table(h, d, _Group(h, [])) == unpaired_table(h, d)
 
 
 class TestOrbitTables:
@@ -891,7 +893,7 @@ class TestOrbitTables:
         copies = relabelings(h, 2)
         for d in range(1, ORBIT_ORDERS[name] + 1):
             want = unpaired_table(h, d)
-            assert traces_module._enumerate_table(h, d, automorphisms=_labeling(h)[1]) == want
+            assert traces_module._enumerate_table(h, d, _Group(h, _labeling(h)[1])) == want
             for g, perm in copies:
                 moved = {}
                 for key, part in want.items():
@@ -899,7 +901,7 @@ class TestOrbitTables:
                     for v, r in enumerate(key):
                         image[perm[v]] = r
                     moved[tuple(image)] = part
-                got = traces_module._enumerate_table(g, d, automorphisms=_labeling(g)[1])
+                got = traces_module._enumerate_table(g, d, _Group(g, _labeling(g)[1]))
                 assert got == moved
 
     def test_each_orbit_is_closed_once_per_table(self, monkeypatch):
@@ -913,7 +915,7 @@ class TestOrbitTables:
 
         monkeypatch.setattr(symmetry_module, "_orbit", counted)
         monkeypatch.setattr(traces_module, "_orbit", counted, raising=False)
-        table = traces_module._enumerate_table(k5, 8, automorphisms=_labeling(k5)[1])
+        table = traces_module._enumerate_table(k5, 8, _Group(k5, _labeling(k5)[1]))
         assert table == unpaired_table(k5, 8)
         assert closed and len(closed) == len(set(closed))
 
@@ -942,7 +944,8 @@ class TestOrbitTables:
         k5 = complete(2, 5)
         assert trace(k5, 8) == trace_m2_oracle(k5, 8)
         monkeypatch.undo()
-        assert 10 * len(yielded) < sum(1 for _ in enumerate_rootings(k5, 8, reversal_pairs=True))
+        paired = enumerate_rootings(k5, 8, orbits=_Orbits(_Group(k5, [])))
+        assert 10 * len(yielded) < sum(1 for _ in paired)
 
 
 class TestStabilizerOrbits:
@@ -956,13 +959,13 @@ class TestStabilizerOrbits:
     def test_tables_with_generators_equal_the_unpaired_sums(self, h, data):
         assert h.edge_count > h.n and len(blocks(h)) == 1
         d = data.draw(st.integers(1, 6 if h.m == 2 else 5))
-        got = traces_module._enumerate_table(h, d, automorphisms=_labeling(h)[1])
+        got = traces_module._enumerate_table(h, d, _Group(h, _labeling(h)[1]))
         assert got == unpaired_table(h, d)
 
     @pytest.mark.parametrize("name", sorted(SYMMETRIC_HOSTS))
     def test_the_pool_holds_automorphisms_generating_the_group(self, name):
         h, order = SYMMETRIC_HOSTS[name]
-        pool = symmetry_module._Group(h, _labeling(h)[1]).pool
+        pool = _Group(h, _labeling(h)[1]).pool
         for g, edge_map in pool:
             images = [tuple(sorted(g[v] for v in e)) for e in h.edges]
             assert sorted(g) == list(h.vertices) and sorted(images) == sorted(h.edges)
@@ -974,7 +977,7 @@ class TestStabilizerOrbits:
                                             if h.edge_count > h.n))
     def test_each_orbit_size_is_the_orbit_under_the_fixing_elements(self, name):
         h, _ = SYMMETRIC_HOSTS[name]
-        group = symmetry_module._Group(h, _labeling(h)[1])
+        group = _Group(h, _labeling(h)[1])
         everything = brute_force_automorphisms(h)
         index = {e: i for i, e in enumerate(h.edges)}
 
@@ -985,8 +988,8 @@ class TestStabilizerOrbits:
             return tuple(moved)
 
         for d in range(1, ORBIT_ORDERS[name] + 1):
-            orbits = symmetry_module._Orbits(group)
-            for k in {mat.k_vector for mat in enumerate_rootings(h, d, automorphisms=orbits)}:
+            orbits = _Orbits(group)
+            for k in {mat.k_vector for mat in enumerate_rootings(h, d, orbits=orbits)}:
                 load = [0] * h.n
                 for e, x in zip(h.edges, k):
                     for v in e:
@@ -1003,12 +1006,12 @@ class TestStabilizerOrbits:
                     # the fixing elements give the orbits of the whole stabilizer
                     assert orbit == {image(k, a) for a in everything if fixes(a)}
 
-    @pytest.mark.parametrize("h, d, weighed, before", [
-        (complete(2, 5), 8, 43, 139),
-        (complete(3, 5), 9, 621, 4192),
-        (complete(2, 7), 6, 13, 89),
+    @pytest.mark.parametrize("h, d, weighed", [
+        (complete(2, 5), 8, 43),
+        (complete(3, 5), 9, 621),
+        (complete(2, 7), 6, 13),
     ])
-    def test_rootings_weighed(self, monkeypatch, h, d, weighed, before):
+    def test_rootings_weighed(self, monkeypatch, h, d, weighed):
         yielded = []
 
         def counting(*args, **kwargs):
@@ -1016,12 +1019,23 @@ class TestStabilizerOrbits:
                 yielded.append(mat)
                 yield mat
 
-        generators = _labeling(h)[1]
         monkeypatch.setattr(traces_module, "enumerate_rootings", counting)
-        table = traces_module._enumerate_table(h, d, automorphisms=generators)
+        table = traces_module._enumerate_table(h, d, _Group(h, _labeling(h)[1]))
         monkeypatch.undo()
         assert len(yielded) == weighed
-        # plain generator tuples keep the sequence reduced by root counts alone
-        assert sum(1 for _ in enumerate_rootings(
-            h, d, reversal_pairs=True, automorphisms=generators)) == before
-        assert table == traces_module._enumerate_table(h, d)
+        assert table == traces_module._enumerate_table(h, d, _Group(h, []))
+
+    def test_the_chain_runs_once_per_relabeled_block(self, monkeypatch):
+        # the store's group keeps its Schreier-Sims run for every order
+        runs = []
+        chain = symmetry_module._chain
+
+        def counted(n, generators):
+            runs.append(n)
+            return chain(n, generators)
+
+        monkeypatch.setattr(symmetry_module, "_chain", counted)
+        k5 = complete(2, 5)
+        assert [trace(k5, d) for d in range(1, 9)] == [
+            trace_m2_oracle(k5, d) for d in range(1, 9)]
+        assert runs == [5]
