@@ -7,10 +7,11 @@ an edge.  A group of them is given by generators and never listed.
 * ``_Orbits`` closes the orbit of a root-count vector one generator
   step at a time, once per vector met, and tells whether it is the
   lexicographically least of its orbit.
-* ``_Group`` runs Schreier-Sims (Sims 1970) once, for the basic
-  orbits of the group for the base 0, 1, ..., n-1 and a pool of group
-  elements, its strong generators and coset representatives, each kept
-  with its action on the host's edges.
+* ``_Group`` keeps, with the generators the labeling search found, the
+  orbit of each j under those fixing 0..j-1, a subset of the group's
+  basic orbit for the base 0, 1, ..., n-1, and a pool of the
+  generators, each with its action on the host's edges.  No stabilizer
+  chain is built.
 * ``_root_vectors`` lists the candidate least root-count vectors of an
   order.  Besides summing to d, with ``r(v) <= d // m`` (the load at v
   is at most the sum of all k) and 0 on a vertex of no edge, every
@@ -18,13 +19,17 @@ an edge.  A group of them is given by generators and never listed.
 
   - ``sum of r(u) over the neighbours u of v >= (m - 1) * r(v)``: each
     ``k_e`` at v adds ``k_e`` to each of the m - 1 other vertices of e;
-  - ``r(j) <= r(u)`` for u in the basic orbit of j, the orbit of j
-    under the elements fixing 0..j-1: such a g sending j to u gives
-    ``g.r`` equal to r before j and ``r(u)`` at j.
+  - ``r(j) <= r(u)`` for u in the basic orbit of j, here the orbit of
+    j under the generators fixing 0..j-1: such a g sending j to u
+    gives ``g.r`` equal to r before j and ``r(u)`` at j.  The bound
+    holds for every u in the group's basic orbit, so also for a subset
+    of it; a smaller orbit only leaves more candidates.
 
 * ``_Orbits.least_k_vectors`` keeps, of the k-vectors with the root
-  counts r, the least of each orbit under the pool elements that fix
-  r, and records each one's orbit size (``euler``'s docstring).
+  counts r, the least of each orbit under the generators that fix r,
+  and records each one's orbit size (``euler``'s docstring).  They
+  generate a subgroup of the stabilizer of r, which keeps a table
+  exact whichever subgroup it is.
 """
 
 from __future__ import annotations
@@ -53,29 +58,30 @@ def _orbit(r: tuple[int, ...], generators: list[tuple[int, ...]]) -> set[tuple[i
 
 class _Group(list):
     """Generators of a group of automorphisms of a host, as a list, and
-    what one Schreier-Sims run finds from them, computed on first use
-    and kept with the list: the ``base_orbits`` (entry j is the orbit of
-    j under the elements fixing 0..j-1) and the ``pool`` of group
-    elements, each with its action on the host's edges (``edge_map[i]``
-    is the index of the image of edge i)."""
+    what the enumerator reads of them, computed on first use and kept
+    with the list: the ``base_orbits`` (entry j is the orbit of j under
+    the generators fixing 0..j-1) and the ``pool``, each generator once
+    with its action on the host's edges (``edge_map[i]`` is the index of
+    the image of edge i)."""
 
     def __init__(self, h: UniformHypergraph, generators: Iterable[tuple[int, ...]]) -> None:
         super().__init__(generators)
         self.n, self.edges = h.n, h.edges
 
     @cached_property
-    def chain(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        return _chain(self.n, tuple(self))
-
-    @cached_property
     def base_orbits(self) -> tuple[tuple[int, ...], ...]:
-        return self.chain[0]
+        orbits = []
+        for j in range(self.n):
+            fixing = [g for g in self if all(g[i] == i for i in range(j))]
+            unit = tuple(int(v == j) for v in range(self.n))
+            orbits.append(tuple(sorted(x.index(1) for x in _orbit(unit, fixing))))
+        return tuple(orbits)
 
     @cached_property
     def pool(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         index = {e: i for i, e in enumerate(self.edges)}
         return [(g, tuple(index[tuple(sorted(map(g.__getitem__, e)))] for e in self.edges))
-                for g in self.chain[1]]
+                for g in dict.fromkeys(self)]
 
 
 class _Orbits:
@@ -105,8 +111,8 @@ class _Orbits:
     def least_k_vectors(self, found: list, r: tuple[int, ...], d: int) -> list:
         """Of the (k-vector, load) pairs ``found`` at the root counts r
         of order d, every one with those root counts in lexicographic
-        order, the least of each orbit under the pool elements fixing
-        r.  A k-vector is coded as the integer ``sum k_e * (d+1)^(E-1-e)``,
+        order, the least of each orbit under the generators fixing r.
+        A k-vector is coded as the integer ``sum k_e * (d+1)^(E-1-e)``,
         so integer order is lexicographic order and no image is built as
         a tuple."""
         if len(found) < 2:
@@ -139,86 +145,6 @@ class _Orbits:
             if len(orbit) > 1:
                 self.sizes[item[0]] = len(orbit)
         return kept
-
-
-def _inverse(p: tuple[int, ...]) -> list[int]:
-    back = [0] * len(p)
-    for v, w in enumerate(p):
-        back[w] = v
-    return back
-
-
-def _chain(
-    n: int, generators: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """The basic orbits of the group the permutations of 0..n-1
-    generate for the base 0, 1, ..., n-1, and the pool: every strong
-    generator and coset representative but the identity, each once.
-    Schreier-Sims (Sims 1970) builds a strong generating set without
-    listing the group: level j keeps its generators and coset
-    representatives ``cosets[j][u]``, each sending j to u, and every
-    Schreier generator of level j must sift through the levels after
-    it.  One that does not is added to the levels up to the one it
-    stopped at, and the check resumes there; the levels after it are
-    complete."""
-    strong: list[list[tuple[int, ...]]] = [[] for _ in range(n)]  # the generators fixing 0..j-1
-    for g in generators:
-        for j in range(n):
-            strong[j].append(g)
-            if g[j] != j:
-                break
-    cosets: list[dict[int, tuple[int, ...]]] = [{} for _ in range(n)]
-
-    def close(j: int) -> None:
-        reps = cosets[j] = {j: tuple(range(n))}
-        todo = [j]
-        while todo:
-            x = todo.pop()
-            for s in strong[j]:
-                y = s[x]
-                if y not in reps:
-                    reps[y] = tuple(map(s.__getitem__, reps[x]))  # reps[x], then s
-                    todo.append(y)
-
-    def sift(g: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
-        # g fixes 0..j-1; each level's representative of g[i] taken out
-        # makes it fix i too, up to a level where g[i] has none (n: g
-        # is in the group)
-        for i in range(j, n):
-            if g[i] != i:
-                rep = cosets[i].get(g[i])
-                if rep is None:
-                    return i, g
-                g = tuple(map(_inverse(rep).__getitem__, g))
-        return n, g
-
-    def escape(j: int) -> tuple[int, tuple[int, ...]] | None:
-        reps = cosets[j]
-        for x, rep in reps.items():
-            for s in strong[j]:
-                back = _inverse(reps[s[x]])
-                # j -> x -> s(x) -> j
-                i, g = sift(tuple(back[s[u]] for u in rep), j + 1)
-                if i < n:
-                    return i, g
-        return None
-
-    for j in range(n):
-        close(j)
-    j = n - 1
-    while j >= 0:
-        found = escape(j)
-        if found is None:
-            j -= 1
-            continue
-        i, g = found
-        for level in range(j + 1, i + 1):
-            strong[level].append(g)
-            close(level)
-        j = i
-    pool = dict.fromkeys(g for level in strong + [list(c.values()) for c in cosets] for g in level)
-    pool.pop(tuple(range(n)), None)
-    return tuple(tuple(sorted(reps)) for reps in cosets), tuple(pool)
 
 
 def _root_vectors(

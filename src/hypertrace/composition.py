@@ -55,7 +55,7 @@ from math import comb, lcm
 from typing import Sequence
 
 from .config import Budget
-from .errors import MissingProfileEntry, MixedUniformity, ValidationError
+from .errors import MissingProfileEntry, MixedUniformity, ValidationError, _check_int
 from .estrada import fraction_str
 from .hypergraph import (
     AttachSpec,
@@ -308,8 +308,8 @@ def audit_path_shift(
     With r >= s >= 1 the balanced split should dominate order by order;
     the law claims strictness from d = s * m on.
     """
-    if not (r >= s >= 1):
-        raise ValidationError(f"path shift needs r >= s >= 1, got r={r}, s={s}")
+    _check_int("s", s, 1)
+    _check_int("r", r, s)
     _check_vertex(h, w)
     return _compare_traces(
         law="path-shift",
@@ -339,10 +339,9 @@ def audit_edge_shift(
     at vertex 1; the comparison is against lengths (r+1, s-1).  The law
     claims strictness from d = (s+1) * m on.
     """
-    if m < 3:
-        raise ValidationError(f"edge shift needs m >= 3, got {m}")
-    if not (r >= s >= 1):
-        raise ValidationError(f"edge shift needs r >= s >= 1, got r={r}, s={s}")
+    _check_int("uniformity m", m, 3)
+    _check_int("s", s, 1)
+    _check_int("r", r, s)
     host = _branched_edge(m, 2, p, branches)
     return _compare_traces(
         law="edge-shift",
@@ -371,8 +370,7 @@ def audit_cored_shift(
     operand at vertex 1 should dominate gluing it at vertex 0; the law
     claims strictness at every order divisible by m.
     """
-    if m < 2:
-        raise ValidationError(f"uniformity m must be >= 2, got {m}")
+    _check_int("uniformity m", m, 2)
     host = _branched_edge(m, 1, p, branches)
     if other is None:
         other = hyperpath(m, 1)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .config import Budget, default_budget
-from .errors import ValidationError
+from .errors import ValidationError, _check_int
 from .hypergraph import (
     UniformHypergraph,
     canonical_form,
@@ -310,8 +310,7 @@ def decimal_str(x: Fraction, places: int, rounding: str = "half-even") -> str:
     ``floor`` and ``ceil`` keep printed brackets valid: lower endpoints
     round down, upper endpoints round up.
     """
-    if places < 0:
-        raise ValidationError(f"places must be non-negative, got {places}")
+    _check_int("places", places, 0)
     scaled = x * 10**places
     if rounding == "floor":
         units = scaled.numerator // scaled.denominator

@@ -83,10 +83,10 @@ sum over one rooting per reversal pair, a pair counted twice, is that
 full sum), and a table keyed by root counts stays exact if it weighs
 the rootings of one k-vector per orbit of H times the orbit's size,
 whichever subgroup H is: a smaller H only leaves more k-vectors.
-On the targeted route H is generated by the elements of a pool kept
-per group (its strong generators and coset representatives) that fix
-r; only the least k-vector of each orbit of H goes on to the support
-test and stage two, and the memo records its orbit size.
+On the targeted route H is generated by those of G's generators that
+fix r, kept per group in a pool with their action on the edges; only
+the least k-vector of each orbit of H goes on to the support test and
+stage two, and the memo records its orbit size.
 
 Counting on the resulting digraph is exact integer arithmetic: spanning
 arborescences come from a principal minor of the out-degree Laplacian
@@ -274,9 +274,9 @@ def enumerate_rootings(
     on a 2-uniform host one rooting of each pair {F, reversal of F};
     the rootings whose root counts, as a vector over 0..n-1, are the
     lexicographically least of their orbit under the group; and on the
-    targeted route the least k-vector of each orbit under the pool
-    elements fixing its root counts, with its orbit size in the memo's
-    ``sizes``.
+    targeted route the least k-vector of each orbit under the group's
+    generators fixing its root counts, with its orbit size in the
+    memo's ``sizes``.
     """
     _check_order(d, 1)
 

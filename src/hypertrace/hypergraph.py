@@ -155,8 +155,7 @@ def power(graph: UniformHypergraph, m: int) -> UniformHypergraph:
     with m-2 fresh vertices."""
     if graph.m != 2:
         raise NotAGraph(f"power expects a 2-uniform host, got m={graph.m}")
-    if m < 3:
-        raise ValidationError(f"target uniformity must be >= 3, got {m}")
+    _check_int("target uniformity m", m, 3)
     pad = m - 2
     edges = []
     for i, (a, b) in enumerate(graph.edges):

@@ -394,7 +394,8 @@ class _Block:
 
 
 # a relabeled block and an order -> its rooting table at that order, and
-# a relabeled block -> generators of its automorphism group, with their pool
+# a relabeled block -> generators of its automorphism group, with their
+# basic orbits and their action on the block's edges
 BlockTables = dict[
     tuple[UniformHypergraph, int] | UniformHypergraph,
     dict[tuple[int, ...], int] | list[tuple[int, ...]],

@@ -87,6 +87,20 @@ SYMMETRIC_HOSTS: dict[str, tuple[UniformHypergraph, int]] = {
                                          (2, 5), (4, 5)]), 1),
 }
 
+# relabelings on which the enumerator, reading only the labeling's
+# generators, reduces by less than the whole group: on the Petersen
+# graph the generators fixing 0 and 1 are none, where the group's
+# stabilizer moves 2 to 7, and on the octahedron the generators fixing
+# some root-count vectors generate less than its stabilizer
+WEAK_GENERATOR_HOSTS = {
+    "petersen-relabeled": new_hypergraph(
+        2, 10, [(0, 6), (0, 8), (0, 9), (1, 4), (1, 5), (1, 9), (2, 3), (2, 4), (2, 6), (3, 7),
+                (3, 9), (4, 8), (5, 6), (5, 7), (7, 8)]),
+    "octahedron-relabeled": new_hypergraph(
+        2, 6, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5),
+               (3, 4), (4, 5)]),
+}
+
 # the highest order the orbit-reduction tests enumerate each host to
 ORBIT_ORDERS = {"k4": 8, "k5": 8, "k5-e": 8, "k6-e": 7, "k5-3": 7, "loose-3-cycle": 9,
                 "petersen": 8, "asymmetric": 8}

@@ -313,6 +313,10 @@ class TestAuditLaws:
     def test_path_shift_validation(self):
         with pytest.raises(ValidationError):
             audit_path_shift(EDGE3, 0, 1, 2, 6)  # needs r >= s
+        # a string r or s died with TypeError on r >= s
+        for r, s in (("2", 1), (2, "1"), ("2", "1")):
+            with pytest.raises(ValidationError):
+                audit_path_shift(EDGE3, 0, r, s, 6)
         with pytest.raises(VertexOutOfRange):
             audit_path_shift(EDGE3, 9, 1, 1, 6)
         for w in (True, 1.0):
@@ -343,6 +347,10 @@ class TestAuditLaws:
         for p in (1.0, True, "1"):
             with pytest.raises(ValidationError):
                 audit_edge_shift(3, p, 1, 1, 6)
+        # a string m, r or s died with TypeError
+        for m, r, s in (("3", 1, 1), (3, "2", "1"), (3, "2", 1), (3, 2, "1")):
+            with pytest.raises(ValidationError):
+                audit_edge_shift(m, 1, r, s, 6)
 
     def test_cored_shift_holds_with_late_onset(self):
         report = audit_cored_shift(3, 6)
@@ -367,6 +375,9 @@ class TestAuditLaws:
         for p in (1.0, True, "1"):
             with pytest.raises(ValidationError):
                 audit_cored_shift(3, 6, p)
+        # a string m died with TypeError
+        with pytest.raises(ValidationError):
+            audit_cored_shift("3", 6)
         # True glued the other operand at its vertex 1
         for w in (True, 1.0, 0.5):
             with pytest.raises(ValidationError):

@@ -162,6 +162,10 @@ class TestDecimalRendering:
             decimal_str(Fraction(1), -1)
         with pytest.raises(ValidationError):
             decimal_str(Fraction(1), 2, rounding="nearest")
+        # 2.5 died with TypeError and True printed one place
+        for places in (2.5, True, "2"):
+            with pytest.raises(ValidationError):
+                decimal_str(Fraction(1, 3), places)
 
 
 class TestExtremalScan:

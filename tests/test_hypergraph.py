@@ -130,6 +130,13 @@ class TestGenerators:
         with pytest.raises(NotAGraph):
             power(h3, 4)
 
+    def test_power_rejects_bad_uniformity(self):
+        tri = new_hypergraph(2, 3, [(0, 1), (1, 2), (0, 2)])
+        # 3.0 and "3" died with TypeError
+        for m in (3.0, "3"):
+            with pytest.raises(ValidationError):
+                power(tri, m)
+
     def test_path_and_star_powers_of_graphs(self):
         assert are_isomorphic(power(hyperpath(2, 3), 3), hyperpath(3, 3))
         assert are_isomorphic(power(hyperstar(2, 3), 3), hyperstar(3, 3))

@@ -45,6 +45,7 @@ from hypertrace.hypergraph import _labeling, blocks
 from conftest import (
     ORBIT_ORDERS,
     SYMMETRIC_HOSTS,
+    WEAK_GENERATOR_HOSTS,
     brute_force_automorphisms,
     closure,
     complete,
@@ -1025,17 +1026,26 @@ class TestStabilizerOrbits:
         assert len(yielded) == weighed
         assert table == traces_module._enumerate_table(h, d, _Group(h, []))
 
-    def test_the_chain_runs_once_per_relabeled_block(self, monkeypatch):
-        # the store's group keeps its Schreier-Sims run for every order
+    def test_the_labeling_runs_once_per_relabeled_block(self, monkeypatch):
+        # the store's group keeps its generators and pool for every order
         runs = []
-        chain = symmetry_module._chain
+        labeling = traces_module._labeling
 
-        def counted(n, generators):
-            runs.append(n)
-            return chain(n, generators)
+        def counted(h):
+            runs.append(h.n)
+            return labeling(h)
 
-        monkeypatch.setattr(symmetry_module, "_chain", counted)
+        monkeypatch.setattr(traces_module, "_labeling", counted)
         k5 = complete(2, 5)
         assert [trace(k5, d) for d in range(1, 9)] == [
             trace_m2_oracle(k5, d) for d in range(1, 9)]
         assert runs == [5]
+
+    @pytest.mark.parametrize("name", sorted(WEAK_GENERATOR_HOSTS))
+    def test_exact_where_the_generators_reduce_less_than_the_group(self, name):
+        h = WEAK_GENERATOR_HOSTS[name]
+        group = _Group(h, _labeling(h)[1])
+        for d in range(1, 7):
+            assert traces_module._enumerate_table(h, d, group) == unpaired_table(h, d)
+        assert [trace(h, d) for d in range(1, 9)] == [
+            trace_m2_oracle(h, d) for d in range(1, 9)]
