@@ -20,7 +20,8 @@ given edge count and declares a minimizer or maximizer only when its
 bracket is disjoint from every competitor's.  The classes share one
 store of block tables (``traces._share_blocks``); every block of a
 hypertree is a single edge, so a scan enumerates one single-edge table
-per order for all classes together.
+per multiple of m for all classes together, the orders it has rootings
+at.
 """
 
 from __future__ import annotations

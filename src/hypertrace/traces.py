@@ -68,11 +68,11 @@ place where rootings are enumerated.
 * A block is relabeled onto 0..k-1 in increasing vertex order, and the
   relabeled block and the order key its rooting table in the store.
   So equal blocks (every single edge, for one) are enumerated once per
-  order whatever vertices their readers key: the end and middle blocks
-  of a path, or a one-block host traced plainly and profiled at any
-  anchor, read one table.  Hosts computed
-  together, the two of an audit or the classes of a scan, share one
-  store (``_share_blocks``).  A table enters the store only once it is
+  order they have rootings at, whatever vertices their readers key: the
+  end and middle blocks of a path, or a one-block host traced plainly
+  and profiled at any anchor, read one table.  Hosts computed together,
+  the two of an audit or the classes of a scan, share one store
+  (``_share_blocks``).  A table enters the store only once it is
   complete, so a forest dropped part-way through an order leaves the
   store valid for the hosts still reading it.
 * One DP joins them, children first.  At a cut vertex w, ``C_w[sigma]``
@@ -96,10 +96,12 @@ place where rootings are enumerated.
   of its factors, so each order extends every polynomial by its mass-k
   coefficient, children first, and an order already reached is read
   back.  A root count first seen at order d gets its ``A_w(s)`` and
-  products over the masses below d from the state kept.  A mass that
-  is not a multiple of the gcd of the orders with rootings so far (a
-  hypertree's masses off the multiples of m) is zero throughout and is
-  skipped.
+  products over the masses below d from the state kept.  A block whose
+  every edge has a vertex on no other of its edges (a single edge, a
+  loose cycle) has rootings only at multiples of m, its order step, and
+  nothing is enumerated at other orders.  A mass off the multiples of
+  the gcd of the orders with rootings so far (a hypertree's masses off
+  the multiples of m) is zero throughout and is skipped.
 
 Order zero is the eigenvalue count: ``Tr_0 = n * (m-1)^(n-1)``.  The
 localized value at order zero follows the convention ``(m-1)^(n-1)``
@@ -348,6 +350,7 @@ def _add(polys: dict[int, Poly], key: int, k: int, c: int) -> None:
         poly[k] = poly.get(k, 0) + c
 
 
+@cache
 def _phi(m: int, r: int) -> int:
     """The factor of a vertex rooted r times, scaled by (m-1)^r."""
     return (m - 1) ** (r - 1) * factorial(r - 1)
@@ -382,13 +385,15 @@ class _Block:
     ``products`` maps the root counts at the cut vertices below to the
     ``A_w(t_w)`` with t_w > 0 and their running products, the last one
     being the whole product; ``sums`` is ``1 + sum_t x^t G_B[t]`` by t,
-    the 1 at t = 0."""
+    the 1 at t = 0.  ``step`` is m if each edge has a vertex v on no other
+    edge, where balance reads ``m * r(v) = k_e``, else 1."""
 
     host: UniformHypergraph
     up: int | None
     cuts: list[_Cut]
     keyed: tuple[int, ...]
     sums: dict[int, Poly]
+    step: int
     weights: dict[tuple[int, ...], Poly] = field(default_factory=dict)
     products: dict[tuple[int, ...], tuple[list[Poly], list[Poly]]] = field(default_factory=dict)
 
@@ -409,7 +414,7 @@ class _BlockForest:
     a profile) computes each DP coefficient once.  ``store`` maps a
     relabeled block and an order to the block's rooting table at that
     order, so equal blocks, of this host or of the hosts sharing the
-    store, are enumerated once per order whatever vertices they key;
+    store, are enumerated at most once per order whatever they key;
     it also keeps each relabeled block's automorphism generators, found
     once, for the enumerations to reduce by."""
 
@@ -453,7 +458,9 @@ class _BlockForest:
                 h.m, len(vs), [[local[v] for v in h.edges[i]] for i in edge_ids]
             )
             cuts = [_Cut([sums[c] for c in at[w] if c != b]) for w in kids]
-            self.blocks.append(_Block(host, up, cuts, tuple(map(local.get, keyed)), sums[b]))
+            step = h.m if all(any(host.degrees[v] == 1 for v in e) for e in host.edges) else 1
+            self.blocks.append(
+                _Block(host, up, cuts, tuple(map(local.get, keyed)), sums[b], step))
         self.anchor = _Cut([sums[c] for c in at.get(anchor, [])])  # nothing above it
         self.step = 0  # the gcd of the orders with rootings so far
         self.totals: list[int] = [0]  # the total at every mass reached
@@ -484,7 +491,10 @@ class _BlockForest:
         the sum over its order-d rootings of ``tau * d!/prod c! * prod
         phi(r(v))`` over its rooted vertices that are not keyed, from
         the block's rooting table in the store (enumerated into it if
-        absent) summed onto the keyed vertices."""
+        absent) summed onto the keyed vertices; empty, unread, at an
+        order off the multiples of the block's step."""
+        if d % block.step:
+            return {}
         key = (block.host, d)
         rootings = self.store.get(key)
         if rootings is None:

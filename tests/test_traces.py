@@ -628,13 +628,14 @@ def counted_enumeration():
 class TestSharedBlockTables:
     """A block's table is keyed by the relabeled block and the order, so
     equal blocks, of one host or of hosts computed together, are
-    enumerated once per order whatever vertices they key."""
+    enumerated at most once per order whatever vertices they key."""
 
-    def test_equal_edges_of_a_star_make_one_call_per_order(self):
+    def test_equal_edges_of_a_star_make_one_call_per_multiple_of_m(self):
+        # a single edge has rootings only at multiples of m
         h = hyperstar(3, 4)
         with counted_enumeration() as calls:
             assert trace(h, 12) == 91080
-        assert [d for _, d in calls] == list(range(1, 13))
+        assert [d for _, d in calls] == [3, 6, 9, 12]
 
     def test_a_chain_of_three_k4_makes_one_call_per_order(self):
         # the two end blocks have one keyed vertex, the middle one two
@@ -645,13 +646,13 @@ class TestSharedBlockTables:
         assert got == trace_m2_oracle(h, 6)
         assert [d for _, d in calls] == list(range(1, 7))
 
-    def test_a_hyperpath_makes_one_call_per_order(self):
+    def test_a_hyperpath_makes_one_call_per_multiple_of_m(self):
         # the end edges key one vertex, the middle edges two
         h = hyperpath(3, 5)
         with counted_enumeration() as calls:
             got = trace(h, 15)
         assert got == enumerated_trace(h, 15)
-        assert [d for _, d in calls] == list(range(1, 16))
+        assert [d for _, d in calls] == [3, 6, 9, 12, 15]
 
     def test_the_hosts_of_an_audit_enumerate_their_k4_once_per_order(self):
         with counted_enumeration() as calls:
@@ -720,6 +721,49 @@ class TestSharedBlockTables:
                 assert trace(h, d) == trace(fresh, d)
 
 
+STEPPED_HOSTS = {
+    **{f"edge-{m}": hyperpath(m, 1) for m in range(2, 6)},
+    "hyperpath-3-4": hyperpath(3, 4),
+    "hyperstar-4-3": hyperstar(4, 3),
+    "loose-3-cycle": LOOSE_3_CYCLE,
+    **{f"hypertree-3-5-{i}": h for i, h in enumerate(enumerate_hypertrees(3, 5))},
+}
+
+
+class TestOrderStep:
+    """A block whose every edge has a vertex on no other of its edges
+    has rootings only at multiples of m, as balance at such a vertex v
+    of an edge e reads m * r(v) = k_e: its table is empty, and nothing
+    is enumerated, at every other order."""
+
+    @pytest.mark.parametrize("name", sorted(STEPPED_HOSTS))
+    def test_off_the_step_the_oracle_yields_no_rooting(self, name):
+        h = STEPPED_HOSTS[name]
+        h = new_hypergraph(h.m, h.n, h.edges)
+        with counted_enumeration() as calls:
+            for d in range(1, 3 * h.m + 2):
+                if d % h.m:
+                    assert next(enumerate_rootings(h, d), None) is None
+                    assert trace(h, d) == enumerated_trace(h, d) == 0
+        assert {block.step for block in traces_module._forest(h, None, 0).blocks} == {h.m}
+        assert all(d % h.m == 0 for _, d in calls)
+
+    def test_a_star_bracket_enumerates_the_multiples_of_m_alone(self):
+        with counted_enumeration() as calls:
+            estimate = estrada_index(hyperstar(3, 4), 1e-6)
+        assert estimate.depth == 27
+        assert [d for _, d in calls] == list(range(3, 28, 3))
+
+    @pytest.mark.parametrize("h", [K4, K4_3, K5_3], ids=["k4", "k4-3", "k5-3"])
+    def test_a_block_with_an_edge_of_shared_vertices_enumerates_every_order(self, h):
+        h = new_hypergraph(h.m, h.n, h.edges)
+        with counted_enumeration() as calls:
+            profile = local_trace_profile(h, 0, 6)
+        assert [block.step for block in traces_module._forest(h, 0, 0).blocks] == [1]
+        assert [d for _, d in calls] == list(range(1, 7))
+        assert profile.entries == {**enumerated_profile(h, 0, 6), (0, 0): (h.m - 1) ** (h.n - 1)}
+
+
 def enumerated_profile(h, anchor, d_max):
     """The nonzero Tr_{d;t} at the anchor straight from the definition:
     every rooting of the whole host, matched by a pinned query."""
@@ -769,11 +813,13 @@ class TestAnchoredForest:
         assert got == [trace_m2_oracle(h, d) for d in range(1, 7)]
 
     def test_profiles_of_the_loose_3_cycle_at_two_anchors_share_its_table(self):
-        # vertex 0 lies on two edges and vertex 1 on one
+        # vertex 0 lies on two edges and vertex 1 on one; every edge has
+        # a vertex on no other, so the cycle has rootings only at
+        # multiples of 3
         h = new_hypergraph(3, 6, LOOSE_3_CYCLE.edges)
         with counted_enumeration() as calls:
             p0, p1 = (local_trace_profile(h, anchor, 9) for anchor in (0, 1))
-        assert [d for _, d in calls] == list(range(1, 10))
+        assert [d for _, d in calls] == [3, 6, 9]
         assert (p0.value(9, 3), p1.value(9, 3)) == (468, 72)
         for anchor, p in ((0, p0), (1, p1)):
             assert p.entries == {**enumerated_profile(h, anchor, 9), (0, 0): 32}
