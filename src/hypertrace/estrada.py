@@ -79,13 +79,11 @@ class EstradaEstimate:
         return self.upper - self.lower
 
 
-def _tail_bound(count: int, rho: int, depth: int) -> Fraction:
-    if rho == 0:
-        return Fraction(0)
-    return (
-        Fraction(count * rho ** (depth + 1), math.factorial(depth + 1))
-        * E_UPPER**rho
-    )
+def _tail_bound(count: int, rho: int, depth: int, e_rho: Fraction) -> Fraction:
+    """The truncation bound after order depth, as one ``Fraction``;
+    ``e_rho`` is ``E_UPPER**rho``."""
+    return Fraction(count * rho ** (depth + 1) * e_rho.numerator,
+                    math.factorial(depth + 1) * e_rho.denominator)
 
 
 def _bracket_series(
@@ -97,11 +95,12 @@ def _bracket_series(
     rho = spectral_radius_bound(h)
     skip_off_orders = is_hypertree(h)
     m = h.m
+    e_rho = E_UPPER**rho
 
     traces: dict[int, Fraction] = {0: Fraction(count)}
     partial = Fraction(count)
     depth = 0
-    tail = _tail_bound(count, rho, depth)
+    tail = _tail_bound(count, rho, depth, e_rho)
     lower, upper = partial - tail, partial + tail
     while upper - lower > tol:
         next_depth = depth + m
@@ -112,9 +111,9 @@ def _bracket_series(
                 continue
             value = trace_of(d)
             traces[d] = value
-            partial += value / Fraction(math.factorial(d))
+            partial += Fraction(value.numerator, value.denominator * math.factorial(d))
         depth = next_depth
-        tail = _tail_bound(count, rho, depth)
+        tail = _tail_bound(count, rho, depth, e_rho)
         lower = max(lower, partial - tail)
         upper = min(upper, partial + tail)
     return EstradaEstimate(

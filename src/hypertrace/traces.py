@@ -95,13 +95,16 @@ place where rootings are enumerated.
   The coefficient at mass k of a product reads only the masses up to k
   of its factors, so each order extends every polynomial by its mass-k
   coefficient, children first, and an order already reached is read
-  back.  A root count first seen at order d gets its ``A_w(s)`` and
-  products over the masses below d from the state kept.  A block whose
-  every edge has a vertex on no other of its edges (a single edge, a
-  loose cycle) has rootings only at multiples of m, its order step, and
-  nothing is enumerated at other orders.  A mass off the multiples of
-  the gcd of the orders with rootings so far (a hypertree's masses off
-  the multiples of m) is zero throughout and is skipped.
+  back.  ``G_B`` and ``C_w`` are keyed mass first, mass -> {root count:
+  coefficient}, so a product at mass k joins only the masses i and
+  k - i where both factors have entries.  A root count first seen at
+  order d gets its ``A_w(s)`` and products over the masses below d
+  from the state kept.  A block whose every edge has a vertex on no
+  other of its edges (a single edge, a loose cycle) has rootings only
+  at multiples of m, its order step, and nothing is enumerated at
+  other orders.  A mass off the multiples of the gcd of the orders
+  with rootings so far (a hypertree's masses off the multiples of m)
+  is zero throughout and is skipped.
 
 Order zero is the eigenvalue count: ``Tr_0 = n * (m-1)^(n-1)``.  The
 localized value at order zero follows the convention ``(m-1)^(n-1)``
@@ -275,8 +278,8 @@ def _profile(h: UniformHypergraph, anchor: int, d_max: int) -> dict[tuple[int, i
     anchor, scaled."""
     forest = _forest(h, anchor, d_max)
     c_a = forest.anchor.joined[-1]
-    return {(d, t): forest.scaled(d, c_a[t][d] * _phi(h.m, t))
-            for d in range(1, d_max + 1) for t in sorted(c_a) if t and d in c_a[t]}
+    return {(d, t): forest.scaled(d, c_a[d][t] * _phi(h.m, t))
+            for d in range(1, d_max + 1) if d in c_a for t in sorted(c_a[d]) if t}
 
 
 def _pinned(h: UniformHypergraph, d: int, v: int, t: int) -> Fraction:
@@ -319,6 +322,7 @@ def _share_blocks(hosts: Sequence[UniformHypergraph]) -> None:
 # --- the block route ------------------------------------------------------
 
 Poly = dict[int, int]  # exponential generating function: mass k -> coefficient of y^k/k!
+Columns = dict[int, dict[int, int]]  # G_B and C_w, mass first: k -> {root count: coefficient}
 
 
 @cache
@@ -342,14 +346,6 @@ def _mass(row: tuple[int, ...], p: Poly, q: Poly) -> int:
     return total
 
 
-def _add(polys: dict[int, Poly], key: int, k: int, c: int) -> None:
-    """Add c to the coefficient at mass k of ``polys[key]``; only
-    nonzero coefficients are stored."""
-    if c:
-        poly = polys.setdefault(key, {})
-        poly[k] = poly.get(k, 0) + c
-
-
 @cache
 def _phi(m: int, r: int) -> int:
     """The factor of a vertex rooted r times, scaled by (m-1)^r."""
@@ -359,14 +355,14 @@ def _phi(m: int, r: int) -> int:
 @dataclass
 class _Cut:
     """A cut vertex w, or the anchor, and its part of the DP state: the
-    ``sums`` of its child blocks as ``factors``; ``joined[i][sigma]``,
-    their product over the first i + 1 at ``x^sigma`` (the first factor
-    itself, or 1 without a child), so ``joined[-1]`` is ``C_w``; and
-    ``below[s]``, ``A_w(s)`` for every s the block above has rooted w
-    with so far."""
+    ``sums`` of its child blocks as ``factors``; ``joined[i][k][sigma]``,
+    their product over the first i + 1 at mass k and ``x^sigma`` (the
+    first factor itself, or 1 without a child), so ``joined[-1]`` is
+    ``C_w``; and ``below[s]``, ``A_w(s)`` for every s the block above
+    has rooted w with so far.  A mass has a column only if nonzero."""
 
-    factors: list[dict[int, Poly]]
-    joined: list[dict[int, Poly]] = field(init=False)
+    factors: list[Columns]
+    joined: list[Columns] = field(init=False)
     below: dict[int, Poly] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -381,20 +377,20 @@ class _Block:
     first block), the cut vertices below it, where its ``keyed``
     vertices (the vertex above, if any, then the cut vertices below)
     sit in ``host``, and its part of the DP state.  ``weights`` is
-    ``W_B``, root counts at the keyed vertices -> {order: weight};
-    ``products`` maps the root counts at the cut vertices below to the
-    ``A_w(t_w)`` with t_w > 0 and their running products, the last one
-    being the whole product; ``sums`` is ``1 + sum_t x^t G_B[t]`` by t,
-    the 1 at t = 0.  ``step`` is m if each edge has a vertex v on no other
-    edge, where balance reads ``m * r(v) = k_e``, else 1."""
+    ``W_B``, order -> ``table``'s {root counts at the keyed vertices:
+    weight}; ``products`` maps the root counts at the cut vertices below
+    to the ``A_w(t_w)`` with t_w > 0 and their running products, the
+    last one the whole product; ``sums`` is ``1 + sum_t x^t G_B[t]``,
+    1 at mass 0 and t = 0.  ``step`` is m if each edge has a vertex v on
+    no other edge, where balance reads ``m * r(v) = k_e``, else 1."""
 
     host: UniformHypergraph
     up: int | None
     cuts: list[_Cut]
     keyed: tuple[int, ...]
-    sums: dict[int, Poly]
+    sums: Columns
     step: int
-    weights: dict[tuple[int, ...], Poly] = field(default_factory=dict)
+    weights: dict[int, dict[tuple[int, ...], int]] = field(default_factory=dict)
     products: dict[tuple[int, ...], tuple[list[Poly], list[Poly]]] = field(default_factory=dict)
 
 
@@ -520,15 +516,13 @@ class _BlockForest:
             table = self.table(block, d)
             if table:
                 self.step = gcd(self.step, d)
-            for ts, weight in table.items():
-                block.weights.setdefault(ts, {})[d] = weight
+                block.weights[d] = table
+            for ts in table:
                 kappa = ts[len(ts) - len(block.cuts):]
                 if kappa not in block.products:
                     block.products[kappa] = self._product(block.cuts, kappa)
 
-    def _product(
-        self, cuts: list[_Cut], kappa: tuple[int, ...]
-    ) -> tuple[list[Poly], list[Poly]]:
+    def _product(self, cuts: list[_Cut], kappa: tuple[int, ...]) -> tuple[list[Poly], list[Poly]]:
         """The factors ``A_w(t_w)`` over the cut vertices w with root
         count t_w > 0 in kappa, and their running products over the
         masses reached."""
@@ -543,28 +537,31 @@ class _BlockForest:
         """``A_w(s) = sum_sigma C_w[sigma] * phi(s + sigma)``, computed
         over the masses reached when s is new."""
         if s not in cut.below:
-            a: Poly = {}
-            for sigma, c in cut.joined[-1].items():
-                for k, v in c.items():
-                    a[k] = a.get(k, 0) + v * _phi(self.m, s + sigma)
-            cut.below[s] = a
+            cut.below[s] = {k: sum(v * _phi(self.m, s + sigma) for sigma, v in col.items())
+                            for k, col in cut.joined[-1].items()}
         return cut.below[s]
 
     def _join(self, cut: _Cut, k: int, row: tuple[int, ...]) -> int:
         """Extend ``C_w``, the partial products it is built from and the
-        ``A_w(s)`` of a cut by their coefficients at mass k, and return
-        its top term ``sum_{sigma>=1} C_w[sigma] * phi(sigma)`` there;
-        ``row`` is ``C(k, 0..k)``."""
+        ``A_w(s)`` of a cut by their columns at mass k, and return its top
+        term ``sum_{sigma>=1} C_w[sigma] * phi(sigma)`` there; ``row`` is
+        ``C(k, 0..k)``.  Only the masses i and k - i with entries join."""
         for prev, cur, factor in zip(cut.joined, cut.joined[1:], cut.factors[1:]):
-            for sigma, p in prev.items():
-                for t, g in factor.items():
-                    _add(cur, sigma + t, k, _mass(row, p, g))
-        at_k = [(sigma, p[k]) for sigma, p in cut.joined[-1].items() if k in p]
+            col: dict[int, int] = {}
+            for i, p in prev.items():
+                if g := factor.get(k - i):
+                    for sigma, a in p.items():
+                        a *= row[i]
+                        for t, b in g.items():
+                            col[sigma + t] = col.get(sigma + t, 0) + a * b
+            if col:
+                cur[k] = col
+        col = cut.joined[-1].get(k)
+        if not col:
+            return 0
         for s, a in cut.below.items():
-            c = sum(v * _phi(self.m, s + sigma) for sigma, v in at_k)
-            if c:
-                a[k] = c
-        return sum(v * _phi(self.m, sigma) for sigma, v in at_k if sigma)
+            a[k] = sum(v * _phi(self.m, s + sigma) for sigma, v in col.items())
+        return sum(v * _phi(self.m, sigma) for sigma, v in col.items() if sigma)
 
     def _extend(self, k: int) -> None:
         """Extend every DP polynomial by its coefficient at mass k (see
@@ -579,17 +576,19 @@ class _BlockForest:
                 top += self._join(cut, k, row)
             for factors, running in block.products.values():
                 for f, prev, cur in zip(factors[1:], running, running[1:]):
-                    c = _mass(row, prev, f)
-                    if c:
+                    if c := _mass(row, prev, f):
                         cur[k] = c
-            cut_count = len(block.cuts)
-            for ts, weights in block.weights.items():
-                _, running = block.products[ts[len(ts) - cut_count:]]
-                c = _mass(row, weights, running[-1])
-                if block.up is None or ts[0] == 0:
-                    top += c
-                else:
-                    _add(block.sums, ts[0], k, c)
+            cut_count, col = len(block.cuts), {}
+            for d, table in block.weights.items():
+                for ts, weight in table.items():
+                    _, running = block.products[ts[len(ts) - cut_count:]]
+                    c = running[-1].get(k - d, 0) * row[d] * weight
+                    if block.up is None or ts[0] == 0:
+                        top += c
+                    elif c:
+                        col[ts[0]] = col.get(ts[0], 0) + c
+            if col:
+                block.sums[k] = col
         self.totals.append(top + self._join(self.anchor, k, row))
 
 

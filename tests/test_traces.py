@@ -22,6 +22,7 @@ from hypertrace import (
     coalesce,
     enumerate_hypertrees,
     estrada_index,
+    estrada_index_m2_oracle,
     extremal_scan,
     hyperpath,
     hyperstar,
@@ -413,19 +414,23 @@ class TestBlockRoute:
                 assert trace(h, d, budget) == trace_m2_oracle(h, d)
 
     def test_an_interrupted_extension_is_dropped(self, monkeypatch):
+        # the star's forest joins its centre and then its empty anchor at
+        # masses 9 and 12; the fourth join fails with the blocks at mass
+        # 12 extended
         h = hyperstar(3, 3)
         assert trace(h, 6) == enumerated_trace(h, 6)
-        mass, calls = traces_module._mass, []
+        join, calls = traces_module._BlockForest._join, []
 
         def failing(*args):
             calls.append(args)
             if len(calls) > 3:
                 raise RuntimeError("interrupted")
-            return mass(*args)
+            return join(*args)
 
-        monkeypatch.setattr(traces_module, "_mass", failing)
+        monkeypatch.setattr(traces_module._BlockForest, "_join", failing)
         with pytest.raises(RuntimeError):
             trace(h, 12)
+        assert (traces_module._BlockForest, None) not in h.memo
         monkeypatch.undo()
         assert trace(h, 12) == enumerated_trace(h, 12)
 
@@ -691,19 +696,22 @@ class TestSharedBlockTables:
         assert got == [enumerated_trace(h, d) for h in hosts]
 
     @pytest.mark.parametrize("name, after", (
-        ("_mass", 0), ("_mass", 2), ("_mass", 12), ("contribution_parts", 0),
+        ("_join", 0), ("_join", 2), ("_join", 3), ("contribution_parts", 0),
     ))
     def test_an_interrupted_extension_leaves_linked_hosts_exact(
         self, monkeypatch, name, after
     ):
         # tables enter the shared store only once complete, so the host
         # whose forest is dropped and the host still reading the store
-        # both go on with exact values, also after an enumeration cut short
+        # both go on with exact values, also after an enumeration cut short;
+        # the star's four joins at masses 9 and 12 are cut at the first,
+        # third and fourth
         hosts = (hyperstar(3, 3), hyperpath(3, 3))
         traces_module._share_blocks(hosts)
         for h in hosts:
             trace(h, 6)
-        inner, calls = getattr(traces_module, name), []
+        owner = traces_module._BlockForest if name == "_join" else traces_module
+        inner, calls = getattr(owner, name), []
 
         def failing(*args):
             calls.append(args)
@@ -711,9 +719,10 @@ class TestSharedBlockTables:
                 raise RuntimeError("interrupted")
             return inner(*args)
 
-        monkeypatch.setattr(traces_module, name, failing)
+        monkeypatch.setattr(owner, name, failing)
         with pytest.raises(RuntimeError):
             trace(hosts[0], 12)
+        assert (traces_module._BlockForest, None) not in hosts[0].memo
         monkeypatch.undo()
         for h in reversed(hosts):
             fresh = new_hypergraph(h.m, h.n, h.edges)
@@ -769,10 +778,10 @@ def enumerated_profile(h, anchor, d_max):
     every rooting of the whole host, matched by a pinned query."""
     entries = {}
     for d in range(1, d_max + 1):
+        weighed = [(mat.root_counts, contribution(mat, h.n)) for mat in enumerate_rootings(h, d)]
         for t in range(1, d + 1):
             q = query(pinned=(anchor, t))
-            value = sum((contribution(mat, h.n) for mat in enumerate_rootings(h, d)
-                         if matches(q, mat.root_counts)), Fraction(0))
+            value = sum((w for roots, w in weighed if matches(q, roots)), Fraction(0))
             if value:
                 entries[d, t] = value
     return entries
@@ -833,27 +842,77 @@ class TestAnchoredForest:
                 assert trace(h, d) == enumerated_trace(h, d)
             assert [e for _, e in calls] == [d, d - 2]
 
-    @pytest.mark.parametrize("after", (0, 3, 40))
+    @pytest.mark.parametrize("after", (0, 3, 11))
     def test_an_interrupted_profile_is_dropped(self, monkeypatch, after):
+        # masses 5 to 8 each join two cut vertices and the anchor: the
+        # cuts fall at the start of mass 5, the start of mass 6 and the
+        # anchor's join at mass 8, the last one
         h = coalesce(K4, 0, hyperpath(2, 2), 0)
         anchor = 1
         assert local_trace_profile(h, anchor, 4).entries == {
             **enumerated_profile(h, anchor, 4), (0, 0): 1}
-        mass, calls = traces_module._mass, []
+        join, calls = traces_module._BlockForest._join, []
 
         def failing(*args):
             calls.append(args)
             if len(calls) > after:
                 raise RuntimeError("interrupted")
-            return mass(*args)
+            return join(*args)
 
-        monkeypatch.setattr(traces_module, "_mass", failing)
+        monkeypatch.setattr(traces_module._BlockForest, "_join", failing)
         with pytest.raises(RuntimeError):
             local_trace_profile(h, anchor, 8)
         assert (traces_module._BlockForest, anchor) not in h.memo
         monkeypatch.undo()
         assert local_trace_profile(h, anchor, 8).entries == {
             **enumerated_profile(h, anchor, 8), (0, 0): 1}
+
+
+class TestMassFirstJoin:
+    """A cut vertex joins its child blocks' sums column by column, keyed
+    mass first, so a product at mass k reads only the masses i and k - i
+    at which both factors have entries."""
+
+    def test_three_dense_children_at_one_cut(self):
+        budget = Budget(cost_limit=1000)  # 18 edges * 8
+        h = coalesce(coalesce(K4, 0, K4, 0), 0, K4, 0)
+        for anchor in (0, 1):
+            assert local_trace_profile(h, anchor, 8, budget).entries == {
+                **enumerated_profile(h, anchor, 8), (0, 0): 1}
+        assert [trace(h, d, budget) for d in range(1, 9)] == [
+            trace_m2_oracle(h, d) for d in range(1, 9)]
+
+    def test_a_cycle_a_dense_block_and_an_edge_at_one_cut(self):
+        # vertex 0 joins the loose 3-cycle, K4_3 and one edge; vertex 1
+        # lies on the cycle alone and vertex 6 on K4_3 alone
+        budget = Budget(cost_limit=1000)
+        h = coalesce(coalesce(LOOSE_3_CYCLE, 0, K4_3, 0), 0, hyperpath(3, 1), 0)
+        for anchor in (0, 1, 6):
+            assert local_trace_profile(h, anchor, 9, budget).entries == {
+                **enumerated_profile(h, anchor, 9), (0, 0): 2 ** 10}
+        assert [trace(h, d, budget) for d in range(1, 10)] == [
+            enumerated_trace(h, d) for d in range(1, 10)]
+
+    def test_an_eleven_child_join_matches_the_matrix_oracle(self):
+        # the star's first edge hangs its 11 siblings from the centre
+        h, budget = hyperstar(2, 12), Budget(cost_limit=576)
+        got = estrada_index(h, 1e-3, budget)
+        want = estrada_index_m2_oracle(h, 1e-3, budget)
+        assert (got.lower, got.upper, got.depth, got.traces, got.tail_bound) == (
+            want.lower, want.upper, want.depth, want.traces, want.tail_bound)
+
+    def test_a_star_bracket_multiplies_no_one_variable_product(self, monkeypatch):
+        # every block of a star is a single edge, so no block has two cut
+        # vertices below it and the join reads its columns directly
+        mass, calls = traces_module._mass, []
+
+        def counted(*args):
+            calls.append(args)
+            return mass(*args)
+
+        monkeypatch.setattr(traces_module, "_mass", counted)
+        assert estrada_index(hyperstar(3, 4), 1e-6).depth == 27
+        assert calls == []
 
 
 class TestPinnedReads:
