@@ -307,8 +307,12 @@ def enumerate_hypertrees(
     m: int, z: int, budget: Budget | None = None
 ) -> list[UniformHypergraph]:
     """One representative per isomorphism class of m-uniform hypertrees
-    with z edges, generated by attaching a pendant edge at every vertex
-    of every smaller hypertree and deduplicating by canonical form."""
+    with z edges, sorted by canonical form.  Each class with one edge
+    fewer grows a pendant edge at the first vertex of each color class
+    of its stable refinement: on a hypertree those are the automorphism
+    orbits (see ``_labeling``), so every class is grown, first where
+    growing at every vertex would first grow it.  Grown hypertrees are
+    deduplicated by ``_tree_code``; only the last level is labeled."""
     budget = budget or default_budget()
     _check_generator_args(m, z)
     if z > budget.tree_edge_limit:
@@ -316,22 +320,48 @@ def enumerate_hypertrees(
             f"hypertree enumeration with z={z} exceeds the configured limit "
             f"of {budget.tree_edge_limit} edges"
         )
-    level: dict[bytes, UniformHypergraph] = {}
-    seed = hyperpath(m, 1)
-    level[canonical_form(seed, budget)] = seed
+    level = [hyperpath(m, 1)]
     for _ in range(z - 1):
-        grown: dict[bytes, UniformHypergraph] = {}
-        for h in level.values():
-            for v in range(h.n):
+        grown: dict[str, UniformHypergraph] = {}
+        for h in level:
+            colors, _ = _node(h, _ranked(list(h.degrees)))
+            for v in sorted({colors.index(c) for c in colors}):
                 g = _attach_pendant_edge(h, v)
-                grown.setdefault(canonical_form(g, budget), g)
-        level = grown
-    return [level[key] for key in sorted(level)]
+                grown.setdefault(_tree_code(g), g)
+        level = list(grown.values())
+    return sorted(level, key=lambda h: canonical_form(h, budget))
 
 
 def _attach_pendant_edge(h: UniformHypergraph, v: VertexId) -> UniformHypergraph:
     fresh = tuple(range(h.n, h.n + h.m - 1))
     return new_hypergraph(h.m, h.n + h.m - 1, list(h.edges) + [(v,) + fresh])
+
+
+def _tree_code(h: UniformHypergraph) -> str:
+    """The AHU code (Aho, Hopcroft & Ullman 1974) of a hypertree's
+    incidence tree, nodes ``v`` and ``n + i`` for edge i, rooted at its
+    centre: equal for exactly the isomorphic hypertrees of one m.  The
+    leaves are all vertices, so an isomorphism keeps vertices and edges
+    apart, and every path between two leaves has even length, so the
+    centre is one node."""
+    around = [[h.n + i for i in ix] for ix in h.incidence] + [list(e) for e in h.edges]
+    degree = [len(a) for a in around]
+    centre = [x for x, k in enumerate(degree) if k == 1]
+    left = len(around)
+    while left > 1:  # peel the leaves off, layer by layer
+        left -= len(centre)
+        peeled, centre = centre, []
+        for x in peeled:
+            for y in around[x]:
+                degree[y] -= 1
+                if degree[y] == 1:
+                    centre.append(y)
+    (root,) = centre
+
+    def code(x: int, parent: int) -> str:
+        return "(" + "".join(sorted(code(y, x) for y in around[x] if y != parent)) + ")"
+
+    return code(root, -1)
 
 
 # --- canonical form -------------------------------------------------------
@@ -357,20 +387,26 @@ def _attach_pendant_edge(h: UniformHypergraph, v: VertexId) -> UniformHypergraph
 # that fix the node's individualized vertices is skipped.  On the first
 # path those found below a node generate the stabilizer of its
 # individualized vertices, so the automorphisms found generate the
-# whole group.
+# whole group.  On a hypertree the stable color classes are the orbits,
+# so one leaf is enough (``_labeling``), and ``enumerate_hypertrees``
+# labels only the classes it returns.  Forms are kept in ``h.memo``.
 
 
 def canonical_form(h: UniformHypergraph, budget: Budget | None = None) -> bytes:
-    """A byte string equal for exactly the isomorphic hypergraphs."""
+    """A byte string equal for exactly the isomorphic hypergraphs, kept
+    in ``h.memo`` under this function."""
     budget = budget or default_budget()
     if h.n > budget.canon_vertex_limit:
         raise LimitExceeded(
             f"canonical labeling of {h.n} vertices exceeds the configured "
             f"limit of {budget.canon_vertex_limit}"
         )
-    best, _ = _labeling(h)
-    body = ";".join(",".join(map(str, e)) for e in best)
-    return f"{h.m}|{h.n}|{body}".encode("ascii")
+    form = h.memo.get(canonical_form)
+    if form is None:
+        best, _ = _labeling(h)
+        body = ";".join(",".join(map(str, e)) for e in best)
+        form = h.memo[canonical_form] = f"{h.m}|{h.n}|{body}".encode("ascii")
+    return form
 
 
 def _labeling(h: UniformHypergraph) -> tuple[list[Edge], list[tuple[int, ...]]]:

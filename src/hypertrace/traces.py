@@ -525,12 +525,13 @@ class _BlockForest:
     def _product(self, cuts: list[_Cut], kappa: tuple[int, ...]) -> tuple[list[Poly], list[Poly]]:
         """The factors ``A_w(t_w)`` over the cut vertices w with root
         count t_w > 0 in kappa, and their running products over the
-        masses reached."""
+        masses reached on the order step, off which every mass is zero."""
         factors = [self._below(cut, t) for cut, t in zip(cuts, kappa) if t]
         running = [factors[0] if factors else {0: 1}]
         for f in factors[1:]:
             p = running[-1]
-            running.append({k: c for k in range(len(self.totals)) if (c := _mass(_row(k), p, f))})
+            running.append({k: c for k in range(0, len(self.totals), self.step)
+                            if (c := _mass(_row(k), p, f))})
         return factors, running
 
     def _below(self, cut: _Cut, s: int) -> Poly:

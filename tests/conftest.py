@@ -14,14 +14,19 @@ from itertools import combinations, permutations
 from hypothesis import strategies as st
 
 from hypertrace import (
+    Budget,
+    LimitExceeded,
     LocalTraceQuery,
     UniformHypergraph,
     canonical_form,
+    hyperpath,
     is_connected,
     new_hypergraph,
     permute_vertices,
 )
+from hypertrace.config import default_budget
 from hypertrace.euler import contribution_parts, enumerate_rootings
+from hypertrace.hypergraph import _attach_pendant_edge, _check_generator_args
 
 
 @lru_cache(maxsize=None)
@@ -45,6 +50,32 @@ def connected_graph_classes(max_n: int) -> tuple[UniformHypergraph, ...]:
                     seen.add(key)
                     out.append(h)
     return tuple(out)
+
+
+def enumerate_hypertrees_oracle(
+    m: int, z: int, budget: Budget | None = None
+) -> list[UniformHypergraph]:
+    """One representative per isomorphism class of m-uniform hypertrees
+    with z edges, generated by attaching a pendant edge at every vertex
+    of every smaller hypertree and deduplicating by canonical form."""
+    budget = budget or default_budget()
+    _check_generator_args(m, z)
+    if z > budget.tree_edge_limit:
+        raise LimitExceeded(
+            f"hypertree enumeration with z={z} exceeds the configured limit "
+            f"of {budget.tree_edge_limit} edges"
+        )
+    level: dict[bytes, UniformHypergraph] = {}
+    seed = hyperpath(m, 1)
+    level[canonical_form(seed, budget)] = seed
+    for _ in range(z - 1):
+        grown: dict[bytes, UniformHypergraph] = {}
+        for h in level.values():
+            for v in range(h.n):
+                g = _attach_pendant_edge(h, v)
+                grown.setdefault(canonical_form(g, budget), g)
+        level = grown
+    return [level[key] for key in sorted(level)]
 
 
 def brute_force_isomorphic(h1: UniformHypergraph, h2: UniformHypergraph) -> bool:

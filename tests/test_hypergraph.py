@@ -36,7 +36,15 @@ from hypertrace import (
     permute_vertices,
     power,
 )
-from hypertrace.hypergraph import _labeling, blocks
+import hypertrace.hypergraph as hypergraph_module
+from hypertrace.hypergraph import (
+    _attach_pendant_edge,
+    _labeling,
+    _node,
+    _ranked,
+    _tree_code,
+    blocks,
+)
 
 from conftest import (
     SYMMETRIC_HOSTS,
@@ -44,6 +52,7 @@ from conftest import (
     brute_force_isomorphic,
     complete,
     connected_graph_classes,
+    enumerate_hypertrees_oracle,
     group_order,
     relabelings,
 )
@@ -415,25 +424,72 @@ class TestAutomorphisms:
         assert are_isomorphic(h1, h2) == brute_force_isomorphic(h1, h2)
 
 
+# every hypertree size the generator is checked against its oracle at
+ORACLE_SIZES = [(2, 9), (3, 6), (4, 5)]
+RAISED = Budget(tree_edge_limit=9)
+
+
 class TestHypertreeEnumeration:
     @pytest.mark.parametrize(
         "m,z,count",
-        [(2, 1, 1), (2, 2, 1), (2, 3, 2), (2, 4, 3), (2, 5, 6), (3, 2, 1), (3, 3, 2)],
+        [(2, 1, 1), (2, 2, 1), (2, 3, 2), (2, 4, 3), (2, 5, 6), (3, 2, 1), (3, 3, 2),
+         (2, 8, 47), (3, 6, 19), (3, 7, 48), (4, 5, 9)],
     )
     def test_class_counts(self, m, z, count):
-        trees = enumerate_hypertrees(m, z)
+        trees = enumerate_hypertrees(m, z, RAISED)
         assert len(trees) == count
         for t in trees:
             assert is_hypertree(t) and t.m == m and t.edge_count == z
 
-    def test_classes_are_pairwise_non_isomorphic(self):
-        trees = enumerate_hypertrees(2, 5)
+    @pytest.mark.parametrize("m,z", [(2, 5), (3, 6), (4, 5)])
+    def test_classes_are_pairwise_non_isomorphic(self, m, z):
+        trees = enumerate_hypertrees(m, z)
         forms = {canonical_form(t) for t in trees}
         assert len(forms) == len(trees)
 
     def test_edge_budget_enforced(self):
         with pytest.raises(LimitExceeded):
             enumerate_hypertrees(2, 7)
+
+    @pytest.mark.parametrize("m,z_max", ORACLE_SIZES)
+    def test_matches_the_oracle_edge_for_edge(self, m, z_max):
+        # the oracle grows at every vertex and deduplicates by canonical form
+        for z in range(1, z_max + 1):
+            assert [h.edges for h in enumerate_hypertrees(m, z, RAISED)] == [
+                h.edges for h in enumerate_hypertrees_oracle(m, z, RAISED)]
+
+    @pytest.mark.parametrize("m,z_max", ORACLE_SIZES)
+    def test_tree_codes_agree_with_canonical_forms(self, m, z_max):
+        for z in range(2, z_max + 1):
+            grown = [_attach_pendant_edge(h, v)
+                     for h in enumerate_hypertrees_oracle(m, z - 1, RAISED) for v in range(h.n)]
+            pairs = {(_tree_code(g), canonical_form(g)) for g in grown}
+            # equal codes exactly when equal forms: codes and forms pair one to one
+            assert len({code for code, _ in pairs}) == len({form for _, form in pairs}) == len(pairs)
+
+    @pytest.mark.parametrize("m,z_max", [(2, 7), (3, 4), (4, 3)])
+    def test_stable_color_classes_are_the_orbits(self, m, z_max):
+        # the growth step reaches every class by growing one vertex per color class
+        for z in range(1, z_max + 1):
+            for h in enumerate_hypertrees_oracle(m, z, RAISED):
+                colors, _ = _node(h, _ranked(list(h.degrees)))
+                autos = brute_force_automorphisms(h)
+                for v in range(h.n):
+                    assert {g[v] for g in autos} == {u for u in range(h.n) if colors[u] == colors[v]}
+
+    def test_a_scan_labels_each_class_once(self, monkeypatch):
+        labeled = []
+        labeling = hypergraph_module._labeling
+
+        def counted(h):
+            labeled.append(h)
+            return labeling(h)
+
+        monkeypatch.setattr(hypergraph_module, "_labeling", counted)
+        report = extremal_scan(3, 4, Fraction(1, 1000), Budget(cost_limit=256))
+        assert report.path_is_minimum and report.star_is_maximum
+        # the four classes, then a fresh path and star to name the extremes
+        assert len(report.entries) == 4 and len(labeled) == 6
 
 
 class TestJson:

@@ -914,6 +914,23 @@ class TestMassFirstJoin:
         assert estrada_index(hyperstar(3, 4), 1e-6).depth == 27
         assert calls == []
 
+    def test_products_are_read_only_at_masses_on_the_order_step(self, monkeypatch):
+        # a 2-uniform forest has rootings only at even orders, so every
+        # product at an odd mass is zero and is not evaluated
+        masses = []
+        mass = traces_module._mass
+
+        def counted(row, p, q):
+            masses.append(len(row) - 1)
+            return mass(row, p, q)
+
+        monkeypatch.setattr(traces_module, "_mass", counted)
+        h, budget = new_hypergraph(2, 5, [(0, 1), (0, 2), (1, 3), (2, 4)]), Budget(cost_limit=10**4)
+        got = estrada_index(h, "1e-6", budget)
+        assert masses and all(k % 2 == 0 for k in masses)
+        want = estrada_index_m2_oracle(h, "1e-6", budget)
+        assert (got.lower, got.upper, got.depth) == (want.lower, want.upper, want.depth)
+
 
 class TestPinnedReads:
     """A pinned value is read from the store of block tables: on a host
