@@ -93,6 +93,11 @@ def _bracket_series(
 ) -> EstradaEstimate:
     count = h.n * (h.m - 1) ** (h.n - 1)
     rho = spectral_radius_bound(h)
+    if tol == 0 and rho > 0:
+        raise ValidationError(
+            "tolerance 0 is reachable only on an edgeless host: the tail "
+            "bound is positive at every depth"
+        )
     skip_off_orders = is_hypertree(h)
     m = h.m
     e_rho = E_UPPER**rho

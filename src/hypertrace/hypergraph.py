@@ -237,17 +237,24 @@ def is_connected(h: UniformHypergraph) -> bool:
     return connected(h.vertices, h.edges)
 
 
-def blocks(h: UniformHypergraph) -> tuple[tuple[int, ...], ...]:
-    """The blocks of h, each as the sorted tuple of its edge indices,
-    ordered by their first edge.
+def block_tree(
+    h: UniformHypergraph, root: int | None = None
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The blocks of h, each as the sorted tuple of its edge indices and
+    the vertex above it, in the order a depth-first search splits them
+    off: every block after the blocks below it.
 
     A block is a maximal set of edges that no single vertex separates:
     two edges share a block exactly when some cycle of the incidence
     graph passes through both.  The incidence graph has a node per
-    vertex (``v``) and per edge (``n + i``); a depth-first search finds
-    its biconnected components, but splits off a component only below
-    a vertex node, so the pieces a single edge would separate stay in
-    that edge's block.  Vertices on no edge belong to no block.
+    vertex (``v``) and per edge (``n + i``); a depth-first search
+    (Hopcroft & Tarjan 1973) finds its biconnected components, but
+    splits off a component only below a vertex node, the vertex above
+    it, so the pieces a single edge would separate stay in that edge's
+    block.  The search starts at root, then at each unvisited vertex in
+    order: every block through the vertex a component starts at hangs
+    from it, and every other block from the cut vertex it shares with
+    the block above.  Vertices on no edge belong to no block.
     """
     n = h.n
     neighbours = [[n + i for i in ix] for ix in h.incidence]
@@ -256,13 +263,13 @@ def blocks(h: UniformHypergraph) -> tuple[tuple[int, ...], ...]:
     low = [0] * len(neighbours)
     clock = 0
     stack: list[int] = []
-    found: list[tuple[int, ...]] = []
-    for root in range(n):
-        if disc[root] or not neighbours[root]:
+    found: list[tuple[tuple[int, ...], int]] = []
+    for start in range(n) if root is None else (root, *range(n)):
+        if disc[start] or not neighbours[start]:
             continue
         clock += 1
-        disc[root] = low[root] = clock
-        path = [(root, iter(neighbours[root]))]
+        disc[start] = low[start] = clock
+        path = [(start, iter(neighbours[start]))]
         while path:
             node, rest = path[-1]
             for nxt in rest:
@@ -287,8 +294,8 @@ def blocks(h: UniformHypergraph) -> tuple[tuple[int, ...], ...]:
                             block.append(x - n)
                         if x == node:
                             break
-                    found.append(tuple(sorted(block)))
-    return tuple(sorted(found))
+                    found.append((tuple(sorted(block)), parent))
+    return tuple(found)
 
 
 def is_hypertree(h: UniformHypergraph) -> bool:

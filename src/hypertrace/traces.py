@@ -35,7 +35,7 @@ keeps, shares h's block tables and runs on the forest below if it has
 cut vertices.  A pinned value at v is an entry of the profile at v.
 
 A rooting table holds the order-d rootings of a block
-(``hypergraph.blocks``), summed by their root counts at every vertex of
+(``hypergraph.block_tree``), summed by their root counts at every vertex of
 the block, as integer numerators over d!.  On m = 2 it reads
 one rooting of each reversal pair from the enumerator and counts a
 rooting that is not its own reversal twice, as the pair shares its
@@ -80,14 +80,17 @@ place where rootings are enumerated.
   ``A_w(s) = sum_sigma C_w[sigma] * phi(s + sigma)``.  A child block
   with t roots at its parent adds to ``G_B[t]`` each entry times
   ``A_w(t_w)`` for every lower cut vertex w it roots.
-* Every rooting has one topmost element: a cut vertex, adding
-  ``sum_{sigma>=1} C_w[sigma] * phi(sigma)``, or a block not rooted at
-  the vertex above it (or the first block of a component), adding
-  those entries.  The total at mass d is ``Tr_d * d! * (m-1)^(d-n) / d``.
-* A plain forest hangs each component from its first block.  A
-  profile's forest hangs every block through its anchor from the
-  anchor, which joins them as a cut vertex with nothing above it, so
-  an anchor that is a cut vertex is no special case.  Its top term at
+* Every block hangs from a vertex: the search of ``block_tree`` that
+  finds the blocks starts a component at a vertex, its root, and splits
+  off every block below the vertex above it, children first.  A
+  profile's forest starts at its anchor, and every other component
+  hangs from its first vertex.  A root joins the blocks through it as
+  a cut vertex with nothing above it, so an anchor that is a cut vertex
+  is no special case.
+* Every rooting has one topmost element: a cut vertex or a root,
+  adding ``sum_{sigma>=1} C_w[sigma] * phi(sigma)``, or a block not
+  rooted at the vertex above it, adding those entries.  The total at
+  mass d is ``Tr_d * d! * (m-1)^(d-n) / d``.  The anchor's top term at
   mass k per sigma = r(anchor) >= 1, ``C_a[sigma] * phi(sigma)``,
   scaled as the total is, is the profile entry ``Tr_{k;sigma}``.
 * The DP state (``G_B``, ``C_w``, ``A_w(s)``, the products of the
@@ -129,7 +132,7 @@ from ._symmetry import _Group, _Orbits
 from .config import Budget, default_budget
 from .errors import InfeasibleQuery, LimitExceeded, NotAGraph, ValidationError
 from .euler import _check_order, contribution_parts, enumerate_rootings
-from .hypergraph import UniformHypergraph, _check_vertex, _labeling, blocks, new_hypergraph
+from .hypergraph import UniformHypergraph, _check_vertex, _labeling, block_tree, new_hypergraph
 
 
 @dataclass(frozen=True)
@@ -263,10 +266,12 @@ def _enumerate_table(h: UniformHypergraph, d: int, group: _Group) -> dict[tuple[
 def _plain(h: UniformHypergraph, d_min: int, d_max: int) -> dict[int, Fraction]:
     """Tr_d of h for 1 <= d_min <= d <= d_max: through the block forest
     on a host of several blocks, else from its one block's table at each
-    order alone (the forest would fill every lower order first)."""
+    order alone (the forest would fill every lower order first), keyed
+    at the vertex it hangs from: ``W[(0,)] + sum_t W[(t,)] * phi(t)``."""
     forest = _forest(h, None, 0)
     if len(forest.blocks) == 1:
-        return {d: forest.scaled(d, forest.alone(d).get((), 0))
+        return {d: forest.scaled(d, sum(w * _phi(h.m, t) if t else w
+                                        for (t,), w in forest.alone(d).items()))
                 for d in range(d_min, d_max + 1)}
     forest = _forest(h, None, d_max)
     return {d: forest.scaled(d, forest.totals[d]) for d in range(d_min, d_max + 1)}
@@ -277,18 +282,21 @@ def _profile(h: UniformHypergraph, anchor: int, d_max: int) -> dict[tuple[int, i
     the top terms ``C_a[t] * phi(t)`` of h's block forest rooted at the
     anchor, scaled."""
     forest = _forest(h, anchor, d_max)
-    c_a = forest.anchor.joined[-1]
+    c_a = forest.roots[anchor].joined[-1]
     return {(d, t): forest.scaled(d, c_a[d][t] * _phi(h.m, t))
             for d in range(1, d_max + 1) if d in c_a for t in sorted(c_a[d]) if t}
 
 
 def _pinned(h: UniformHypergraph, d: int, v: int, t: int) -> Fraction:
-    """Tr_{d;t} of h at v for d >= 1 from h's forest rooted at v: as in
-    ``_plain``, one block is read at order d alone, else the profile."""
+    """Tr_{d;t} of h at v for d >= 1, v on an edge, from h's forest
+    rooted at v: as in ``_plain``, one block is read at order d alone,
+    else the one top term of the profile, ``C_v[t] * phi(t)``."""
     forest = _forest(h, v, 0)
     if len(forest.blocks) == 1:
-        return forest.scaled(d, forest.alone(d).get((t,), 0) * _phi(h.m, t))
-    return _profile(h, v, d).get((d, t), Fraction(0))
+        c = forest.alone(d).get((t,), 0)
+    else:
+        c = _forest(h, v, d).roots[v].joined[-1].get(d, {}).get(t, 0)
+    return forest.scaled(d, c * _phi(h.m, t))
 
 
 _STORE = "block tables"  # the h.memo key of the store shared by h's forests
@@ -354,12 +362,13 @@ def _phi(m: int, r: int) -> int:
 
 @dataclass
 class _Cut:
-    """A cut vertex w, or the anchor, and its part of the DP state: the
-    ``sums`` of its child blocks as ``factors``; ``joined[i][k][sigma]``,
-    their product over the first i + 1 at mass k and ``x^sigma`` (the
-    first factor itself, or 1 without a child), so ``joined[-1]`` is
-    ``C_w``; and ``below[s]``, ``A_w(s)`` for every s the block above
-    has rooted w with so far.  A mass has a column only if nonzero."""
+    """A cut vertex w, or a root a component hangs from, and its part of
+    the DP state: the ``sums`` of its child blocks as ``factors``;
+    ``joined[i][k][sigma]``, their product over the first i + 1 at mass
+    k and ``x^sigma`` (the first factor itself, or 1 without a child),
+    so ``joined[-1]`` is ``C_w``; and ``below[s]``, ``A_w(s)`` for every
+    s the block above has rooted w with so far (none at a root).  A mass
+    has a column only if nonzero."""
 
     factors: list[Columns]
     joined: list[Columns] = field(init=False)
@@ -373,9 +382,8 @@ class _Cut:
 @dataclass
 class _Block:
     """One block of the forest: its edges relabeled onto 0..k-1 in
-    increasing vertex order, the vertex above it (None at a component's
-    first block), the cut vertices below it, where its ``keyed``
-    vertices (the vertex above, if any, then the cut vertices below)
+    increasing vertex order, the cut vertices below it, where its
+    ``keyed`` vertices (the vertex above, then the cut vertices below)
     sit in ``host``, and its part of the DP state.  ``weights`` is
     ``W_B``, order -> ``table``'s {root counts at the keyed vertices:
     weight}; ``products`` maps the root counts at the cut vertices below
@@ -385,7 +393,6 @@ class _Block:
     no other edge, where balance reads ``m * r(v) = k_e``, else 1."""
 
     host: UniformHypergraph
-    up: int | None
     cuts: list[_Cut]
     keyed: tuple[int, ...]
     sums: Columns
@@ -404,10 +411,14 @@ BlockTables = dict[
 
 
 class _BlockForest:
-    """The block-cut forest of one host rooted at an anchor (or None),
-    the tables of its blocks and the DP that joins them, extended one
-    order at a time: a run of calls on it (an Estrada series, an audit,
-    a profile) computes each DP coefficient once.  ``store`` maps a
+    """The block-cut forest of one host, the tables of its blocks and the
+    DP that joins them, extended one order at a time: a run of calls on
+    it (an Estrada series, an audit, a profile) computes each DP
+    coefficient once.  Its blocks come children first, as ``block_tree``
+    splits them off searching from the anchor (None for plain traces),
+    and each component hangs from one vertex of ``roots``: the anchor's
+    from the anchor, every other from its first vertex on an edge.  An
+    anchor on no edge has an empty root.  ``store`` maps a
     relabeled block and an order to the block's rooting table at that
     order, so equal blocks, of this host or of the hosts sharing the
     store, are enumerated at most once per order whatever they key;
@@ -417,47 +428,23 @@ class _BlockForest:
     def __init__(self, h: UniformHypergraph, store: BlockTables, anchor: int | None) -> None:
         self.m, self.n = h.m, h.n
         self.store = store
-        parts = blocks(h)
-        verts = [sorted({v for i in b for v in h.edges[i]}) for b in parts]
-        at: dict[int | None, list[int]] = {}
-        for b, vs in enumerate(verts):
-            for v in vs:
-                at.setdefault(v, []).append(b)
-        # preorder; the blocks through the anchor hang from it, other
-        # components from their first block, other blocks from a cut vertex
-        parent: dict[int, int | None] = {}
-        order: list[int] = []
-        starts = [(b, anchor) for b in at.get(anchor, ())] + [(b, None) for b in range(len(parts))]
-        for root, up in starts:
-            if root in parent:
-                continue
-            parent[root] = up
-            todo = [root]
-            while todo:
-                b = todo.pop()
-                order.append(b)
-                for w in verts[b]:
-                    if w != parent[b]:
-                        for c in at[w]:
-                            if c != b:
-                                parent[c] = w
-                                todo.append(c)
-        self.children_first = order[::-1]
+        # children first: the blocks hanging from a vertex are built
+        # before the block above them, which joins them at that vertex
+        hanging: dict[int, list[Columns]] = {} if anchor is None else {anchor: []}
         self.blocks: list[_Block] = []
-        sums = [{0: {0: 1}} for _ in parts]
-        for b, (edge_ids, vs) in enumerate(zip(parts, verts)):
-            up = parent[b]
-            kids = [w for w in vs if w != up and len(at[w]) > 1]  # cut vertices below
-            keyed = ([] if up is None else [up]) + kids
+        for edge_ids, up in block_tree(h, anchor):
+            vs = sorted({v for i in edge_ids for v in h.edges[i]})
+            kids = [w for w in vs if w != up and w in hanging]  # cut vertices below
             local = {v: i for i, v in enumerate(vs)}
             host = new_hypergraph(
                 h.m, len(vs), [[local[v] for v in h.edges[i]] for i in edge_ids]
             )
-            cuts = [_Cut([sums[c] for c in at[w] if c != b]) for w in kids]
             step = h.m if all(any(host.degrees[v] == 1 for v in e) for e in host.edges) else 1
-            self.blocks.append(
-                _Block(host, up, cuts, tuple(map(local.get, keyed)), sums[b], step))
-        self.anchor = _Cut([sums[c] for c in at.get(anchor, [])])  # nothing above it
+            block = _Block(host, [_Cut(hanging.pop(w)) for w in kids],
+                           tuple(local[v] for v in (up, *kids)), {0: {0: 1}}, step)
+            self.blocks.append(block)
+            hanging.setdefault(up, []).append(block.sums)
+        self.roots = {w: _Cut(sums) for w, sums in hanging.items()}  # nothing above them
         self.step = 0  # the gcd of the orders with rootings so far
         self.totals: list[int] = [0]  # the total at every mass reached
         self.single: dict[int, dict[tuple[int, ...], int]] = {}  # see alone
@@ -518,7 +505,7 @@ class _BlockForest:
                 self.step = gcd(self.step, d)
                 block.weights[d] = table
             for ts in table:
-                kappa = ts[len(ts) - len(block.cuts):]
+                kappa = ts[1:]
                 if kappa not in block.products:
                     block.products[kappa] = self._product(block.cuts, kappa)
 
@@ -567,30 +554,29 @@ class _BlockForest:
     def _extend(self, k: int) -> None:
         """Extend every DP polynomial by its coefficient at mass k (see
         the module docstring) and record the total there.  Blocks come
-        children first and the anchor last, so every polynomial is
+        children first and the roots last, so every polynomial is
         extended after those it is built from."""
         row = _row(k)
         top = 0
-        for b in self.children_first:
-            block = self.blocks[b]
+        for block in self.blocks:
             for cut in block.cuts:
                 top += self._join(cut, k, row)
             for factors, running in block.products.values():
                 for f, prev, cur in zip(factors[1:], running, running[1:]):
                     if c := _mass(row, prev, f):
                         cur[k] = c
-            cut_count, col = len(block.cuts), {}
+            col = {}
             for d, table in block.weights.items():
                 for ts, weight in table.items():
-                    _, running = block.products[ts[len(ts) - cut_count:]]
+                    _, running = block.products[ts[1:]]
                     c = running[-1].get(k - d, 0) * row[d] * weight
-                    if block.up is None or ts[0] == 0:
+                    if ts[0] == 0:
                         top += c
                     elif c:
                         col[ts[0]] = col.get(ts[0], 0) + c
             if col:
                 block.sums[k] = col
-        self.totals.append(top + self._join(self.anchor, k, row))
+        self.totals.append(top + sum(self._join(root, k, row) for root in self.roots.values()))
 
 
 def trace(h: UniformHypergraph, d: int, budget: Budget | None = None) -> Fraction:

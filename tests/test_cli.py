@@ -145,8 +145,11 @@ class TestEstrada:
     def test_negative_tolerance_exits_one(self, path_file, capsys):
         assert main(["estrada", "--input", path_file, "--tol=-1e-3"]) == 1
 
-    def test_zero_tolerance_exits_two(self, path_file, capsys):
-        assert main(["estrada", "--input", path_file, "--tol", "0"]) == 2
+    def test_zero_tolerance_exits_one(self, path_file, capsys):
+        # refused before any trace, even with the budget raised
+        assert main(["--budget", "1000000", "estrada", "--input", path_file, "--tol", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_star_over_budget_exits_two(self, tmp_path, capsys):
         # the star takes the block route, which keeps the whole-host cost

@@ -22,6 +22,7 @@ from hypertrace import (
     new_hypergraph,
     spectral_radius_bound,
 )
+import hypertrace.estrada as estrada_module
 from hypertrace.estrada import E_UPPER, class_id
 
 TOL6 = Fraction(1, 10**6)
@@ -129,11 +130,17 @@ class TestBrackets:
             with pytest.raises(ValidationError):
                 extremal_scan(2, 2, tol)
 
-    def test_zero_tolerance_exhausts_the_budget_on_real_hosts(self):
-        with pytest.raises(LimitExceeded):
-            estrada_index(hyperpath(2, 1), Fraction(0))
-        with pytest.raises(LimitExceeded):
-            estrada_index_m2_oracle(hyperpath(2, 1), Fraction(0))
+    def test_zero_tolerance_is_rejected_on_real_hosts(self, monkeypatch):
+        # the tail bound is positive at every depth once the host has an
+        # edge, so no bracket reaches width 0: refused before any trace
+        monkeypatch.setattr(estrada_module, "trace", None)
+        monkeypatch.setattr(estrada_module, "trace_m2_oracle", None)
+        huge = Budget(cost_limit=10**9)
+        for h in (hyperpath(2, 1), hyperpath(3, 2)):
+            with pytest.raises(ValidationError, match="tolerance 0"):
+                estrada_index(h, Fraction(0), huge)
+        with pytest.raises(ValidationError, match="tolerance 0"):
+            estrada_index_m2_oracle(hyperpath(2, 1), 0, huge)
 
     def test_budget_limits_series_depth(self):
         with pytest.raises(LimitExceeded):

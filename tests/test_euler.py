@@ -33,7 +33,7 @@ from hypertrace import (
 import hypertrace.traces as traces_module
 from hypertrace._symmetry import _Group, _Orbits
 from hypertrace.euler import _balanced_multiplicities, _bareiss_determinant, contribution_parts
-from hypertrace.hypergraph import _labeling, blocks
+from hypertrace.hypergraph import _labeling, block_tree
 
 from conftest import (
     ORBIT_ORDERS,
@@ -466,7 +466,7 @@ class TestTargetedRoute:
     @settings(max_examples=50, deadline=None)
     @given(h=dense_hosts(), data=st.data())
     def test_reduced_sequence_is_the_full_one_at_least_vectors(self, h, data):
-        assert h.edge_count > h.n and len(blocks(h)) == 1
+        assert h.edge_count > h.n and len(block_tree(h)) == 1
         d = data.draw(st.integers(1, 6 if h.m == 2 else 5))
         check_reduced(h, d, _labeling(h)[1], least_vectors(h))
 

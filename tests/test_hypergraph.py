@@ -43,7 +43,7 @@ from hypertrace.hypergraph import (
     _node,
     _ranked,
     _tree_code,
-    blocks,
+    block_tree,
 )
 
 from conftest import (
@@ -243,39 +243,90 @@ def separated_blocks(h):
     return tuple(sorted(tuple(c) for c in classes))
 
 
+def block_edges(h):
+    """The edge sets of h's blocks, sorted by their first edge."""
+    return tuple(sorted(edge_ids for edge_ids, _ in block_tree(h)))
+
+
+def random_host(data):
+    m = data.draw(st.sampled_from((2, 3)))
+    n = data.draw(st.integers(min_value=m, max_value=7))
+    pool = list(combinations(range(n), m))
+    edges = data.draw(st.lists(st.sampled_from(pool), max_size=7, unique=True))
+    return new_hypergraph(m, n, edges)
+
+
+# a triangle, an isolated vertex and a second triangle
+TWO_TRIANGLES = new_hypergraph(2, 7, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (4, 6)])
+
+
+def check_block_tree(h, root):
+    """``block_tree(h, root)`` splits off the blocks by definition, each
+    below a vertex of its own and after the blocks below it: a component
+    hangs from root if it holds root, else from its first vertex."""
+    tree = block_tree(h, root)
+    assert tuple(sorted(edge_ids for edge_ids, _ in tree)) == separated_blocks(h)
+    verts = [{v for i in edge_ids for v in h.edges[i]} for edge_ids, _ in tree]
+    component = {v: {v} for v in h.vertices}
+    for e in h.edges:
+        joined = set().union(*(component[v] for v in e))
+        component.update(dict.fromkeys(joined, joined))
+    for b, (_, up) in enumerate(tree):
+        top = root if root in component[up] else min(component[up])
+        assert up in verts[b]
+        if top in verts[b]:
+            assert up == top
+        else:  # a cut vertex of the block above
+            assert any(up in vs for vs in verts[b + 1:])
+
+
 class TestBlocks:
     def test_hypertree_blocks_are_its_edges(self):
         for m, z in ((2, 5), (3, 4), (4, 3)):
             for h in enumerate_hypertrees(m, z):
-                assert blocks(h) == tuple((i,) for i in range(z))
+                assert block_edges(h) == tuple((i,) for i in range(z))
 
     def test_two_connected_hosts_are_one_block(self):
         for h in (new_hypergraph(2, 4, combinations(range(4), 2)),
                   new_hypergraph(3, 5, combinations(range(5), 3)), LOOSE_3_CYCLE):
-            assert blocks(h) == (tuple(range(h.edge_count)),)
+            assert block_edges(h) == (tuple(range(h.edge_count)),)
 
     def test_coalesced_cycles(self):
         g = coalesce(LOOSE_3_CYCLE, 1, LOOSE_3_CYCLE, 3)
-        assert len(blocks(g)) == 2
-        assert {frozenset(v for i in b for v in g.edges[i]) for b in blocks(g)} == {
+        assert len(block_tree(g)) == 2
+        assert {frozenset(v for i in b for v in g.edges[i]) for b in block_edges(g)} == {
             frozenset(range(6)), frozenset({1, *range(6, 11)}),
         }
 
     def test_edgeless_and_disconnected_hosts(self):
-        assert blocks(new_hypergraph(3, 4, [])) == ()
+        assert block_tree(new_hypergraph(3, 4, [])) == ()
         # a triangle, an isolated vertex and a two-edge path
         h = new_hypergraph(2, 7, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6)])
-        assert blocks(h) == ((0, 1, 2), (3,), (4,))
+        assert block_edges(h) == ((0, 1, 2), (3,), (4,))
+
+    def test_each_component_hangs_from_its_first_vertex_children_first(self):
+        # the path 4-5-6 hangs from 4, the edge 45 above the edge 56
+        h = new_hypergraph(2, 7, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6)])
+        assert block_tree(h) == (((0, 1, 2), 0), ((4,), 5), ((3,), 4))
+        assert block_tree(h, 5) == (((3,), 5), ((4,), 5), ((0, 1, 2), 0))
+        assert block_tree(h, 3) == (((0, 1, 2), 0), ((4,), 5), ((3,), 4))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_agrees_with_separation_definition(self, data):
-        m = data.draw(st.sampled_from((2, 3)))
-        n = data.draw(st.integers(min_value=m, max_value=7))
-        pool = list(combinations(range(n), m))
-        edges = data.draw(st.lists(st.sampled_from(pool), max_size=7, unique=True))
-        h = new_hypergraph(m, n, edges)
-        assert blocks(h) == separated_blocks(h)
+        h = random_host(data)
+        assert block_edges(h) == separated_blocks(h)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_root_hangs_each_block_below_a_vertex(self, data):
+        h = random_host(data)
+        for root in range(h.n):
+            check_block_tree(h, root)
+
+    @pytest.mark.parametrize("root", range(TWO_TRIANGLES.n))
+    def test_every_root_of_a_disconnected_host(self, root):
+        check_block_tree(TWO_TRIANGLES, root)
 
 
 # Graphs on <= 4 vertices, small hypertrees (the one-path labeling rests

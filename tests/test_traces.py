@@ -41,7 +41,7 @@ import hypertrace.traces as traces_module
 from hypertrace.estrada import fraction_str
 from hypertrace._symmetry import _Group, _Orbits
 from hypertrace.euler import contribution, enumerate_rootings
-from hypertrace.hypergraph import _labeling, blocks
+from hypertrace.hypergraph import _labeling, block_tree
 
 from conftest import (
     ORBIT_ORDERS,
@@ -377,7 +377,7 @@ class TestBlockRoute:
         for m, z_max in ((2, 5), (3, 4), (4, 3)):
             for z in range(2, z_max + 1):
                 for h in enumerate_hypertrees(m, z):
-                    assert len(blocks(h)) == z
+                    assert len(block_tree(h)) == z
                     # the table fills every order first, so the single
                     # orders after it reuse tables filled beyond them
                     table = trace_table(h, 3 * m)
@@ -390,7 +390,7 @@ class TestBlockRoute:
     @given(data=st.data())
     def test_glued_hosts(self, data):
         h = draw_glued(data)
-        assert len(blocks(h)) >= 2
+        assert len(block_tree(h)) >= 2
         d = data.draw(st.integers(min_value=1, max_value=7))
         want = enumerated_trace(h, d)
         assert trace(h, d) == want
@@ -402,7 +402,7 @@ class TestBlockRoute:
         h = new_hypergraph(2, 9, list(K3.edges) + [
             tuple(v + 4 for v in e) for e in coalesce(K4, 0, hyperpath(2, 1), 0).edges
         ])
-        assert len(blocks(h)) == 3
+        assert len(block_tree(h)) == 3
         table = trace_table(h, 7)
         for d in range(8):
             assert table.get(d) == trace(h, d) == enumerated_trace(h, d)
@@ -414,16 +414,16 @@ class TestBlockRoute:
                 assert trace(h, d, budget) == trace_m2_oracle(h, d)
 
     def test_an_interrupted_extension_is_dropped(self, monkeypatch):
-        # the star's forest joins its centre and then its empty anchor at
-        # masses 9 and 12; the fourth join fails with the blocks at mass
-        # 12 extended
+        # the star's forest hangs from its centre, which it joins once at
+        # each of masses 9 and 12; the second join fails with the blocks
+        # at mass 12 extended
         h = hyperstar(3, 3)
         assert trace(h, 6) == enumerated_trace(h, 6)
         join, calls = traces_module._BlockForest._join, []
 
         def failing(*args):
             calls.append(args)
-            if len(calls) > 3:
+            if len(calls) > 1:
                 raise RuntimeError("interrupted")
             return join(*args)
 
@@ -445,7 +445,7 @@ class TestBlockRoute:
         else:
             h = draw_glued(data)
             d_top = 6
-        assert len(blocks(h)) > 1
+        assert len(block_tree(h)) > 1
         orders = data.draw(st.lists(st.integers(min_value=1, max_value=d_top),
                                     min_size=2, max_size=6))
         shape = data.draw(st.sampled_from(("ascending", "descending", "as drawn")))
@@ -645,7 +645,7 @@ class TestSharedBlockTables:
     def test_a_chain_of_three_k4_makes_one_call_per_order(self):
         # the two end blocks have one keyed vertex, the middle one two
         h = coalesce(coalesce(K4, 0, K4, 0), 5, K4, 0)
-        assert len(blocks(h)) == 3
+        assert len(block_tree(h)) == 3
         with counted_enumeration() as calls:
             got = trace(h, 6)
         assert got == trace_m2_oracle(h, 6)
@@ -704,8 +704,8 @@ class TestSharedBlockTables:
         # tables enter the shared store only once complete, so the host
         # whose forest is dropped and the host still reading the store
         # both go on with exact values, also after an enumeration cut short;
-        # the star's four joins at masses 9 and 12 are cut at the first,
-        # third and fourth
+        # the star's forest joins its centre once at each of masses 9, 12,
+        # 15 and 18, and is cut at the first, third and fourth join
         hosts = (hyperstar(3, 3), hyperpath(3, 3))
         traces_module._share_blocks(hosts)
         for h in hosts:
@@ -721,12 +721,12 @@ class TestSharedBlockTables:
 
         monkeypatch.setattr(owner, name, failing)
         with pytest.raises(RuntimeError):
-            trace(hosts[0], 12)
+            trace(hosts[0], 18)
         assert (traces_module._BlockForest, None) not in hosts[0].memo
         monkeypatch.undo()
         for h in reversed(hosts):
             fresh = new_hypergraph(h.m, h.n, h.edges)
-            for d in (9, 12):
+            for d in (9, 12, 15, 18):
                 assert trace(h, d) == trace(fresh, d)
 
 
@@ -894,7 +894,7 @@ class TestMassFirstJoin:
             enumerated_trace(h, d) for d in range(1, 10)]
 
     def test_an_eleven_child_join_matches_the_matrix_oracle(self):
-        # the star's first edge hangs its 11 siblings from the centre
+        # the star hangs its 12 edges from the centre, which joins them all
         h, budget = hyperstar(2, 12), Budget(cost_limit=576)
         got = estrada_index(h, 1e-3, budget)
         want = estrada_index_m2_oracle(h, 1e-3, budget)
@@ -915,8 +915,9 @@ class TestMassFirstJoin:
         assert calls == []
 
     def test_products_are_read_only_at_masses_on_the_order_step(self, monkeypatch):
-        # a 2-uniform forest has rootings only at even orders, so every
-        # product at an odd mass is zero and is not evaluated
+        # a bipartite host has rootings only at even orders, so every
+        # product at an odd mass is zero and is not evaluated; hung from
+        # vertex 0, its 4-cycle has the cut vertices 1 and 2 below it
         masses = []
         mass = traces_module._mass
 
@@ -925,7 +926,8 @@ class TestMassFirstJoin:
             return mass(row, p, q)
 
         monkeypatch.setattr(traces_module, "_mass", counted)
-        h, budget = new_hypergraph(2, 5, [(0, 1), (0, 2), (1, 3), (2, 4)]), Budget(cost_limit=10**4)
+        h = new_hypergraph(2, 6, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (2, 5)])
+        budget = Budget(cost_limit=10**4)
         got = estrada_index(h, "1e-6", budget)
         assert masses and all(k % 2 == 0 for k in masses)
         want = estrada_index_m2_oracle(h, "1e-6", budget)
@@ -1080,7 +1082,7 @@ class TestStabilizerOrbits:
     @settings(max_examples=40, deadline=None)
     @given(h=dense_hosts(), data=st.data())
     def test_tables_with_generators_equal_the_unpaired_sums(self, h, data):
-        assert h.edge_count > h.n and len(blocks(h)) == 1
+        assert h.edge_count > h.n and len(block_tree(h)) == 1
         d = data.draw(st.integers(1, 6 if h.m == 2 else 5))
         got = traces_module._enumerate_table(h, d, _Group(h, _labeling(h)[1]))
         assert got == unpaired_table(h, d)
