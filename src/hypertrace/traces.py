@@ -43,11 +43,11 @@ root counts and its weight (``euler``'s docstring).  A host keeps one
 store of them in ``h.memo``, read by all of its forests and sub-hosts.
 Plain traces and ``composition``'s profiles factor over the host's
 block-cut forest, the paper's cut-vertex theorem, kept in ``h.memo``
-per anchor (``None`` for plain traces).  The plain or pinned trace of
-a host with one block is that block's table at its order alone, as the
-forest would fill every lower order first, projected once per order
-and kept with the forest.  So the store is the one
-place where rootings are enumerated.
+per root; a plain trace shares the forest of a profile at the host's
+first vertex on an edge.  On a host of one block, a plain or pinned
+trace reads that block's table at its order alone, summed by the root
+count at the root.  So the store is the one place where rootings are
+enumerated.
 
 * Balance roots every vertex of a selected edge, and the two sides of
   a cut vertex are each balanced, since every other vertex of a side
@@ -82,11 +82,10 @@ place where rootings are enumerated.
   ``A_w(t_w)`` for every lower cut vertex w it roots.
 * Every block hangs from a vertex: the search of ``block_tree`` that
   finds the blocks starts a component at a vertex, its root, and splits
-  off every block below the vertex above it, children first.  A
-  profile's forest starts at its anchor, and every other component
-  hangs from its first vertex.  A root joins the blocks through it as
-  a cut vertex with nothing above it, so an anchor that is a cut vertex
-  is no special case.
+  off every block below the vertex above it, children first.  A forest
+  starts at its root and hangs every other component from its first
+  vertex.  A root joins the blocks through it as a cut vertex with
+  nothing above it, so a root that is a cut vertex is no special case.
 * Every rooting has one topmost element: a cut vertex or a root,
   adding ``sum_{sigma>=1} C_w[sigma] * phi(sigma)``, or a block not
   rooted at the vertex above it, adding those entries.  The total at
@@ -263,18 +262,9 @@ def _enumerate_table(h: UniformHypergraph, d: int, group: _Group) -> dict[tuple[
     return table
 
 
-def _plain(h: UniformHypergraph, d_min: int, d_max: int) -> dict[int, Fraction]:
-    """Tr_d of h for 1 <= d_min <= d <= d_max: through the block forest
-    on a host of several blocks, else from its one block's table at each
-    order alone (the forest would fill every lower order first), keyed
-    at the vertex it hangs from: ``W[(0,)] + sum_t W[(t,)] * phi(t)``."""
-    forest = _forest(h, None, 0)
-    if len(forest.blocks) == 1:
-        return {d: forest.scaled(d, sum(w * _phi(h.m, t) if t else w
-                                        for (t,), w in forest.alone(d).items()))
-                for d in range(d_min, d_max + 1)}
-    forest = _forest(h, None, d_max)
-    return {d: forest.scaled(d, forest.totals[d]) for d in range(d_min, d_max + 1)}
+def _plain(h: UniformHypergraph, d: int) -> Fraction:
+    """Tr_d of h for d >= 1, read at its first vertex on an edge."""
+    return _read(h, d, h.edges[0][0] if h.edges else 0)
 
 
 def _profile(h: UniformHypergraph, anchor: int, d_max: int) -> dict[tuple[int, int], Fraction]:
@@ -287,22 +277,22 @@ def _profile(h: UniformHypergraph, anchor: int, d_max: int) -> dict[tuple[int, i
             for d in range(1, d_max + 1) if d in c_a for t in sorted(c_a[d]) if t}
 
 
-def _pinned(h: UniformHypergraph, d: int, v: int, t: int) -> Fraction:
-    """Tr_{d;t} of h at v for d >= 1, v on an edge, from h's forest
-    rooted at v: as in ``_plain``, one block is read at order d alone,
-    else the one top term of the profile, ``C_v[t] * phi(t)``."""
+def _read(h: UniformHypergraph, d: int, v: int, t: int | None = None) -> Fraction:
+    """Tr_d of h without t, else Tr_{d;t} at v, for d >= 1 from h's
+    forest rooted at v: ``alone`` on one block, else the total or the
+    top term ``C_v[t] * phi(t)``."""
     forest = _forest(h, v, 0)
     if len(forest.blocks) == 1:
-        c = forest.alone(d).get((t,), 0)
-    else:
-        c = _forest(h, v, d).roots[v].joined[-1].get(d, {}).get(t, 0)
-    return forest.scaled(d, c * _phi(h.m, t))
+        return forest.alone(d, t)
+    joined = _forest(h, v, d).roots[v].joined[-1]
+    c = forest.totals[d] if t is None else joined.get(d, {}).get(t, 0) * _phi(h.m, t)
+    return forest.scaled(d, c)
 
 
 _STORE = "block tables"  # the h.memo key of the store shared by h's forests
 
 
-def _forest(h: UniformHypergraph, anchor: int | None, d_max: int) -> _BlockForest:
+def _forest(h: UniformHypergraph, anchor: int, d_max: int) -> _BlockForest:
     """h's block forest rooted at the anchor, kept in ``h.memo`` and
     extended to order d_max."""
     key = (_BlockForest, anchor)
@@ -415,22 +405,21 @@ class _BlockForest:
     DP that joins them, extended one order at a time: a run of calls on
     it (an Estrada series, an audit, a profile) computes each DP
     coefficient once.  Its blocks come children first, as ``block_tree``
-    splits them off searching from the anchor (None for plain traces),
-    and each component hangs from one vertex of ``roots``: the anchor's
-    from the anchor, every other from its first vertex on an edge.  An
-    anchor on no edge has an empty root.  ``store`` maps a
-    relabeled block and an order to the block's rooting table at that
-    order, so equal blocks, of this host or of the hosts sharing the
-    store, are enumerated at most once per order whatever they key;
+    splits them off searching from the anchor, and each component hangs
+    from one vertex of ``roots``: the anchor's from the anchor (empty on
+    no edge), every other from its first vertex on an edge.  ``store``
+    maps a relabeled block and an order to the block's rooting table at
+    that order, so equal blocks, of this host or of the hosts sharing
+    the store, are enumerated at most once per order whatever they key;
     it also keeps each relabeled block's automorphism generators, found
     once, for the enumerations to reduce by."""
 
-    def __init__(self, h: UniformHypergraph, store: BlockTables, anchor: int | None) -> None:
+    def __init__(self, h: UniformHypergraph, store: BlockTables, anchor: int) -> None:
         self.m, self.n = h.m, h.n
         self.store = store
         # children first: the blocks hanging from a vertex are built
         # before the block above them, which joins them at that vertex
-        hanging: dict[int, list[Columns]] = {} if anchor is None else {anchor: []}
+        hanging: dict[int, list[Columns]] = {anchor: []}
         self.blocks: list[_Block] = []
         for edge_ids, up in block_tree(h, anchor):
             vs = sorted({v for i in edge_ids for v in h.edges[i]})
@@ -447,7 +436,7 @@ class _BlockForest:
         self.roots = {w: _Cut(sums) for w, sums in hanging.items()}  # nothing above them
         self.step = 0  # the gcd of the orders with rootings so far
         self.totals: list[int] = [0]  # the total at every mass reached
-        self.single: dict[int, dict[tuple[int, ...], int]] = {}  # see alone
+        self.single: dict[int, dict[int, int]] = {}  # see alone
 
     def extend(self, d_max: int) -> None:
         """Extend the forest to order d_max."""
@@ -462,20 +451,23 @@ class _BlockForest:
         """The trace at order k of a total or top term c at mass k."""
         return Fraction(k * (self.m - 1) ** self.n * c, (self.m - 1) ** k * factorial(k))
 
-    def alone(self, d: int) -> dict[tuple[int, ...], int]:
-        """The table of a forest of one block at order d, read at that
-        order alone and projected once per order."""
+    def alone(self, d: int, t: int | None = None) -> Fraction:
+        """Tr_d of a forest of one block, or Tr_{d;t} at its root, from
+        the block's rooting table at order d alone (the DP would fill
+        every lower order first): its numerators over d!, summed by the
+        root count at the root once per order, times ``(m-1)^(n - n_B)``."""
+        block, r = self.blocks[0], self.blocks[0].keyed[0]
         if d not in self.single:
-            self.single[d] = self.table(self.blocks[0], d)
-        return self.single[d]
+            sums = self.single[d] = {}
+            for counts, num in self.rootings(block, d).items():
+                sums[counts[r]] = sums.get(counts[r], 0) + num
+        num = sum(self.single[d].values()) if t is None else self.single[d].get(t, 0)
+        return Fraction(num * (self.m - 1) ** (self.n - block.host.n), factorial(d))
 
-    def table(self, block: _Block, d: int) -> dict[tuple[int, ...], int]:
-        """``W_B[d; t]`` per root counts t at the block's keyed vertices:
-        the sum over its order-d rootings of ``tau * d!/prod c! * prod
-        phi(r(v))`` over its rooted vertices that are not keyed, from
-        the block's rooting table in the store (enumerated into it if
-        absent) summed onto the keyed vertices; empty, unread, at an
-        order off the multiples of the block's step."""
+    def rootings(self, block: _Block, d: int) -> dict[tuple[int, ...], int]:
+        """The block's rooting table at order d from the store, enumerated
+        into it if absent; empty, unread, at an order off the multiples
+        of the block's step."""
         if d % block.step:
             return {}
         key = (block.host, d)
@@ -488,8 +480,15 @@ class _BlockForest:
                     block.host, _labeling(block.host)[1] if block.host.edge_count > 1 else [])
             # stored only once complete: a fill cut short leaves the store valid
             rootings = self.store[key] = _enumerate_table(block.host, d, generators)
+        return rootings
+
+    def table(self, block: _Block, d: int) -> dict[tuple[int, ...], int]:
+        """``W_B[d; t]`` per root counts t at the block's keyed vertices:
+        the sum over its order-d rootings of ``tau * d!/prod c! * prod
+        phi(r(v))`` over its rooted vertices that are not keyed, from
+        its ``rootings`` summed onto the keyed vertices."""
         sums: dict[tuple[int, ...], int] = {}
-        for counts, num in rootings.items():
+        for counts, num in self.rootings(block, d).items():
             ts = tuple(counts[i] for i in block.keyed)
             sums[ts] = sums.get(ts, 0) + num
         m, den = self.m, d * (self.m - 1) ** block.host.n
@@ -582,7 +581,7 @@ class _BlockForest:
 def trace(h: UniformHypergraph, d: int, budget: Budget | None = None) -> Fraction:
     """Exact order-d trace of the adjacency tensor of h."""
     _check(h, d, budget)
-    return _plain(h, d, d)[d] if d else _order_zero(h)
+    return _plain(h, d) if d else _order_zero(h)
 
 
 def trace_local(
@@ -621,7 +620,7 @@ def _local(h: UniformHypergraph, d: int, q: LocalTraceQuery) -> Fraction:
         if g is None:
             g = h.memo[kept] = new_hypergraph(h.m, h.n, kept)
             _share_blocks((h, g))
-        total += sign * (_pinned(g, d, *q.pinned) if q.pinned else _plain(g, d, d)[d])
+        total += sign * (_read(g, d, *q.pinned) if q.pinned else _plain(g, d))
     return total
 
 
@@ -658,7 +657,7 @@ def trace_table(
     qs = tuple(queries)
     _check(h, d_max, budget, qs)
     entries: dict[tuple[int, LocalTraceQuery | None], Fraction] = {(0, None): _order_zero(h)}
-    entries.update(((d, None), value) for d, value in _plain(h, 1, d_max).items())
+    entries.update(((d, None), _plain(h, d)) for d in range(1, d_max + 1))
     for q in dict.fromkeys(qs):
         entries[0, q] = Fraction(0) if q.constrains_positively else _order_zero_local(h)
         entries.update(((d, q), _local(h, d, q)) for d in range(1, d_max + 1))

@@ -414,11 +414,12 @@ class TestBlockRoute:
                 assert trace(h, d, budget) == trace_m2_oracle(h, d)
 
     def test_an_interrupted_extension_is_dropped(self, monkeypatch):
-        # the star's forest hangs from its centre, which it joins once at
-        # each of masses 9 and 12; the second join fails with the blocks
-        # at mass 12 extended
+        # the star's forest hangs from its centre 0, its first vertex on
+        # an edge, which it joins once at each of masses 9 and 12; the
+        # second join fails with the blocks at mass 12 extended
         h = hyperstar(3, 3)
         assert trace(h, 6) == enumerated_trace(h, 6)
+        assert (traces_module._BlockForest, 0) in h.memo
         join, calls = traces_module._BlockForest._join, []
 
         def failing(*args):
@@ -430,9 +431,34 @@ class TestBlockRoute:
         monkeypatch.setattr(traces_module._BlockForest, "_join", failing)
         with pytest.raises(RuntimeError):
             trace(h, 12)
-        assert (traces_module._BlockForest, None) not in h.memo
+        assert (traces_module._BlockForest, 0) not in h.memo
         monkeypatch.undo()
         assert trace(h, 12) == enumerated_trace(h, 12)
+
+    def test_an_interrupted_plain_extension_drops_the_forest_a_profile_shares(
+        self, monkeypatch
+    ):
+        # a plain trace reads the forest rooted at vertex 0, the cut
+        # vertex, which the profile at 0 has built to order 4; a join cut
+        # short in the plain extension to order 8 drops it for both
+        h = coalesce(K4, 0, hyperpath(2, 2), 0)
+        assert local_trace_profile(h, 0, 4).entries == {**enumerated_profile(h, 0, 4), (0, 0): 1}
+        assert forests(h) == [0]
+        join, calls = traces_module._BlockForest._join, []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) > 2:
+                raise RuntimeError("interrupted")
+            return join(*args)
+
+        monkeypatch.setattr(traces_module._BlockForest, "_join", failing)
+        with pytest.raises(RuntimeError):
+            trace(h, 8)
+        assert not [key for key in h.memo if key[0] is traces_module._BlockForest]
+        monkeypatch.undo()
+        assert local_trace_profile(h, 0, 8).entries == {**enumerated_profile(h, 0, 8), (0, 0): 1}
+        assert trace(h, 8) == trace_m2_oracle(h, 8)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -560,16 +586,16 @@ class TestWarmMemo:
                     assert got.entries == want
 
     def test_one_store_one_forest_per_anchor_and_one_sub_host_per_edge_set(self):
-        # h keeps one store of block tables, one forest per anchor (None
-        # for plain values, the pinned vertex for pinned ones) and no
-        # table keyed by an order; a localized value keeps one sub-host
-        # per set of edges it keeps, h less the edges meeting the
-        # vertices it forbids on h's n vertices
+        # h keeps one store of block tables, one forest per anchor (its
+        # first vertex on an edge, 0, for plain values, the pinned vertex
+        # for pinned ones) and no table keyed by an order; a localized
+        # value keeps one sub-host per set of edges it keeps, h less the
+        # edges meeting the vertices it forbids on h's n vertices
         h = new_hypergraph(3, 7, LOOSE_3_CYCLE.edges)  # vertex 6 is isolated
         trace_table(h, 4, (query(required=[0]), query(pinned=(1, 1))))
         local_trace_profile(h, 2, 4)
         forest = traces_module._BlockForest
-        own = {traces_module._STORE, (forest, None), (forest, 1), (forest, 2)}
+        own = {traces_module._STORE, (forest, 0), (forest, 1), (forest, 2)}
 
         def less(*vs):
             return tuple(e for e in h.edges if set(vs).isdisjoint(e))
@@ -722,7 +748,7 @@ class TestSharedBlockTables:
         monkeypatch.setattr(owner, name, failing)
         with pytest.raises(RuntimeError):
             trace(hosts[0], 18)
-        assert (traces_module._BlockForest, None) not in hosts[0].memo
+        assert (traces_module._BlockForest, 0) not in hosts[0].memo
         monkeypatch.undo()
         for h in reversed(hosts):
             fresh = new_hypergraph(h.m, h.n, h.edges)
@@ -754,7 +780,7 @@ class TestOrderStep:
                 if d % h.m:
                     assert next(enumerate_rootings(h, d), None) is None
                     assert trace(h, d) == enumerated_trace(h, d) == 0
-        assert {block.step for block in traces_module._forest(h, None, 0).blocks} == {h.m}
+        assert {block.step for block in traces_module._forest(h, 0, 0).blocks} == {h.m}
         assert all(d % h.m == 0 for _, d in calls)
 
     def test_a_star_bracket_enumerates_the_multiples_of_m_alone(self):
@@ -868,6 +894,49 @@ class TestAnchoredForest:
             **enumerated_profile(h, anchor, 8), (0, 0): 1}
 
 
+def forests(h):
+    """The anchors of the block forests h keeps."""
+    return sorted(key[1] for key in h.memo if key[0] is traces_module._BlockForest)
+
+
+class TestSharedForest:
+    """A plain trace reads the forest rooted at the host's first vertex
+    on an edge, so a profile or a pin at that vertex shares its DP and
+    its one-block reads."""
+
+    def test_a_profile_at_the_root_after_a_trace_extends_nothing(self, monkeypatch):
+        h = coalesce(K4, 0, K4, 0)
+        extend, calls = traces_module._BlockForest._extend, []
+
+        def counted(forest, k):
+            calls.append(k)
+            return extend(forest, k)
+
+        monkeypatch.setattr(traces_module._BlockForest, "_extend", counted)
+        got = trace(h, 8)
+        profile = local_trace_profile(h, 0, 8)
+        monkeypatch.undo()
+        assert forests(h) == [0]
+        assert calls == list(range(2, 9))  # no rooting at order 1
+        assert got == trace_m2_oracle(h, 8)
+        assert profile.entries == {**enumerated_profile(h, 0, 8), (0, 0): 1}
+
+    def test_a_host_whose_vertex_0_is_on_no_edge_roots_at_its_first_vertex_on_one(self):
+        # the loose 3-cycle on vertices 1..6 of 8: a plain trace and the
+        # pin at vertex 1 read one forest, each (m-1)^2 = 4 times the
+        # value on the cycle's own 6 vertices
+        c = new_hypergraph(3, 8, [(1, 2, 3), (3, 4, 5), (5, 6, 1)])
+        pin = query(pinned=(1, 3))
+        got = (trace(c, 9), trace_local(c, 9, pin))
+        assert forests(c) == [1]
+        weighed = [(mat.root_counts, contribution(mat, c.n)) for mat in enumerate_rootings(c, 9)]
+        assert got == (7344, 1872) == (
+            enumerated_trace(c, 9),
+            sum((w for roots, w in weighed if matches(pin, roots)), Fraction(0)))
+        assert (trace(c, 10), trace(c, 12)) == (0, 28080) == (
+            enumerated_trace(c, 10), enumerated_trace(c, 12))
+
+
 class TestMassFirstJoin:
     """A cut vertex joins its child blocks' sums column by column, keyed
     mass first, so a product at mass k reads only the masses i and k - i
@@ -971,18 +1040,21 @@ class TestPinnedReads:
         k5 = complete(2, 5)
         queries = [query(pinned=(v, t)) for v in range(5) for t in (1, 2, 3)]
         projected = []
-        table = traces_module._BlockForest.table
+        rootings = traces_module._BlockForest.rootings
 
         def counted(forest, block, d):
             projected.append((id(forest), d))
-            return table(forest, block, d)
+            return rootings(forest, block, d)
 
-        monkeypatch.setattr(traces_module._BlockForest, "table", counted)
+        monkeypatch.setattr(traces_module._BlockForest, "rootings", counted)
         got = trace_table(k5, 9, queries)
         monkeypatch.undo()
-        # each forest, plain or rooted at a pinned vertex, projects each
-        # order once: 9 orders for the plain values and 5 * 9 for the pins
-        assert len(projected) == len(set(projected)) == 9 + 45
+        # the one-block reader of each forest projects each order's table
+        # once; the plain values share the forest of the pins at vertex
+        # 0, so 5 forests read 9 orders each
+        assert len(projected) == len(set(projected)) == 45
+        assert {f for f, _ in projected} == {id(k5.memo[traces_module._BlockForest, v])
+                                            for v in range(5)}
         weighed = {d: [(mat.root_counts, contribution(mat, k5.n))
                        for mat in enumerate_rootings(k5, d)] for d in range(1, 10)}
         for q in queries:
