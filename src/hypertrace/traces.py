@@ -92,21 +92,23 @@ enumerated.
   mass d is ``Tr_d * d! * (m-1)^(d-n) / d``.  The anchor's top term at
   mass k per sigma = r(anchor) >= 1, ``C_a[sigma] * phi(sigma)``,
   scaled as the total is, is the profile entry ``Tr_{k;sigma}``.
-* The DP state (``G_B``, ``C_w``, ``A_w(s)``, the products of the
-  ``A_w`` a block entry needs, and the totals) lives with the forest.
-  The coefficient at mass k of a product reads only the masses up to k
-  of its factors, so each order extends every polynomial by its mass-k
-  coefficient, children first, and an order already reached is read
-  back.  ``G_B`` and ``C_w`` are keyed mass first, mass -> {root count:
-  coefficient}, so a product at mass k joins only the masses i and
-  k - i where both factors have entries.  A root count first seen at
-  order d gets its ``A_w(s)`` and products over the masses below d
-  from the state kept.  A block whose every edge has a vertex on no
-  other of its edges (a single edge, a loose cycle) has rootings only
-  at multiples of m, its order step, and nothing is enumerated at
-  other orders.  A mass off the multiples of the gcd of the orders
-  with rootings so far (a hypertree's masses off the multiples of m)
-  is zero throughout and is skipped.
+* The DP state (``G_B``, ``C_w``, ``A_w(s)``, the product of the
+  ``A_w(t_w)`` a block entry needs, and the totals) lives with the
+  forest, every polynomial keyed mass first, mass -> {root count:
+  coefficient}, and ``A_w(s)`` one column at count 0.  One routine
+  grows every product of two or more factors, ``C_w`` or a block
+  entry's, by its mass-k coefficient, which reads only the masses up
+  to k of the factors and joins only the masses i and k - i where both
+  have entries.  So each order extends every polynomial at its mass,
+  children first, and an order already reached is read back.  A root
+  count first seen at order d gets its ``A_w(s)`` from ``C_w`` and
+  its product from that routine over the masses below d.  A block
+  whose every edge has a vertex on no other of its edges (a single
+  edge, a loose cycle) has rootings only at multiples of m, its order
+  step, and nothing is enumerated at other orders.  A mass off the
+  multiples of the gcd of the orders with rootings so far (a
+  hypertree's masses off the multiples of m) is zero throughout and is
+  skipped.
 
 Order zero is the eigenvalue count: ``Tr_0 = n * (m-1)^(n-1)``.  The
 localized value at order zero follows the convention ``(m-1)^(n-1)``
@@ -319,8 +321,7 @@ def _share_blocks(hosts: Sequence[UniformHypergraph]) -> None:
 
 # --- the block route ------------------------------------------------------
 
-Poly = dict[int, int]  # exponential generating function: mass k -> coefficient of y^k/k!
-Columns = dict[int, dict[int, int]]  # G_B and C_w, mass first: k -> {root count: coefficient}
+Columns = dict[int, dict[int, int]]  # mass first: k -> {root count: coefficient}
 
 
 @cache
@@ -329,44 +330,53 @@ def _row(k: int) -> tuple[int, ...]:
     return tuple(comb(k, i) for i in range(k + 1))
 
 
-def _mass(row: tuple[int, ...], p: Poly, q: Poly) -> int:
-    """The coefficient at mass k of the product of p and q, where
-    ``row`` is the binomial row ``C(k, 0..k)``: it reads only the masses
-    up to k of either factor."""
-    k = len(row) - 1
-    if len(q) < len(p):
-        p, q = q, p
-    total = 0
-    for i, a in p.items():
-        b = q.get(k - i)
-        if b:
-            total += row[i] * a * b
-    return total
-
-
 @cache
 def _phi(m: int, r: int) -> int:
-    """The factor of a vertex rooted r times, scaled by (m-1)^r."""
-    return (m - 1) ** (r - 1) * factorial(r - 1)
+    """The factor of a vertex rooted r times, scaled by (m-1)^r; 0 at r = 0."""
+    return (m - 1) ** (r - 1) * factorial(r - 1) if r else 0
+
+
+def _weigh(m: int, col: dict[int, int], s: int) -> int:
+    """``sum_sigma col[sigma] * phi(s + sigma)``, at s = 0 a column's top term."""
+    return sum(v * _phi(m, s + sigma) for sigma, v in col.items())
 
 
 @dataclass
-class _Cut:
-    """A cut vertex w, or a root a component hangs from, and its part of
-    the DP state: the ``sums`` of its child blocks as ``factors``;
-    ``joined[i][k][sigma]``, their product over the first i + 1 at mass
-    k and ``x^sigma`` (the first factor itself, or 1 without a child),
-    so ``joined[-1]`` is ``C_w``; and ``below[s]``, ``A_w(s)`` for every
-    s the block above has rooted w with so far (none at a root).  A mass
-    has a column only if nonzero."""
+class _Product:
+    """A running product of mass-first ``factors``: ``joined[i]`` is that
+    of the first i + 1 (the first factor itself, or 1 without one), so
+    ``joined[-1]`` is the whole, with a column only at nonzero masses."""
 
     factors: list[Columns]
     joined: list[Columns] = field(init=False)
-    below: dict[int, Poly] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.joined = self.factors[:1] or [{0: {0: 1}}]
-        self.joined += [{0: {0: 1}} for _ in self.factors[1:]]
+        self.joined += [{} for _ in self.factors[1:]]
+        self.grow(0, _row(0))
+
+    def grow(self, k: int, row: tuple[int, ...]) -> None:
+        """Extend the running products at mass k; ``row`` is ``C(k, 0..k)``.
+        Only the masses i and k - i at which both factors have entries join."""
+        for prev, cur, factor in zip(self.joined, self.joined[1:], self.factors[1:]):
+            col: dict[int, int] = {}
+            for i, p in prev.items():
+                if g := factor.get(k - i):
+                    for sigma, a in p.items():
+                        a *= row[i]
+                        for t, b in g.items():
+                            col[sigma + t] = col.get(sigma + t, 0) + a * b
+            if col:
+                cur[k] = col
+
+
+@dataclass
+class _Cut(_Product):
+    """A cut vertex w, or a root a component hangs from: the product of
+    its child blocks' ``sums``, whose whole is ``C_w``, and ``below[s]``,
+    ``A_w(s)``, for every s the block above has rooted w with so far."""
+
+    below: dict[int, Columns] = field(default_factory=dict)
 
 
 @dataclass
@@ -377,10 +387,10 @@ class _Block:
     sit in ``host``, and its part of the DP state.  ``weights`` is
     ``W_B``, order -> ``table``'s {root counts at the keyed vertices:
     weight}; ``products`` maps the root counts at the cut vertices below
-    to the ``A_w(t_w)`` with t_w > 0 and their running products, the
-    last one the whole product; ``sums`` is ``1 + sum_t x^t G_B[t]``,
-    1 at mass 0 and t = 0.  ``step`` is m if each edge has a vertex v on
-    no other edge, where balance reads ``m * r(v) = k_e``, else 1."""
+    to the product of their ``A_w(t_w)`` with t_w > 0, kept in ``grown``
+    if of two or more; ``sums`` is ``1 + sum_t x^t G_B[t]``, 1 at mass 0
+    and t = 0.  ``step`` is m if each edge has a vertex v on no other
+    edge, where balance reads ``m * r(v) = k_e``, else 1."""
 
     host: UniformHypergraph
     cuts: list[_Cut]
@@ -388,7 +398,8 @@ class _Block:
     sums: Columns
     step: int
     weights: dict[int, dict[tuple[int, ...], int]] = field(default_factory=dict)
-    products: dict[tuple[int, ...], tuple[list[Poly], list[Poly]]] = field(default_factory=dict)
+    products: dict[tuple[int, ...], Columns] = field(default_factory=dict)
+    grown: list[_Product] = field(default_factory=list)
 
 
 # a relabeled block and an order -> its rooting table at that order, and
@@ -506,49 +517,39 @@ class _BlockForest:
             for ts in table:
                 kappa = ts[1:]
                 if kappa not in block.products:
-                    block.products[kappa] = self._product(block.cuts, kappa)
+                    block.products[kappa] = self._product(block, kappa)
 
-    def _product(self, cuts: list[_Cut], kappa: tuple[int, ...]) -> tuple[list[Poly], list[Poly]]:
-        """The factors ``A_w(t_w)`` over the cut vertices w with root
-        count t_w > 0 in kappa, and their running products over the
-        masses reached on the order step, off which every mass is zero."""
-        factors = [self._below(cut, t) for cut, t in zip(cuts, kappa) if t]
-        running = [factors[0] if factors else {0: 1}]
-        for f in factors[1:]:
-            p = running[-1]
-            running.append({k: c for k in range(0, len(self.totals), self.step)
-                            if (c := _mass(_row(k), p, f))})
-        return factors, running
+    def _product(self, block: _Block, kappa: tuple[int, ...]) -> Columns:
+        """The product of the ``A_w(t_w)`` with t_w > 0 in kappa; one of two
+        or more joins ``grown``, caught up over the masses reached on the
+        order step, off which every mass is zero."""
+        factors = [self._below(cut, t) for cut, t in zip(block.cuts, kappa) if t]
+        if len(factors) < 2:
+            return factors[0] if factors else {0: {0: 1}}
+        product = _Product(factors)
+        for k in range(self.step, len(self.totals), self.step):
+            product.grow(k, _row(k))
+        block.grown.append(product)
+        return product.joined[-1]
 
-    def _below(self, cut: _Cut, s: int) -> Poly:
-        """``A_w(s) = sum_sigma C_w[sigma] * phi(s + sigma)``, computed
-        over the masses reached when s is new."""
+    def _below(self, cut: _Cut, s: int) -> Columns:
+        """``A_w(s) = sum_sigma C_w[sigma] * phi(s + sigma)`` as one
+        column, computed over the masses reached when s is new."""
         if s not in cut.below:
-            cut.below[s] = {k: sum(v * _phi(self.m, s + sigma) for sigma, v in col.items())
-                            for k, col in cut.joined[-1].items()}
+            cut.below[s] = {k: {0: _weigh(self.m, col, s)} for k, col in cut.joined[-1].items()}
         return cut.below[s]
 
     def _join(self, cut: _Cut, k: int, row: tuple[int, ...]) -> int:
-        """Extend ``C_w``, the partial products it is built from and the
-        ``A_w(s)`` of a cut by their columns at mass k, and return its top
-        term ``sum_{sigma>=1} C_w[sigma] * phi(sigma)`` there; ``row`` is
-        ``C(k, 0..k)``.  Only the masses i and k - i with entries join."""
-        for prev, cur, factor in zip(cut.joined, cut.joined[1:], cut.factors[1:]):
-            col: dict[int, int] = {}
-            for i, p in prev.items():
-                if g := factor.get(k - i):
-                    for sigma, a in p.items():
-                        a *= row[i]
-                        for t, b in g.items():
-                            col[sigma + t] = col.get(sigma + t, 0) + a * b
-            if col:
-                cur[k] = col
+        """Grow ``C_w`` and the ``A_w(s)`` of a cut by their columns at
+        mass k, and return its top term ``sum_{sigma>=1} C_w[sigma] *
+        phi(sigma)`` there; ``row`` is ``C(k, 0..k)``."""
+        cut.grow(k, row)
         col = cut.joined[-1].get(k)
         if not col:
             return 0
         for s, a in cut.below.items():
-            a[k] = sum(v * _phi(self.m, s + sigma) for sigma, v in col.items())
-        return sum(v * _phi(self.m, sigma) for sigma, v in col.items() if sigma)
+            a[k] = {0: _weigh(self.m, col, s)}
+        return _weigh(self.m, col, 0)
 
     def _extend(self, k: int) -> None:
         """Extend every DP polynomial by its coefficient at mass k (see
@@ -560,19 +561,17 @@ class _BlockForest:
         for block in self.blocks:
             for cut in block.cuts:
                 top += self._join(cut, k, row)
-            for factors, running in block.products.values():
-                for f, prev, cur in zip(factors[1:], running, running[1:]):
-                    if c := _mass(row, prev, f):
-                        cur[k] = c
+            for product in block.grown:
+                product.grow(k, row)
             col = {}
             for d, table in block.weights.items():
                 for ts, weight in table.items():
-                    _, running = block.products[ts[1:]]
-                    c = running[-1].get(k - d, 0) * row[d] * weight
-                    if ts[0] == 0:
-                        top += c
-                    elif c:
-                        col[ts[0]] = col.get(ts[0], 0) + c
+                    if p := block.products[ts[1:]].get(k - d):
+                        c = p[0] * row[d] * weight
+                        if ts[0]:
+                            col[ts[0]] = col.get(ts[0], 0) + c
+                        else:
+                            top += c
             if col:
                 block.sums[k] = col
         self.totals.append(top + sum(self._join(root, k, row) for root in self.roots.values()))

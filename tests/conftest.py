@@ -8,8 +8,10 @@ reuse them without re-deriving anything.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import factorial, prod
 
 from hypothesis import strategies as st
 
@@ -76,6 +78,85 @@ def enumerate_hypertrees_oracle(
                 grown.setdefault(canonical_form(g, budget), g)
         level = grown
     return [level[key] for key in sorted(level)]
+
+
+def morozov_shakirov_trace(h: UniformHypergraph, d: int) -> Fraction:
+    """Tr_d of h's adjacency tensor from the Morozov-Shakirov trace of a
+    polynomial system, as restated for tensors by Hu, Huang, Ling & Qi
+    (2013) and Shao, Qi & Hu (2015), with Z an n x n matrix of variables:
+
+        Tr_d = (m-1)^(n-1) * sum over d_1 + ... + d_n = d of
+               prod_i L_i^(d_i) / (d_i * (m-1))!  applied to  tr(Z^(d(m-1))),
+
+    where L_i = sum over the edges e through i of prod over u in e - i
+    of d/dz_iu.  Only the z_iu with i and u on a common edge are ever
+    differentiated, so tr(Z^N) is expanded over those arcs alone, by
+    counting closed walks.  A monomial z^C contributes its count times
+    prod C! times the coefficient of d^(C_i) in L_i^(d_i), over
+    (d_i * (m-1))!, for each row i, where d_i is the row sum of C over
+    m - 1 (none if that is not whole).  No rooting, arborescence count
+    or determinant is involved."""
+    m, n, N = h.m, h.n, d * (h.m - 1)
+    if d == 0:
+        return Fraction(n * (m - 1) ** (n - 1))
+    arcs = sorted({(i, u) for e in h.edges for i in e for u in e if u != i})
+    out: dict[int, list[tuple[int, int]]] = {}
+    for j, (i, u) in enumerate(arcs):
+        out.setdefault(i, []).append((u, (N + 1) ** j))  # arc j adds 1 at digit j
+    # A monomial's closed walks number N / r_v times those from a vertex v
+    # its arcs leave r_v > 0 times, by rotation, so each is walked only
+    # from its least vertex, on the vertices from there on.
+    monomials: dict[int, tuple[int, int]] = {}  # arc counts in base N + 1 -> (v, walks)
+    for start in out:
+        walks = {start: {0: 1}}
+        for _ in range(N):
+            grown: dict[int, dict[int, int]] = {}
+            for v, codes in walks.items():
+                for u, unit in out[v]:
+                    if u >= start:
+                        to = grown.setdefault(u, {})
+                        for code, count in codes.items():
+                            to[code + unit] = to.get(code + unit, 0) + count
+            walks = grown
+        monomials.update((code, (start, count)) for code, count in walks.get(start, {}).items())
+
+    def operator_coefficient(i: int, row: dict[int, int], d_i: int) -> int:
+        # the coefficient of prod_u d/dz_iu^row[u] in L_i^(d_i): the
+        # multinomial d_i!/prod k_e! over the multiplicities k_e of the
+        # edges through i whose sets e - i cover each u row[u] times
+        through = [[u for u in e if u != i] for e in h.edges if i in e]
+
+        def split(j: int, left: dict[int, int]) -> Fraction:
+            if j == len(through):
+                return Fraction(int(not any(left.values())))
+            total, k, left = Fraction(0), 0, dict(left)
+            while True:
+                total += split(j + 1, left) / factorial(k)
+                if not all(left.get(u, 0) for u in through[j]):
+                    return total
+                for u in through[j]:
+                    left[u] -= 1
+                k += 1
+
+        return int(split(0, row) * factorial(d_i))
+
+    total = Fraction(0)
+    for code, (start, count) in monomials.items():
+        counts = {}
+        for arc in arcs:
+            code, counts[arc] = divmod(code, N + 1)
+        rows: dict[int, dict[int, int]] = {}
+        for (i, u), c in counts.items():
+            rows.setdefault(i, {})[u] = c
+        term = Fraction(count * N * prod(map(factorial, counts.values())), sum(rows[start].values()))
+        for i, row in rows.items():
+            r = sum(row.values())
+            if r % (m - 1):
+                term = Fraction(0)
+                break
+            term *= Fraction(operator_coefficient(i, row, r // (m - 1)), factorial(r))
+        total += term
+    return total * (m - 1) ** (n - 1)
 
 
 def brute_force_isomorphic(h1: UniformHypergraph, h2: UniformHypergraph) -> bool:

@@ -54,6 +54,7 @@ from conftest import (
     dense_hosts,
     group_order,
     matches,
+    morozov_shakirov_trace,
     relabelings,
     unpaired_table,
 )
@@ -970,37 +971,64 @@ class TestMassFirstJoin:
         assert (got.lower, got.upper, got.depth, got.traces, got.tail_bound) == (
             want.lower, want.upper, want.depth, want.traces, want.tail_bound)
 
-    def test_a_star_bracket_multiplies_no_one_variable_product(self, monkeypatch):
-        # every block of a star is a single edge, so no block has two cut
-        # vertices below it and the join reads its columns directly
-        mass, calls = traces_module._mass, []
+    @staticmethod
+    def grown_block_products(monkeypatch) -> list[int]:
+        """The masses at which the product routine grows a block entry's
+        product of two or more ``A_w(t_w)``, recorded as they happen;
+        the routine's calls on a cut's ``C_w`` are left out."""
+        grow, masses = traces_module._Product.grow, []
 
-        def counted(*args):
-            calls.append(args)
-            return mass(*args)
+        def counted(product, k, row):
+            if not isinstance(product, traces_module._Cut):
+                masses.append(k)
+            return grow(product, k, row)
 
-        monkeypatch.setattr(traces_module, "_mass", counted)
+        monkeypatch.setattr(traces_module._Product, "grow", counted)
+        return masses
+
+    def test_a_star_bracket_grows_no_block_product(self, monkeypatch):
+        # every block of a star is a single edge with no cut vertex
+        # below it, so no block entry has a product of two factors
+        masses = self.grown_block_products(monkeypatch)
         assert estrada_index(hyperstar(3, 4), 1e-6).depth == 27
-        assert calls == []
+        assert masses == []
 
-    def test_products_are_read_only_at_masses_on_the_order_step(self, monkeypatch):
+    def test_block_products_grow_only_at_masses_on_the_order_step(self, monkeypatch):
         # a bipartite host has rootings only at even orders, so every
-        # product at an odd mass is zero and is not evaluated; hung from
+        # product at an odd mass is zero and is not grown; hung from
         # vertex 0, its 4-cycle has the cut vertices 1 and 2 below it
-        masses = []
-        mass = traces_module._mass
-
-        def counted(row, p, q):
-            masses.append(len(row) - 1)
-            return mass(row, p, q)
-
-        monkeypatch.setattr(traces_module, "_mass", counted)
+        masses = self.grown_block_products(monkeypatch)
         h = new_hypergraph(2, 6, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (2, 5)])
         budget = Budget(cost_limit=10**4)
         got = estrada_index(h, "1e-6", budget)
         assert masses and all(k % 2 == 0 for k in masses)
         want = estrada_index_m2_oracle(h, "1e-6", budget)
         assert (got.lower, got.upper, got.depth) == (want.lower, want.upper, want.depth)
+
+
+class TestMorozovShakirovOracle:
+    """The Morozov-Shakirov trace (``conftest.morozov_shakirov_trace``)
+    differentiates tr(Z^N) and shares no code with the Euler-rooting
+    expansion, the rooting tables or the forest DP."""
+
+    @pytest.mark.parametrize("name", ["k4", "asymmetric"])
+    def test_the_oracle_is_the_matrix_power_trace_at_m2(self, name):
+        h, _ = SYMMETRIC_HOSTS[name]
+        assert [morozov_shakirov_trace(h, d) for d in range(9)] == [
+            trace_m2_oracle(h, d) for d in range(9)]
+
+    def test_a_dense_block_with_a_pendant_edge(self):
+        h = coalesce(K4_3, 0, hyperpath(3, 1), 0)
+        assert [trace(h, d) for d in range(7)] == [
+            morozov_shakirov_trace(h, d) for d in range(7)]
+
+    def test_a_root_edge_with_two_cut_vertices_below(self):
+        # a plain trace roots at vertex 0, on the middle edge, so each of
+        # its entries rooting 1 and 2 reads a product of two A_w(t_w); a
+        # hypertree has rootings only at multiples of m
+        h = new_hypergraph(3, 7, [(0, 1, 2), (1, 3, 4), (2, 5, 6)])
+        assert [trace(h, d) for d in (3, 6, 9)] == [
+            morozov_shakirov_trace(h, d) for d in (3, 6, 9)] == [432, 864, 1971]
 
 
 class TestPinnedReads:
