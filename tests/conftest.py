@@ -120,25 +120,22 @@ def morozov_shakirov_trace(h: UniformHypergraph, d: int) -> Fraction:
             walks = grown
         monomials.update((code, (start, count)) for code, count in walks.get(start, {}).items())
 
-    def operator_coefficient(i: int, row: dict[int, int], d_i: int) -> int:
-        # the coefficient of prod_u d/dz_iu^row[u] in L_i^(d_i): the
-        # multinomial d_i!/prod k_e! over the multiplicities k_e of the
-        # edges through i whose sets e - i cover each u row[u] times
-        through = [[u for u in e if u != i] for e in h.edges if i in e]
+    through = {i: [[u for u in e if u != i] for e in h.edges if i in e] for i in out}
 
-        def split(j: int, left: dict[int, int]) -> Fraction:
-            if j == len(through):
-                return Fraction(int(not any(left.values())))
-            total, k, left = Fraction(0), 0, dict(left)
-            while True:
-                total += split(j + 1, left) / factorial(k)
-                if not all(left.get(u, 0) for u in through[j]):
-                    return total
-                for u in through[j]:
-                    left[u] -= 1
-                k += 1
-
-        return int(split(0, row) * factorial(d_i))
+    def covers(edges: list[list[int]], left: dict[int, int]) -> Fraction:
+        # the sum of 1/prod k_e! over the multiplicities k_e of the edges
+        # whose sets e - i cover each u left[u] times: times d_i!, the
+        # coefficient of prod_u d/dz_iu^left[u] in L_i^(d_i)
+        if not edges:
+            return Fraction(not any(left.values()))
+        total, k, left = Fraction(0), 0, dict(left)
+        while True:
+            total += covers(edges[1:], left) / factorial(k)
+            if not all(left[u] for u in edges[0]):
+                return total
+            for u in edges[0]:
+                left[u] -= 1
+            k += 1
 
     total = Fraction(0)
     for code, (start, count) in monomials.items():
@@ -154,7 +151,7 @@ def morozov_shakirov_trace(h: UniformHypergraph, d: int) -> Fraction:
             if r % (m - 1):
                 term = Fraction(0)
                 break
-            term *= Fraction(operator_coefficient(i, row, r // (m - 1)), factorial(r))
+            term *= covers(through[i], row) * factorial(r // (m - 1)) / factorial(r)
         total += term
     return total * (m - 1) ** (n - 1)
 
