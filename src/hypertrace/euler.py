@@ -19,9 +19,10 @@ enumerator below yields trusted matrices instead: it builds every
 rooting balanced and connected, so it skips both checks and hands over
 the two derived fields, computed once per k-vector.
 
-Called without an ``_symmetry._Orbits`` memo, the enumerator yields
-every rooting, and is the oracle for the reduced mode below, the one
-that block tables read.
+Without an ``_symmetry._Orbits`` memo the enumerator yields every
+rooting, the oracle for the reduced mode below that block tables read.
+Given one, it yields a single edge's one rooting with no search: by
+balance ``m * r(v) = k_e = d``, so at an order m divides, r(v) = d/m.
 
 Enumeration over all rootings of total multiplicity ``d`` works in two
 stages.  The first assigns edge multiplicities ``k_e`` summing to ``d``,
@@ -282,6 +283,11 @@ def enumerate_rootings(
 
     m, n = h.m, h.n
     edges = h.edges
+    if orbits is not None and h.edge_count == 1:
+        r = d // m
+        if r * m == d:  # the one rooting (module docstring)
+            yield RootCountMatrix._trusted(h, ((r,) * m,), (d,), dict.fromkeys(edges[0], r))
+        return
     zero = (0,) * m
     rows = [zero] * h.edge_count
 

@@ -93,22 +93,22 @@ enumerated.
   mass k per sigma = r(anchor) >= 1, ``C_a[sigma] * phi(sigma)``,
   scaled as the total is, is the profile entry ``Tr_{k;sigma}``.
 * The DP state (``G_B``, ``C_w``, ``A_w(s)``, the product of the
-  ``A_w(t_w)`` a block entry needs, and the totals) lives with the
-  forest, every polynomial keyed mass first, mass -> {root count:
-  coefficient}, and ``A_w(s)`` one column at count 0.  One routine
-  grows every product of two or more factors, ``C_w`` or a block
-  entry's, by its mass-k coefficient, which reads only the masses up
-  to k of the factors and joins only the masses i and k - i where both
-  have entries.  So each order extends every polynomial at its mass,
-  children first, and an order already reached is read back.  A root
-  count first seen at order d gets its ``A_w(s)`` from ``C_w`` and
-  its product from that routine over the masses below d.  A block
-  whose every edge has a vertex on no other of its edges (a single
-  edge, a loose cycle) has rootings only at multiples of m, its order
-  step, and nothing is enumerated at other orders.  A mass off the
-  multiples of the gcd of the orders with rootings so far (a
-  hypertree's masses off the multiples of m) is zero throughout and is
-  skipped.
+  ``A_w(t_w)`` a block entry needs, the totals, and the row of
+  ``phi(r)`` to the order reached that ``A_w(s)`` and the top terms
+  index) lives with the forest, every polynomial keyed mass first,
+  mass -> {root count: coefficient}, and ``A_w(s)`` one column at
+  count 0.  One routine grows every product of two or more factors,
+  ``C_w`` or a block entry's, by its mass-k coefficient, which reads
+  only the masses up to k of the factors and joins only the masses i
+  and k - i where both have entries.  So each order extends every
+  polynomial at its mass, children first, and an order already reached
+  is read back.  A root count first seen at order d gets its ``A_w(s)``
+  from ``C_w`` and its product from that routine over the masses below
+  d.  A block whose every edge has a vertex on no other of its edges (a
+  single edge, a loose cycle) has rootings only at multiples of m, its
+  order step, and is read at no other order.  A mass off the multiples
+  of the gcd of the orders with rootings so far (a hypertree's masses
+  off the multiples of m) is zero throughout and is skipped.
 
 Order zero is the eigenvalue count: ``Tr_0 = n * (m-1)^(n-1)``.  The
 localized value at order zero follows the convention ``(m-1)^(n-1)``
@@ -336,9 +336,9 @@ def _phi(m: int, r: int) -> int:
     return (m - 1) ** (r - 1) * factorial(r - 1) if r else 0
 
 
-def _weigh(m: int, col: dict[int, int], s: int) -> int:
-    """``sum_sigma col[sigma] * phi(s + sigma)``, at s = 0 a column's top term."""
-    return sum(v * _phi(m, s + sigma) for sigma, v in col.items())
+def _weigh(phi: list[int], col: dict[int, int], s: int) -> int:
+    """``sum_sigma col[sigma] * phi[s + sigma]`` on a forest's phi row; s = 0 a top term."""
+    return sum(v * phi[s + sigma] for sigma, v in col.items())
 
 
 @dataclass
@@ -447,11 +447,13 @@ class _BlockForest:
         self.roots = {w: _Cut(sums) for w, sums in hanging.items()}  # nothing above them
         self.step = 0  # the gcd of the orders with rootings so far
         self.totals: list[int] = [0]  # the total at every mass reached
+        self.phi: list[int] = [0]  # phi(r) to the order d reached: s + sigma <= 2d/m <= d
         self.single: dict[int, dict[int, int]] = {}  # see alone
 
     def extend(self, d_max: int) -> None:
-        """Extend the forest to order d_max."""
+        """Extend the forest, its phi row first, to order d_max."""
         for d in range(len(self.totals), d_max + 1):
+            self.phi.append(_phi(self.m, d))
             self._fill(d)
             if self.step and d % self.step == 0:
                 self._extend(d)
@@ -507,9 +509,11 @@ class _BlockForest:
                 for ts, num in sums.items()}
 
     def _fill(self, d: int) -> None:
-        """Add order d to every block's weights.  Root counts new at this
-        order get their DP polynomials here, over the masses reached."""
+        """Add order d to the weights of every block it is on the step of.
+        New root counts get their DP polynomials here, over the masses reached."""
         for block in self.blocks:
+            if d % block.step:
+                continue
             table = self.table(block, d)
             if table:
                 self.step = gcd(self.step, d)
@@ -536,7 +540,7 @@ class _BlockForest:
         """``A_w(s) = sum_sigma C_w[sigma] * phi(s + sigma)`` as one
         column, computed over the masses reached when s is new."""
         if s not in cut.below:
-            cut.below[s] = {k: {0: _weigh(self.m, col, s)} for k, col in cut.joined[-1].items()}
+            cut.below[s] = {k: {0: _weigh(self.phi, col, s)} for k, col in cut.joined[-1].items()}
         return cut.below[s]
 
     def _join(self, cut: _Cut, k: int, row: tuple[int, ...]) -> int:
@@ -548,8 +552,8 @@ class _BlockForest:
         if not col:
             return 0
         for s, a in cut.below.items():
-            a[k] = {0: _weigh(self.m, col, s)}
-        return _weigh(self.m, col, 0)
+            a[k] = {0: _weigh(self.phi, col, s)}
+        return _weigh(self.phi, col, 0)
 
     def _extend(self, k: int) -> None:
         """Extend every DP polynomial by its coefficient at mass k (see

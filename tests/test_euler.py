@@ -30,6 +30,7 @@ from hypertrace import (
     new_hypergraph,
     tuple_multiplicity,
 )
+import hypertrace.euler as euler_module
 import hypertrace.traces as traces_module
 from hypertrace._symmetry import _Group, _Orbits
 from hypertrace.euler import _balanced_multiplicities, _bareiss_determinant, contribution_parts
@@ -476,6 +477,46 @@ class TestTargetedRoute:
         for d in range(1, 7):
             got, _ = check_reduced(h, d, _labeling(h)[1], is_least)
             assert all(5 not in mat.root_counts for mat in got)
+
+
+def described(mats):
+    return [(mat.counts, mat.k_vector, mat.root_counts) for mat in mats]
+
+
+class TestSingleEdgeRooting:
+    """Given a memo, a host of one edge yields its one rooting without a
+    search: balance reads m * r(v) = k_e = d at each vertex of the edge,
+    so at an order m divides every vertex is rooted d/m times."""
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_the_reduced_rooting_is_the_oracle_rooting(self, m):
+        h = hyperpath(m, 1)
+        for d in range(1, 4 * m + 2):
+            got, orbits = reduced(h, d)
+            assert described(got) == described(enumerate_rootings(h, d))
+            assert len(got) == (d % m == 0)
+            assert traces_module._enumerate_table(h, d, orbits.group) == unpaired_table(h, d)
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_isolated_vertices_under_the_labeling_generators(self, m):
+        h = new_hypergraph(m, m + 2, [range(1, m + 1)])  # vertices 0 and m + 1 on no edge
+        generators = _labeling(h)[1]
+        assert generators
+        for d in range(1, 3 * m + 2):
+            got, orbits = reduced(h, d, generators)
+            assert described(got) == described(enumerate_rootings(h, d))
+            assert traces_module._enumerate_table(h, d, orbits.group) == unpaired_table(h, d)
+
+    def test_the_reduced_rooting_runs_no_stage_one(self, monkeypatch):
+        def searched(*args):
+            raise AssertionError("stage one ran")
+
+        monkeypatch.setattr(euler_module, "_balanced_multiplicities", searched)
+        h = hyperpath(3, 1)
+        assert [mat.counts for mat in reduced(h, 6)[0]] == [((2, 2, 2),)]
+        assert reduced(h, 7)[0] == []
+        with pytest.raises(AssertionError, match="stage one ran"):
+            list(enumerate_rootings(h, 6))
 
 
 class TestArborescences:

@@ -799,6 +799,41 @@ class TestOrderStep:
         assert [d for _, d in calls] == list(range(1, 7))
         assert profile.entries == {**enumerated_profile(h, 0, 6), (0, 0): (h.m - 1) ** (h.n - 1)}
 
+    def test_blocks_are_read_only_on_their_step(self, monkeypatch):
+        orders = []
+        table = traces_module._BlockForest.table
+
+        def counted(self, block, d):
+            orders.append(d)
+            return table(self, block, d)
+
+        monkeypatch.setattr(traces_module._BlockForest, "table", counted)
+        assert estrada_index(hyperstar(3, 4), 1e-6).depth == 27
+        star = len(orders)
+        h = hyperpath(3, 5)
+        assert trace(h, 15) == enumerated_trace(h, 15)
+        assert star and len(orders) > star
+        assert all(d % 3 == 0 for d in orders)
+
+
+class TestSingleEdgeSpectrum:
+    """A single m-edge's traces from its characteristic polynomial,
+    ``x^(m (m-1)^(m-1) - m^(m-1)) * (x^m - 1)^(m^(m-2))`` (Cooper & Dutle,
+    Spectra of uniform hypergraphs, 2012), sharing no code with the
+    enumerator: each m-th root of unity is an eigenvalue m^(m-2) times,
+    so the power sums are m^(m-1) at the multiples of m and 0 elsewhere.
+    The only rooting at order m r roots every vertex r times, so the
+    profile at a vertex holds that trace at t = r alone."""
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_traces_and_profile(self, m):
+        h = hyperpath(m, 1)
+        want = [m * (m - 1) ** (m - 1)] + [
+            m ** (m - 1) if d % m == 0 else 0 for d in range(1, 5 * m + 1)]
+        assert [trace(h, d) for d in range(5 * m + 1)] == want
+        assert local_trace_profile(h, 0, 5 * m).entries == {
+            (0, 0): (m - 1) ** (m - 1), **{(m * r, r): m ** (m - 1) for r in range(1, 6)}}
+
 
 def enumerated_profile(h, anchor, d_max):
     """The nonzero Tr_{d;t} at the anchor straight from the definition:
