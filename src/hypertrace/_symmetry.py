@@ -27,29 +27,32 @@ an edge.  A group of them is given by generators and never listed.
 
 * ``_Orbits.least_k_vectors`` keeps, of the k-vectors with the root
   counts r, the least of each orbit under the generators that fix r,
-  and records each one's orbit size (``euler``'s docstring).  They
-  generate a subgroup of the stabilizer of r, which keeps a table
-  exact whichever subgroup it is.
+  closed by ``_orbit``, and records each one's orbit size (``euler``'s
+  docstring).  They generate a subgroup of the stabilizer of r, which
+  keeps a table exact whichever subgroup it is.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import mul
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .hypergraph import UniformHypergraph
 
 
 def _orbit(r: tuple[int, ...], generators: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """The orbit of a vector over the vertices under the group that the
-    vertex permutations generate, closed one generator step at a time."""
+    """The orbit of a vector under the group that the permutations of its
+    indices generate, closed one generator step at a time."""
+    # itemgetter builds an image with no transient map or bound method, which cost
+    # ~0.5 MB of peak memory on dense hosts; a one-index permutation is the identity
+    moves = [itemgetter(*g) for g in generators if len(g) > 1]
     orbit = {r}
     todo = [r]
     while todo:
         x = todo.pop()
-        for g in generators:
-            y = tuple(map(x.__getitem__, g))
+        for move in moves:
+            y = move(x)
             if y not in orbit:
                 orbit.add(y)
                 todo.append(y)
@@ -108,42 +111,25 @@ class _Orbits:
             self.of[first] = orbit
         return self.least[r]
 
-    def least_k_vectors(self, found: list, r: tuple[int, ...], d: int) -> list:
-        """Of the (k-vector, load) pairs ``found`` at the root counts r
-        of order d, every one with those root counts in lexicographic
-        order, the least of each orbit under the generators fixing r.
-        A k-vector is coded as the integer ``sum k_e * (d+1)^(E-1-e)``,
-        so integer order is lexicographic order and no image is built as
-        a tuple."""
-        if len(found) < 2:
-            return found
+    def least_k_vectors(self, found: list, r: tuple[int, ...]) -> list:
+        """Of the (k-vector, load) pairs ``found`` at the root counts r,
+        every one with those root counts in lexicographic order, the
+        first, so the least, of each orbit under the generators fixing r."""
+        # _orbit reads x[edge_map[i]] at i, the inverse of the edge action;
+        # the inverses of a finite group's generators generate it too
         fixing = [edge_map for g, edge_map in self.group.pool
                   if all(r[w] == x for w, x in zip(g, r))]
-        if not fixing:
+        if len(found) < 2 or not fixing:
             return found
-        count = len(self.group.edges)
-        place = [(d + 1) ** (count - 1 - e) for e in range(count)]
-        moves = [[place[i] for i in edge_map] for edge_map in fixing]
-        codes = [sum(map(mul, k, place)) for k, _ in found]
-        by_code = {code: k for code, (k, _) in zip(codes, found)}
-        seen: set[int] = set()
+        seen: set[tuple[int, ...]] = set()
         kept = []
-        for code, item in zip(codes, found):
-            if code in seen:
-                continue
-            orbit = {code}
-            todo = [item[0]]
-            while todo:
-                x = todo.pop()
-                for move in moves:
-                    y = sum(map(mul, x, move))
-                    if y not in orbit:
-                        orbit.add(y)
-                        todo.append(by_code[y])
-            seen |= orbit
-            kept.append(item)
-            if len(orbit) > 1:
-                self.sizes[item[0]] = len(orbit)
+        for k, load in found:
+            if k not in seen:
+                orbit = _orbit(k, fixing)
+                seen |= orbit
+                kept.append((k, load))
+                if len(orbit) > 1:
+                    self.sizes[k] = len(orbit)
         return kept
 
 

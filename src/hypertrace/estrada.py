@@ -267,19 +267,6 @@ def extremal_scan(
         for rank, (cid, h, est) in enumerate(estimates, start=1)
     )
 
-    def disjoint_from_all(candidate: ScanEntry) -> bool:
-        return all(
-            other is candidate
-            or candidate.estimate.upper < other.estimate.lower
-            or other.estimate.upper < candidate.estimate.lower
-            for other in entries
-        )
-
-    low_entry = min(entries, key=lambda e: e.estimate.lower)
-    high_entry = max(entries, key=lambda e: e.estimate.upper)
-    minimizer = low_entry.canonical_id if disjoint_from_all(low_entry) else None
-    maximizer = high_entry.canonical_id if disjoint_from_all(high_entry) else None
-
     overlaps = []
     for i, a in enumerate(entries):
         for b in entries[i + 1 :]:
@@ -288,6 +275,13 @@ def extremal_scan(
             )
             if gap >= 0:
                 overlaps.append((a.canonical_id, b.canonical_id, gap))
+
+    # gap >= 0 is exactly "not disjoint", so an extreme in no overlap is certified
+    overlapping = {cid for a, b, _ in overlaps for cid in (a, b)}
+    low = min(entries, key=lambda e: e.estimate.lower).canonical_id
+    high = max(entries, key=lambda e: e.estimate.upper).canonical_id
+    minimizer = None if low in overlapping else low
+    maximizer = None if high in overlapping else high
 
     path_id = class_id(hyperpath(m, z), budget)
     star_id = class_id(hyperstar(m, z), budget)

@@ -334,7 +334,7 @@ def enumerate_rootings(
         for r in _root_vectors(h, d, orbits.group.base_orbits):
             if orbits.is_least(r):
                 found = list(_balanced_multiplicities(edges, n, m, d, r))
-                multiplicities += orbits.least_k_vectors(found, r, d)
+                multiplicities += orbits.least_k_vectors(found, r)
         multiplicities.sort(key=itemgetter(0))
     else:
         multiplicities = (

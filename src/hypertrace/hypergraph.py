@@ -559,14 +559,17 @@ def dumps_json(h: UniformHypergraph) -> str:
 def loads_json(text: str) -> UniformHypergraph:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, or nested past the parser's depth
         raise ValidationError(f"invalid JSON: {exc}") from None
     return from_json_dict(payload)
 
 
 def load_json(path: str) -> UniformHypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return loads_json(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def save_json(h: UniformHypergraph, path: str) -> None:

@@ -94,8 +94,9 @@ enumerated.
   scaled as the total is, is the profile entry ``Tr_{k;sigma}``.
 * The DP state (``G_B``, ``C_w``, ``A_w(s)``, the product of the
   ``A_w(t_w)`` a block entry needs, the totals, and the row of
-  ``phi(r)`` to the order reached that ``A_w(s)`` and the top terms
-  index) lives with the forest, every polynomial keyed mass first,
+  ``phi(r)`` to the order reached, the only source of phi, which
+  ``A_w(s)``, the top terms, the block tables and the reads index)
+  lives with the forest, every polynomial keyed mass first,
   mass -> {root count: coefficient}, and ``A_w(s)`` one column at
   count 0.  One routine grows every product of two or more factors,
   ``C_w`` or a block entry's, by its mass-k coefficient, which reads
@@ -275,7 +276,7 @@ def _profile(h: UniformHypergraph, anchor: int, d_max: int) -> dict[tuple[int, i
     anchor, scaled."""
     forest = _forest(h, anchor, d_max)
     c_a = forest.roots[anchor].joined[-1]
-    return {(d, t): forest.scaled(d, c_a[d][t] * _phi(h.m, t))
+    return {(d, t): forest.scaled(d, c_a[d][t] * forest.phi[t])
             for d in range(1, d_max + 1) if d in c_a for t in sorted(c_a[d]) if t}
 
 
@@ -287,7 +288,7 @@ def _read(h: UniformHypergraph, d: int, v: int, t: int | None = None) -> Fractio
     if len(forest.blocks) == 1:
         return forest.alone(d, t)
     joined = _forest(h, v, d).roots[v].joined[-1]
-    c = forest.totals[d] if t is None else joined.get(d, {}).get(t, 0) * _phi(h.m, t)
+    c = forest.totals[d] if t is None else joined.get(d, {}).get(t, 0) * forest.phi[t]
     return forest.scaled(d, c)
 
 
@@ -328,12 +329,6 @@ Columns = dict[int, dict[int, int]]  # mass first: k -> {root count: coefficient
 def _row(k: int) -> tuple[int, ...]:
     """The binomial row ``C(k, 0..k)``."""
     return tuple(comb(k, i) for i in range(k + 1))
-
-
-@cache
-def _phi(m: int, r: int) -> int:
-    """The factor of a vertex rooted r times, scaled by (m-1)^r; 0 at r = 0."""
-    return (m - 1) ** (r - 1) * factorial(r - 1) if r else 0
 
 
 def _weigh(phi: list[int], col: dict[int, int], s: int) -> int:
@@ -453,7 +448,7 @@ class _BlockForest:
     def extend(self, d_max: int) -> None:
         """Extend the forest, its phi row first, to order d_max."""
         for d in range(len(self.totals), d_max + 1):
-            self.phi.append(_phi(self.m, d))
+            self.phi.append(self.phi[-1] * (self.m - 1) * (d - 1) if d > 1 else 1)
             self._fill(d)
             if self.step and d % self.step == 0:
                 self._extend(d)
@@ -505,7 +500,7 @@ class _BlockForest:
             ts = tuple(counts[i] for i in block.keyed)
             sums[ts] = sums.get(ts, 0) + num
         m, den = self.m, d * (self.m - 1) ** block.host.n
-        return {ts: num * (m - 1) ** d // (den * prod(_phi(m, t) for t in ts if t))
+        return {ts: num * (m - 1) ** d // (den * prod(self.phi[t] for t in ts if t))
                 for ts, num in sums.items()}
 
     def _fill(self, d: int) -> None:

@@ -78,6 +78,17 @@ class TestTrace:
         bad.write_text("{broken")
         assert main(["trace", "--input", str(bad), "--d", "3"]) == 1
 
+    @pytest.mark.parametrize("command", [["estrada", "--tol", "1"], ["trace", "--d", "3"]],
+                             ids=["estrada", "trace"])
+    @pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100_000], ids=["not-utf8", "deep"])
+    def test_malformed_file_exits_one_with_one_error_line(self, tmp_path, capsys,
+                                                          command, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main([*command, "--input", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_negative_order_exits_one(self, path_file, capsys):
         assert main(["trace", "--input", path_file, "--d", "-2"]) == 1
 

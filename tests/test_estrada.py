@@ -196,6 +196,31 @@ class TestExtremalScan:
         assert report.indeterminate
         assert report.minimizer_id is None or report.maximizer_id is None
 
+    @pytest.mark.parametrize("m, z, tol, certified, overlaps", [
+        (2, 5, Fraction(4), (False, False), 15),
+        (2, 5, Fraction(1), (True, True), 2),
+        (2, 5, Fraction(1, 1000), (True, True), 0),
+        (3, 5, Fraction(1), (False, True), 4),
+    ])
+    def test_extremes_are_certified_by_the_pairwise_disjointness_test(
+            self, m, z, tol, certified, overlaps):
+        report = extremal_scan(m, z, tol)
+
+        def disjoint_from_all(candidate):
+            return all(
+                other is candidate
+                or candidate.estimate.upper < other.estimate.lower
+                or other.estimate.upper < candidate.estimate.lower
+                for other in report.entries
+            )
+
+        low = min(report.entries, key=lambda e: e.estimate.lower)
+        high = max(report.entries, key=lambda e: e.estimate.upper)
+        want = [e.canonical_id if disjoint_from_all(e) else None for e in (low, high)]
+        assert [report.minimizer_id, report.maximizer_id] == want
+        assert [cid is not None for cid in want] == list(certified)
+        assert len(report.indeterminate) == overlaps
+
     def test_csv_shape(self):
         report = extremal_scan(2, 3, Fraction(1, 100))
         lines = report.to_csv().strip().splitlines()

@@ -571,3 +571,13 @@ class TestJson:
             loads_json('{"m": 2, "n": 3, "edges": [[0, true]]}')
         with pytest.raises(ValidationError):
             loads_json('{"m": 2, "n": true, "edges": []}')
+        with pytest.raises(ValidationError, match="invalid JSON"):
+            loads_json("[" * 100_000)  # nested past the parser's depth
+
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        from hypertrace import load_json
+
+        path = tmp_path / "h.json"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            load_json(str(path))

@@ -5,6 +5,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -866,6 +867,12 @@ class TestAnchoredForest:
                 got = local_trace_profile(h, anchor, d_max).entries
                 want = enumerated_profile(h, anchor, d_max)
                 assert got == {**want, (0, 0): Fraction((h.m - 1) ** (h.n - 1))}
+        # the row every phi(r) is read from holds the closed form
+        for m in range(2, 6):
+            h = hyperstar(m, 3)
+            local_trace_profile(h, 0, 12)
+            assert traces_module._forest(h, 0, 0).phi == [0] + [
+                (m - 1) ** (r - 1) * factorial(r - 1) for r in range(1, 13)]
 
     def test_profiles_of_k4_at_two_anchors_enumerate_it_once_per_order(self):
         h = new_hypergraph(2, 4, K4.edges)
@@ -1065,6 +1072,25 @@ class TestMorozovShakirovOracle:
         assert [trace(h, d) for d in (3, 6, 9)] == [
             morozov_shakirov_trace(h, d) for d in (3, 6, 9)] == [432, 864, 1971]
 
+    def test_one_k_vector_per_orbit_on_a_relabeled_dense_3_graph(self, monkeypatch):
+        # K5^3 less one edge has more edges than vertices, so its tables
+        # keep one k-vector per orbit of the automorphisms fixing the root
+        # counts, which must drop some for the pin to reach the fold
+        [(h, _)] = relabelings(complete(3, 5, ((0, 1, 2),)), 1, seed=3)
+        offered, kept = [], []
+        least = _Orbits.least_k_vectors
+
+        def counted(orbits, found, r):
+            out = least(orbits, found, r)
+            offered.append(len(found))
+            kept.append(len(out))
+            return out
+
+        monkeypatch.setattr(_Orbits, "least_k_vectors", counted)
+        assert [trace(h, d) for d in (3, 4, 5)] == [
+            morozov_shakirov_trace(h, d) for d in (3, 4, 5)]
+        assert sum(kept) < sum(offered)
+
 
 class TestPinnedReads:
     """A pinned value is read from the store of block tables: on a host
@@ -1178,6 +1204,8 @@ class TestOrbitTables:
         table = traces_module._enumerate_table(k5, 8, _Group(k5, _labeling(k5)[1]))
         assert table == unpaired_table(k5, 8)
         assert closed and len(closed) == len(set(closed))
+        # root-count vectors over the vertices, and k-vectors over the edges
+        assert {len(next(iter(orbit))) for orbit in closed} == {k5.n, k5.edge_count}
 
     def test_the_store_keeps_each_blocks_generators(self):
         k5, _ = SYMMETRIC_HOSTS["k5"]
